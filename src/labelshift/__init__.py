@@ -47,6 +47,7 @@ from .federated import (
     run_federation,
     train_global,
     true_weight_vectors,
+    weight_vectors,
 )
 from .metrics import TrialSummary, loglog_slope, ratio_mse, summarize
 from .predictor import (

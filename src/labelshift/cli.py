@@ -2,8 +2,10 @@
 
 Every artifact embeds the fully resolved configuration, so a result file is
 reproducible from its own header. Identical configuration and seed produce
-byte-identical outputs regardless of thread count; per-trial randomness is
-keyed by (seed, cell index, trial index), never by scheduling order.
+byte-identical CSV bodies and summary payloads regardless of thread count;
+only the embedded threads and out_dir settings follow the run. Per-trial
+randomness is keyed by (seed, cell index, trial index), never by scheduling
+order.
 """
 
 import argparse
@@ -45,11 +47,12 @@ from .federated import (
     ServerOptimizer,
     build_federation,
     crossnode_listing_ratios,
-    run_federation,
+    train_global,
+    weight_vectors,
 )
 from .metrics import loglog_slope, ratio_mse, summarize
 from .predictor import PredictorConfig, predict_proba, train_predictor
-from .types import LabeledDataset, LabelMarginal, ratio_from_marginals
+from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix, ratio_from_marginals
 
 SCHEMA_VERSION = 1
 
@@ -196,27 +199,35 @@ def _perturbation_from(raw: dict | None) -> RelaxedShiftSpec | None:
     return RelaxedShiftSpec(**raw)
 
 
+def _node_from(raw: dict, where: str) -> NodeSpec:
+    _take(raw, {f.name for f in dataclasses.fields(NodeSpec)}, where)
+    return NodeSpec(
+        train_marginal=LabelMarginal(np.asarray(raw["train_marginal"], dtype=float)),
+        test_marginal=LabelMarginal(np.asarray(raw["test_marginal"], dtype=float)),
+        n_tr=int(raw["n_tr"]),
+        n_te=int(raw["n_te"]),
+        seed=int(raw.get("seed", 0)),
+    )
+
+
+def _server_from(raw: dict | None) -> ServerOptimizer:
+    if raw is None:
+        return ServerOptimizer()
+    raw = dict(raw)
+    _take(raw, {f.name for f in dataclasses.fields(ServerOptimizer)}, "server_optimizer")
+    if "betas" in raw:
+        raw["betas"] = tuple(raw["betas"])
+    return ServerOptimizer(**raw)
+
+
 def _federation_from(raw: dict | None) -> FederationConfig | None:
     if raw is None:
         return None
     raw = dict(raw)
     nodes = tuple(
-        NodeSpec(
-            train_marginal=LabelMarginal(np.asarray(n["train_marginal"], dtype=float)),
-            test_marginal=LabelMarginal(np.asarray(n["test_marginal"], dtype=float)),
-            n_tr=int(n["n_tr"]),
-            n_te=int(n["n_te"]),
-            seed=int(n.get("seed", 0)),
-        )
-        for n in raw.pop("nodes")
+        _node_from(n, f"federation.nodes[{i}]") for i, n in enumerate(raw.pop("nodes"))
     )
-    server = raw.pop("server_optimizer", None)
-    if server is not None:
-        if "betas" in server:
-            server["betas"] = tuple(server["betas"])
-        server = ServerOptimizer(**server)
-    else:
-        server = ServerOptimizer()
+    server = _server_from(raw.pop("server_optimizer", None))
     global_model = _predictor_from(raw.pop("global_model", None), PredictorConfig())
     ratio_predictor = _predictor_from(
         raw.pop("ratio_predictor", None), PredictorConfig(architecture="mlp", hidden_units=32)
@@ -250,7 +261,9 @@ def resolve_config(
     file_kind = raw.pop("kind", None)
     if file_kind is not None and file_kind != kind:
         raise ValueError(f"config is for kind {file_kind!r}, not {kind!r}")
-    data = DataSource(**raw.pop("data", {}))
+    data = raw.pop("data", {})
+    _take(data, {f.name for f in dataclasses.fields(DataSource)}, "data")
+    data = DataSource(**data)
     predictor = _predictor_from(raw.pop("predictor", None), PredictorConfig(architecture="mlp"))
     solver = _options_from(raw.pop("solver", None))
     perturbation = _perturbation_from(raw.pop("perturbation", None))
@@ -343,11 +356,32 @@ class _SweepEnv:
         return gen_gaussian_mixture(self.mix, marginal, n, seed)
 
 
-def _run_estimator(name: str, env: _SweepEnv, test_features, opts: EstimatorOptions):
+def _predictor_for(estimator: str) -> str:
+    return "pred_reg" if estimator.startswith("vrls") else "pred_base"
+
+
+def _score(env: _SweepEnv, test_features, estimators) -> dict[str, ProbabilityMatrix | Exception]:
+    """One forward pass of the test draw per predictor the estimators need.
+
+    Maps each predictor's attribute name on env to its ProbabilityMatrix, or
+    to the exception its forward pass raised, so that every estimator that
+    needed those scores records the failure as its own.
+    """
+    scores = {}
+    for name in dict.fromkeys(map(_predictor_for, estimators)):
+        try:
+            scores[name] = predict_proba(getattr(env, name), test_features)
+        except Exception as exc:  # charged to each estimator that needs it
+            scores[name] = exc
+    return scores
+
+
+def _run_estimator(name: str, env: _SweepEnv, scores: dict, opts: EstimatorOptions):
+    preds = scores[_predictor_for(name)]
+    if isinstance(preds, Exception):
+        raise preds
     if name in ("vrls_em", "vrls_gd"):
-        preds = predict_proba(env.pred_reg, test_features)
         return solve_mlls(preds, env.tr, replace(opts, method=name.replace("vrls", "mlls")))
-    preds = predict_proba(env.pred_base, test_features)
     if name in ("mlls_em", "mlls_gd"):
         return solve_mlls(preds, env.tr, replace(opts, method=name))
     if name == "bbse":
@@ -362,10 +396,11 @@ def _run_trial(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float, n_t
         spec = replace(cfg.perturbation, seed=child_seed(cfg.perturbation.seed, ci, ti))
         ds = perturb_relaxed(ds, spec)
     truth = ratio_from_marginals(marginal, env.tr)
+    scores = _score(env, ds.features, cfg.estimators)
     results = []
     for est in cfg.estimators:
         try:
-            report = _run_estimator(est, env, ds.features, cfg.solver)
+            report = _run_estimator(est, env, scores, cfg.solver)
             results.append((est, ratio_mse(report.ratio, truth), ""))
         except Exception as exc:  # recorded per cell; the sweep keeps going
             results.append((est, None, f"{type(exc).__name__}: {exc}"))
@@ -513,10 +548,11 @@ def run_estimate_once(cfg: ExperimentConfig) -> dict:
     marginal = sample_dirichlet_marginal(cfg.alpha, env.m, seed=child_seed(cfg.seed, 0xA0, 0, 0, 0))
     ds = env.sample_test(marginal, cfg.n_te, seed=child_seed(cfg.seed, 0xA0, 0, 0, 1))
     truth = ratio_from_marginals(marginal, env.tr)
+    scores = _score(env, ds.features, cfg.estimators)
     reports = {}
     for est in cfg.estimators:
         try:
-            report = _run_estimator(est, env, ds.features, cfg.solver)
+            report = _run_estimator(est, env, scores, cfg.solver)
             entry = report.to_dict()
             entry["mse"] = ratio_mse(report.ratio, truth)
             entry["error"] = ""
@@ -541,12 +577,12 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     mix = GaussianMixtureSpec(
         equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma
     )
-    fcfg = cfg.federation
+    fed = build_federation(cfg.federation, mix)
     acc_rows = []
     trace_rows = []
     variants = {}
     for weighting in cfg.weightings:
-        result = run_federation(replace(fcfg, weighting=weighting), mix)
+        result = train_global(fed, weight_vectors(fed, weighting), fed.cfg)
         for i, acc in enumerate(result.per_node_accuracy):
             acc_rows.append((weighting, i, acc))
         for rnd, (loss, acc) in enumerate(zip(result.loss_trace, result.accuracy_trace)):
@@ -565,7 +601,6 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     summary = _base_summary(cfg)
     summary["weightings"] = variants
     if cfg.crossnode_listing:
-        fed = build_federation(fcfg, mix)
         summary["crossnode_listing_ratios"] = crossnode_listing_ratios(fed).tolist()
     _write_json(out / "federate_summary.json", summary)
     return summary

@@ -3,7 +3,8 @@
 Three phases mirror the deployment story:
 
 1. Each node estimates its own test marginal from local data only
-   (local_test_marginal / exchange_marginals).
+   (local_test_marginal / exchange_marginals). A node trains its ratio
+   predictor once per Federation and reuses it for every estimate.
 2. The estimated marginals are shared once; node k turns them into per-class
    weights w_k(y) = sum_j p_j_te(y) / p_k_tr(y) (aggregate_ratios). The only
    values that ever cross a node boundary are these K vectors of length m.
@@ -12,12 +13,13 @@ Three phases mirror the deployment story:
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from ._rng import child_seed, stream
 from .data import GaussianMixtureSpec, gen_gaussian_mixture
-from .estimators import EstimateReport, EstimatorOptions, estimate_vrls, solve_mlls
+from .estimators import EstimatorOptions, solve_mlls
 from .predictor import (
     Predictor,
     PredictorConfig,
@@ -137,6 +139,23 @@ class Federation:
     def m(self) -> int:
         return self.mix.m
 
+    @cached_property
+    def ratio_predictors(self) -> tuple[Predictor, ...]:
+        """Each node's density-ratio predictor, trained on first use from the
+        node's train split and then shared by every estimate that needs it.
+
+        Node i trains cfg.ratio_predictor with its seed replaced by
+        child_seed(ratio_predictor.seed, cfg.seed, i, node seed).
+        """
+        base = self.cfg.ratio_predictor
+        return tuple(
+            train_predictor(
+                node.train,
+                replace(base, seed=child_seed(base.seed, self.cfg.seed, i, node.spec.seed)),
+            )
+            for i, node in enumerate(self.nodes)
+        )
+
 
 @dataclass(frozen=True)
 class FederationResult:
@@ -214,30 +233,35 @@ def local_test_marginal(
     posterior_fn substitutes an oracle posterior for the trained predictor
     (same shape contract as predict_proba).
     """
-    tr = node.train.empirical_marginal()
+    predictor = train_predictor(node.train, pcfg) if posterior_fn is None else None
+    return _estimate_marginal(node, predictor, opts, posterior_fn)
+
+
+def _estimate_marginal(node: FederationNode, predictor, opts: EstimatorOptions, posterior_fn):
     if posterior_fn is None:
-        report = estimate_vrls(node.train, node.test.features, pcfg, opts)
+        preds = predict_proba(predictor, node.test.features)
     else:
         preds = ProbabilityMatrix.from_rows(posterior_fn(node.test.features))
-        report = solve_mlls(preds, tr, opts)
-    q = report.ratio.ratios * tr.probs
+    tr = node.train.empirical_marginal()
+    q = solve_mlls(preds, tr, opts).ratio.ratios * tr.probs
     return LabelMarginal(q / q.sum())
 
 
-def exchange_marginals(
-    fed: Federation, pcfg: PredictorConfig | None = None, posterior_fn=None
-) -> tuple[LabelMarginal, ...]:
+def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMarginal, ...]:
     """The single communication round before training: every node publishes
-    one length-m marginal estimate and nothing else."""
-    cfg = fed.cfg
-    base = pcfg if pcfg is not None else cfg.ratio_predictor
-    out = []
-    for i, node in enumerate(fed.nodes):
-        node_pcfg = replace(base, seed=child_seed(base.seed, cfg.seed, i, node.spec.seed))
-        out.append(
-            local_test_marginal(node, node_pcfg, cfg.ratio_solver, posterior_fn=posterior_fn)
-        )
-    return tuple(out)
+    one length-m marginal estimate and nothing else.
+
+    Each node scores its test features with its own ratio predictor from
+    fed.ratio_predictors, or with posterior_fn when one is given.
+    """
+    if posterior_fn is None:
+        predictors = fed.ratio_predictors
+    else:
+        predictors = (None,) * len(fed.nodes)
+    return tuple(
+        _estimate_marginal(node, predictor, fed.cfg.ratio_solver, posterior_fn)
+        for node, predictor in zip(fed.nodes, predictors)
+    )
 
 
 def aggregate_ratios(k: int, test_marginals, tr_k: LabelMarginal) -> np.ndarray:
@@ -390,40 +414,40 @@ def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple[float, ...], float
     return tuple(accs), float(np.mean(accs))
 
 
+def weight_vectors(fed: Federation, weighting: str, posterior_fn=None) -> np.ndarray:
+    """Per-node class weights under the named weighting, one row per node."""
+    if weighting == "none":
+        return np.ones((fed.cfg.k, fed.m))
+    if weighting == "true_ratios":
+        return true_weight_vectors(fed.cfg)
+    if weighting == "estimated_ratios":
+        return estimated_weight_vectors(fed, posterior_fn=posterior_fn)[0]
+    raise ValueError(f"unknown weighting {weighting!r}")
+
+
 def run_federation(
     cfg: FederationConfig, mix: GaussianMixtureSpec, posterior_fn=None
 ) -> FederationResult:
     """Build the federation, derive weights per cfg.weighting, and train."""
     fed = build_federation(cfg, mix)
-    if cfg.weighting == "none":
-        w = np.ones((cfg.k, mix.m))
-    elif cfg.weighting == "true_ratios":
-        w = true_weight_vectors(cfg)
-    else:
-        w, _ = estimated_weight_vectors(fed, posterior_fn=posterior_fn)
-    return train_global(fed, w, cfg)
+    return train_global(fed, weight_vectors(fed, cfg.weighting, posterior_fn), cfg)
 
 
-def crossnode_listing_ratios(
-    fed: Federation, pcfg: PredictorConfig | None = None
-) -> np.ndarray:
+def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
     """Cross-node aggregation variant for fidelity experiments.
 
-    Node k's estimator is applied to every node's test features; the
+    Node k's ratio predictor is applied to every node's test features; the
     resulting matrix combines estimates against the other nodes' train
     marginals. Unlike the marginal exchange, this ships raw features across
     nodes, so it stays an opt-in diagnostic rather than a training path.
     """
     cfg = fed.cfg
-    base = pcfg if pcfg is not None else cfg.ratio_predictor
     k, m = cfg.k, fed.m
     est = np.zeros((k, k, m))
     marg = np.stack([node.train.empirical_marginal().probs for node in fed.nodes])
     if np.any(marg == 0):
         raise ValueError("cross-node aggregation needs every class on every node")
-    for a in range(k):
-        node_pcfg = replace(base, seed=child_seed(base.seed, cfg.seed, a, fed.nodes[a].spec.seed))
-        predictor = train_predictor(fed.nodes[a].train, node_pcfg)
+    for a, predictor in enumerate(fed.ratio_predictors):
         tr_a = fed.nodes[a].train.empirical_marginal()
         for b in range(k):
             preds = predict_proba(predictor, fed.nodes[b].test.features)

@@ -1,12 +1,20 @@
 import csv
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from labelshift import cli
+from labelshift import (
+    GaussianMixtureSpec,
+    cli,
+    equidistant_means,
+    estimators,
+    federated,
+    run_federation,
+)
 
 BASE_SWEEP = {
     "trials": 3,
@@ -51,6 +59,23 @@ def test_resolve_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown predictor keys"):
         cli.resolve_config(sweep_raw(predictor={"architecture": "linear", "lr": 1}),
                            "sweep_alpha")
+
+
+@pytest.mark.parametrize(
+    "section, where",
+    [("data", "data"), ("node", r"federation\.nodes\[1\]"), ("server", "server_optimizer")],
+    ids=["data", "node", "server"],
+)
+def test_resolve_rejects_unknown_keys_in_every_section(section, where):
+    raw = json.loads(json.dumps(FED_RAW))
+    if section == "data":
+        raw["data"]["mm"] = 3
+    elif section == "node":
+        raw["federation"]["nodes"][1]["n_trr"] = 5
+    else:
+        raw["federation"]["server_optimizer"]["lr"] = 0.1
+    with pytest.raises(ValueError, match=rf"unknown {where} keys: \['(mm|n_trr|lr)'\]"):
+        cli.resolve_config(raw, "federate")
 
 
 def test_resolve_validates_estimator_names():
@@ -162,6 +187,67 @@ def test_estimator_failures_recorded_not_fatal(tmp_path, monkeypatch):
     assert by_est["bbse"]["errors"] == 0
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "names, predictors",
+    [(["vrls_em", "mlls_em", "bbse", "rlls"], 2), (["mlls_em", "mlls_gd", "bbse"], 1),
+     (["vrls_em", "vrls_gd"], 1)],
+    ids=["both", "base", "reg"],
+)
+def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names, predictors):
+    calls = []
+    _count_calls(monkeypatch, cli, "predict_proba", calls)
+    raw = sweep_raw(estimators=names, trials=2)
+    cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
+    cli.run_sweep_alpha(cfg)
+    validation = 1 if {"bbse", "rlls"} & set(names) else 0
+    draws = len(cfg.alpha_grid) * cfg.trials
+    assert len(calls) == validation + draws * predictors
+    assert len({(id(pred), id(feats)) for pred, feats in calls}) == len(calls)
+
+
+def test_scoring_failure_is_charged_to_each_estimator_needing_it(tmp_path, monkeypatch):
+    trained = {}
+    original_train, original_predict = cli.train_predictor, cli.predict_proba
+
+    def train(data, pcfg):
+        pred = original_train(data, pcfg)
+        trained[pcfg.zeta] = pred
+        return pred
+
+    def predict(pred, features):
+        if pred is trained[0.0] and len(features) == BASE_SWEEP["n_te"]:
+            raise RuntimeError("scoring failed")
+        return original_predict(pred, features)
+
+    monkeypatch.setattr(cli, "train_predictor", train)
+    monkeypatch.setattr(cli, "predict_proba", predict)
+    cfg = cli.resolve_config(sweep_raw(), "sweep_alpha", out=str(tmp_path / "s"), seed=3)
+    cli.run_sweep_alpha(cfg)
+    rows = read_rows(tmp_path / "s" / "sweep_alpha_results.csv")
+    assert len(rows) == 24
+    for r in rows:
+        if r["estimator"] == "vrls_em":
+            assert r["error"] == "" and float(r["mse"]) >= 0
+        else:
+            assert r["error"] == "RuntimeError: scoring failed" and r["mse"] == ""
+
+    cfg = cli.resolve_config(sweep_raw(), "estimate_once", out=str(tmp_path / "e"), seed=3)
+    estimates = cli.run_estimate_once(cfg)["estimates"]
+    assert estimates["vrls_em"]["error"] == ""
+    for name in ("mlls_em", "bbse", "rlls"):
+        assert estimates[name] == {"error": "RuntimeError: scoring failed"}
+
+
 def test_relaxed_with_zero_apply_prob_reproduces_sweep(tmp_path):
     plain = cli.resolve_config(sweep_raw(), "sweep_alpha", out=str(tmp_path / "p"), seed=3)
     cli.run_sweep_alpha(plain)
@@ -271,6 +357,34 @@ def test_federate_emits_all_weighting_variants(tmp_path):
         assert len(variant["per_node_accuracy"]) == 2
         assert np.array(variant["node_weights"]).shape == (2, 3)
     assert np.array(summary["crossnode_listing_ratios"]).shape == (2, 3)
+
+
+def test_federate_builds_once_and_trains_one_ratio_predictor_per_node(tmp_path, monkeypatch):
+    builds, trainings = [], []
+    _count_calls(monkeypatch, cli, "build_federation", builds)
+    for module in (cli, federated, estimators):
+        _count_calls(monkeypatch, module, "train_predictor", trainings)
+    cfg = cli.resolve_config(json.loads(json.dumps(FED_RAW)), "federate",
+                             out=str(tmp_path), seed=2)
+    assert "estimated_ratios" in cfg.weightings and cfg.crossnode_listing
+    cli.run_federate(cfg)
+    assert len(builds) == 1
+    assert len(trainings) == cfg.federation.k
+
+
+def test_federate_matches_run_federation_per_weighting(tmp_path):
+    cfg = cli.resolve_config(json.loads(json.dumps(FED_RAW)), "federate",
+                             out=str(tmp_path), seed=2)
+    summary = cli.run_federate(cfg)
+    mix = GaussianMixtureSpec(
+        equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma)
+    for weighting in cfg.weightings:
+        direct = run_federation(replace(cfg.federation, weighting=weighting), mix)
+        variant = summary["weightings"][weighting]
+        assert variant["per_node_accuracy"] == list(direct.per_node_accuracy)
+        assert variant["avg_accuracy"] == direct.avg_accuracy
+        assert variant["node_weights"] == direct.node_weights.tolist()
+        assert variant["final_loss"] == direct.loss_trace[-1]
 
 
 def test_federate_rejects_idx_source(tmp_path):

@@ -29,7 +29,9 @@ from labelshift import (
     train_predictor,
     true_weight_vectors,
     uniform_marginal,
+    weight_vectors,
 )
+from labelshift._rng import child_seed
 from labelshift.types import LabelMarginal
 
 from .helpers import marginal, tiny_mixture
@@ -215,6 +217,35 @@ def test_estimated_weights_recombine_exchanged_marginals():
     for k in range(3):
         expected = aggregate_ratios(k, published, fed.nodes[k].train.empirical_marginal())
         assert np.array_equal(w[k], expected)
+
+
+def test_ratio_predictors_train_once_and_reproduce_local_estimates():
+    nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
+    cfg = FederationConfig(
+        nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1,
+        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
+                                        max_epochs=5, seed=4))
+    fed = build_federation(cfg, MIX3)
+    assert fed.ratio_predictors is fed.ratio_predictors
+    published = exchange_marginals(fed)
+    base = cfg.ratio_predictor
+    for i, node in enumerate(fed.nodes):
+        pcfg = replace(base, seed=child_seed(base.seed, cfg.seed, i, node.spec.seed))
+        alone = local_test_marginal(node, pcfg, cfg.ratio_solver)
+        assert np.array_equal(published[i].probs, alone.probs)
+
+
+def test_weight_vectors_per_weighting():
+    nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1)
+    fed = build_federation(cfg, MIX3)
+    assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
+    assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
+    oracle = lambda feats: posterior_matrix(MIX3, uniform_marginal(3), feats)
+    assert np.array_equal(weight_vectors(fed, "estimated_ratios", posterior_fn=oracle),
+                          estimated_weight_vectors(fed, posterior_fn=oracle)[0])
+    with pytest.raises(ValueError, match="unknown weighting 'bogus'"):
+        weight_vectors(fed, "bogus")
 
 
 # ------------------------------------------------------------ training loop
