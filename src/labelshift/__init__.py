@@ -58,6 +58,7 @@ from .predictor import (
     load_predictor,
     loss_gradient,
     mean_loss,
+    predict_labels,
     predict_proba,
     regularized_loss,
     save_predictor,

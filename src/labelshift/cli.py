@@ -14,9 +14,11 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
+from types import NoneType, UnionType
 
 import numpy as np
 
@@ -43,8 +45,7 @@ from .estimators import (
 )
 from .federated import (
     FederationConfig,
-    NodeSpec,
-    ServerOptimizer,
+    WEIGHTINGS,
     build_federation,
     crossnode_listing_ratios,
     train_global,
@@ -60,7 +61,7 @@ KINDS = ("sweep_alpha", "sweep_size", "rate_check", "estimate_once", "federate",
 ESTIMATOR_NAMES = ("vrls_em", "vrls_gd", "mlls_em", "mlls_gd", "bbse", "rlls")
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
-_PRESETS = {"relaxed": relaxed_preset, "relax_m": relax_m_preset}
+_PRESETS = {RelaxedShiftSpec: {"relaxed": relaxed_preset, "relax_m": relax_m_preset}}
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown estimator {e!r}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        for w in self.weightings:
+            if w not in WEIGHTINGS:
+                raise ValueError(f"unknown weighting {w!r}")
         if not 0.0 <= self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in [0, 1)")
         if self.threads < 1:
@@ -150,103 +154,70 @@ def _jsonable(x):
         return x.item()
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
 
 
-def resolved_config(cfg: ExperimentConfig) -> dict:
-    return _jsonable(cfg)
+def _field_default(f: dataclasses.Field, base):
+    if base is not MISSING:
+        return getattr(base, f.name)
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return f.default
 
 
-def _take(raw: dict, allowed: set[str], where: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+def _decode(tp, raw, where: str, default=MISSING):
+    """Builds a value of type tp from the JSON value raw.
 
-
-def _predictor_from(raw: dict | None, default: PredictorConfig) -> PredictorConfig:
-    if raw is None:
-        return default
-    _take(raw, {f.name for f in dataclasses.fields(PredictorConfig)}, "predictor")
-    return replace(default, **raw)
-
-
-def _options_from(raw: dict | None) -> EstimatorOptions:
-    if raw is None:
-        return EstimatorOptions()
-    _take(raw, {f.name for f in dataclasses.fields(EstimatorOptions)}, "solver")
-    return EstimatorOptions(**raw)
-
-
-def _perturbation_from(raw: dict | None) -> RelaxedShiftSpec | None:
-    if raw is None:
-        return None
-    raw = dict(raw)
-    preset = raw.pop("preset", None)
-    if preset is not None:
-        if preset not in _PRESETS:
-            raise ValueError(f"unknown perturbation preset {preset!r}")
-        base = _PRESETS[preset](seed=raw.pop("seed", 0))
-        if raw:
-            base = replace(base, **raw)
-        return base
-    if "noise_sigma_range" in raw:
-        raw["noise_sigma_range"] = tuple(raw["noise_sigma_range"])
-    _take(raw, {f.name for f in dataclasses.fields(RelaxedShiftSpec)}, "perturbation")
-    return RelaxedShiftSpec(**raw)
-
-
-def _node_from(raw: dict, where: str) -> NodeSpec:
-    _take(raw, {f.name for f in dataclasses.fields(NodeSpec)}, where)
-    return NodeSpec(
-        train_marginal=LabelMarginal(np.asarray(raw["train_marginal"], dtype=float)),
-        test_marginal=LabelMarginal(np.asarray(raw["test_marginal"], dtype=float)),
-        n_tr=int(raw["n_tr"]),
-        n_te=int(raw["n_te"]),
-        seed=int(raw.get("seed", 0)),
-    )
-
-
-def _server_from(raw: dict | None) -> ServerOptimizer:
-    if raw is None:
-        return ServerOptimizer()
-    raw = dict(raw)
-    _take(raw, {f.name for f in dataclasses.fields(ServerOptimizer)}, "server_optimizer")
-    if "betas" in raw:
-        raw["betas"] = tuple(raw["betas"])
-    return ServerOptimizer(**raw)
-
-
-def _federation_from(raw: dict | None) -> FederationConfig | None:
-    if raw is None:
-        return None
-    raw = dict(raw)
-    nodes = tuple(
-        _node_from(n, f"federation.nodes[{i}]") for i, n in enumerate(raw.pop("nodes"))
-    )
-    server = _server_from(raw.pop("server_optimizer", None))
-    global_model = _predictor_from(raw.pop("global_model", None), PredictorConfig())
-    ratio_predictor = _predictor_from(
-        raw.pop("ratio_predictor", None), PredictorConfig(architecture="mlp", hidden_units=32)
-    )
-    ratio_solver = _options_from(raw.pop("ratio_solver", None))
-    _take(
-        raw,
-        {"scenario", "rounds", "local_steps", "sample_nodes_per_round", "weighting",
-         "normalize_weights", "seed"},
-        "federation",
-    )
-    return FederationConfig(
-        nodes=nodes,
-        global_model=global_model,
-        server_optimizer=server,
-        ratio_predictor=ratio_predictor,
-        ratio_solver=ratio_solver,
-        **raw,
-    )
+    A section (JSON object) overrides default, or else its dataclass's field
+    defaults, key by key; a perturbation preset picks default instead. where
+    names raw in errors: "experiment" for the root, dotted paths such as
+    federation.nodes[1] below it. Floats pass through as given, so the
+    resolved config echoes the file's numbers.
+    """
+    if isinstance(tp, UnionType):  # X | None: null stays None
+        if raw is None:
+            return None
+        (tp,) = [t for t in typing.get_args(tp) if t is not NoneType]
+        default = MISSING if default is None else default
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ValueError(f"{where} must be a list, got {raw!r}")
+        elem = typing.get_args(tp)[0]  # tuple[X, ...], or a pair whose owner checks its length
+        return tuple(_decode(elem, x, f"{where}[{i}]") for i, x in enumerate(raw))
+    if tp is LabelMarginal and isinstance(raw, list):
+        return LabelMarginal(np.asarray(raw, dtype=float))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where} must be an object, got {raw!r}")
+        presets = _PRESETS.get(tp, {})
+        if presets and "preset" in raw:
+            raw = dict(raw)
+            preset = raw.pop("preset")
+            if preset not in presets:
+                raise ValueError(f"unknown {where} preset {preset!r}")
+            default = presets[preset]()
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = set(raw) - set(fields)
+        if unknown:
+            raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(tp)
+        prefix = "" if where == "experiment" else f"{where}."
+        values = {
+            key: _decode(hints[key], value, prefix + key, _field_default(fields[key], default))
+            for key, value in raw.items()
+        }
+        if default is not MISSING:
+            return replace(default, **values)
+        missing = [k for k, f in fields.items() if k not in values
+                   and _field_default(f, MISSING) is MISSING]
+        if missing:
+            raise ValueError(f"missing {where} keys: {missing}")
+        return tp(**values)
+    if tp is int and type(raw) is not int:  # not isinstance: JSON true would pass as an int
+        raise ValueError(f"{where} must be an integer, got {raw!r}")
+    return raw
 
 
 def resolve_config(
@@ -257,37 +228,10 @@ def resolve_config(
     threads: int | None = None,
 ) -> ExperimentConfig:
     """Merge a raw JSON config with command-line overrides."""
-    raw = dict(raw)
-    file_kind = raw.pop("kind", None)
+    file_kind = raw.get("kind")
     if file_kind is not None and file_kind != kind:
         raise ValueError(f"config is for kind {file_kind!r}, not {kind!r}")
-    data = raw.pop("data", {})
-    _take(data, {f.name for f in dataclasses.fields(DataSource)}, "data")
-    data = DataSource(**data)
-    predictor = _predictor_from(raw.pop("predictor", None), PredictorConfig(architecture="mlp"))
-    solver = _options_from(raw.pop("solver", None))
-    perturbation = _perturbation_from(raw.pop("perturbation", None))
-    federation = _federation_from(raw.pop("federation", None))
-    for key in ("alpha_grid", "estimators", "weightings"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    if "size_grid" in raw:
-        raw["size_grid"] = tuple(int(n) for n in raw["size_grid"])
-    _take(
-        raw,
-        {"seed", "trials", "n_te", "alpha", "alpha_grid", "size_grid", "estimators",
-         "split_fraction", "weightings", "crossnode_listing", "out_dir", "threads"},
-        "experiment",
-    )
-    cfg = ExperimentConfig(
-        kind=kind,
-        data=data,
-        predictor=predictor,
-        solver=solver,
-        perturbation=perturbation,
-        federation=federation,
-        **raw,
-    )
+    cfg = _decode(ExperimentConfig, {**raw, "kind": kind}, "experiment")
     if seed is not None:
         cfg = replace(cfg, seed=seed)
         if cfg.federation is not None:
@@ -343,12 +287,9 @@ class _SweepEnv:
         self.pred_base = (
             train_predictor(fit, unregularized(cfg.predictor)) if needs_base else None
         )
-        if any(e in ("bbse", "rlls") for e in cfg.estimators):
-            self.preds_val = predict_proba(self.pred_base, val.features)
-            self.labels_val = val.labels
-        else:
-            self.preds_val = None
-            self.labels_val = None
+        needs_val = any(e in ("bbse", "rlls") for e in cfg.estimators)
+        self.preds_val = predict_proba(self.pred_base, val.features) if needs_val else None
+        self.labels_val = val.labels if needs_val else None
 
     def sample_test(self, marginal: LabelMarginal, n: int, seed: int) -> LabeledDataset:
         if self._test_pool is not None:
@@ -389,7 +330,14 @@ def _run_estimator(name: str, env: _SweepEnv, scores: dict, opts: EstimatorOptio
     return estimate_rlls(env.preds_val, env.labels_val, preds, env.tr, opts.rlls_lambda)
 
 
-def _run_trial(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float, n_te: int, ti: int):
+def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float, n_te: int,
+                   ti: int):
+    """Draw trial ti of cell ci, score it, and run every configured estimator.
+
+    Returns (marginal, draw, true ratio, [(estimator, report, mse, error)]),
+    where a failed estimator has report and mse None and error
+    "ExceptionType: message".
+    """
     marginal = sample_dirichlet_marginal(alpha, env.m, seed=child_seed(cfg.seed, 0xA0, ci, ti, 0))
     ds = env.sample_test(marginal, n_te, seed=child_seed(cfg.seed, 0xA0, ci, ti, 1))
     if cfg.perturbation is not None:
@@ -401,33 +349,30 @@ def _run_trial(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float, n_t
     for est in cfg.estimators:
         try:
             report = _run_estimator(est, env, scores, cfg.solver)
-            results.append((est, ratio_mse(report.ratio, truth), ""))
-        except Exception as exc:  # recorded per cell; the sweep keeps going
-            results.append((est, None, f"{type(exc).__name__}: {exc}"))
-    return results
+            results.append((est, report, ratio_mse(report.ratio, truth), ""))
+        except Exception as exc:  # recorded per cell; the run keeps going
+            results.append((est, None, None, f"{type(exc).__name__}: {exc}"))
+    return marginal, ds, truth, results
 
 
 def _run_cells(cfg: ExperimentConfig, cells: list[tuple[float, int]]):
     """cells is a list of (alpha, n_te) pairs; returns {(ci, ti): [(est, mse, err)]}."""
     env = _SweepEnv(cfg)
     tasks = [(ci, ti) for ci in range(len(cells)) for ti in range(cfg.trials)]
-    results = {}
+
+    def trial(task):
+        ci, ti = task
+        results = _estimate_draw(cfg, env, ci, *cells[ci], ti)[3]
+        return [(est, mse, err) for est, _, mse, err in results]
+
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {
-                (ci, ti): pool.submit(_run_trial, cfg, env, ci, cells[ci][0], cells[ci][1], ti)
-                for ci, ti in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    else:
-        for ci, ti in tasks:
-            results[ci, ti] = _run_trial(cfg, env, ci, cells[ci][0], cells[ci][1], ti)
-    return results
+            return dict(zip(tasks, pool.map(trial, tasks)))
+    return dict(zip(tasks, map(trial, tasks)))
 
 
 def _config_line(cfg: ExperimentConfig) -> str:
-    return json.dumps(resolved_config(cfg), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
@@ -438,10 +383,11 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+def _write_summary(cfg: ExperimentConfig, summary: dict) -> dict:
+    with open(Path(cfg.out_dir) / f"{cfg.kind}_summary.json", "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
+    return summary
 
 
 def _summarize_cells(cfg, cells, cell_key, results):
@@ -477,56 +423,39 @@ def _base_summary(cfg: ExperimentConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "config": resolved_config(cfg),
+        "config": _jsonable(cfg),
     }
+
+
+def _sweep(cfg: ExperimentConfig, cells: list[tuple[float, int]], cell_key: str) -> dict:
+    """Runs every (alpha, n_te) cell, writes the results CSV, returns the summary."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = _run_cells(cfg, cells)
+    rows, cell_summaries = _summarize_cells(cfg, cells, cell_key, results)
+    _write_csv(
+        out / f"{cfg.kind}_results.csv", cfg, (cell_key, "estimator", "trial", "mse", "error"), rows
+    )
+    summary = _base_summary(cfg)
+    if cell_key == "n_te":  # every size cell shares one alpha
+        summary["alpha"] = cfg.alpha
+    summary["cells"] = cell_summaries
+    return summary
 
 
 def run_sweep_alpha(cfg: ExperimentConfig) -> dict:
     """Ratio-estimation error across Dirichlet shift intensities."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cells = [(a, cfg.n_te) for a in cfg.alpha_grid]
-    results = _run_cells(cfg, cells)
-    rows, cell_summaries = _summarize_cells(cfg, cells, "alpha", results)
-    _write_csv(
-        out / f"{cfg.kind}_results.csv", cfg, ("alpha", "estimator", "trial", "mse", "error"), rows
-    )
-    summary = _base_summary(cfg)
-    summary["cells"] = cell_summaries
-    _write_json(out / f"{cfg.kind}_summary.json", summary)
-    return summary
-
-
-def run_relaxed_sweep(cfg: ExperimentConfig) -> dict:
-    """sweep_alpha with per-sample feature corruption applied to test draws."""
-    return run_sweep_alpha(cfg)
-
-
-def _size_sweep(cfg: ExperimentConfig) -> dict:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cells = [(cfg.alpha, n) for n in cfg.size_grid]
-    results = _run_cells(cfg, cells)
-    rows, cell_summaries = _summarize_cells(cfg, cells, "n_te", results)
-    _write_csv(
-        out / f"{cfg.kind}_results.csv", cfg, ("n_te", "estimator", "trial", "mse", "error"), rows
-    )
-    summary = _base_summary(cfg)
-    summary["alpha"] = cfg.alpha
-    summary["cells"] = cell_summaries
-    return summary
+    return _write_summary(cfg, _sweep(cfg, [(a, cfg.n_te) for a in cfg.alpha_grid], "alpha"))
 
 
 def run_sweep_size(cfg: ExperimentConfig) -> dict:
     """Ratio-estimation error across test-set sizes at one shift intensity."""
-    summary = _size_sweep(cfg)
-    _write_json(Path(cfg.out_dir) / f"{cfg.kind}_summary.json", summary)
-    return summary
+    return _write_summary(cfg, _sweep(cfg, [(cfg.alpha, n) for n in cfg.size_grid], "n_te"))
 
 
 def run_rate_check(cfg: ExperimentConfig) -> dict:
     """Size sweep plus the log-log slope of mean error against size."""
-    summary = _size_sweep(cfg)
+    summary = _sweep(cfg, [(cfg.alpha, n) for n in cfg.size_grid], "n_te")
     slopes = {}
     for est in cfg.estimators:
         points = [
@@ -536,36 +465,23 @@ def run_rate_check(cfg: ExperimentConfig) -> dict:
         ]
         slopes[est] = loglog_slope(points) if len(points) >= 3 else None
     summary["slopes"] = slopes
-    _write_json(Path(cfg.out_dir) / f"{cfg.kind}_summary.json", summary)
-    return summary
+    return _write_summary(cfg, summary)
 
 
 def run_estimate_once(cfg: ExperimentConfig) -> dict:
     """One seeded draw, every configured estimator, full report detail."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     env = _SweepEnv(cfg)
-    marginal = sample_dirichlet_marginal(cfg.alpha, env.m, seed=child_seed(cfg.seed, 0xA0, 0, 0, 0))
-    ds = env.sample_test(marginal, cfg.n_te, seed=child_seed(cfg.seed, 0xA0, 0, 0, 1))
-    truth = ratio_from_marginals(marginal, env.tr)
-    scores = _score(env, ds.features, cfg.estimators)
+    marginal, ds, truth, results = _estimate_draw(cfg, env, 0, cfg.alpha, cfg.n_te, 0)
     reports = {}
-    for est in cfg.estimators:
-        try:
-            report = _run_estimator(est, env, scores, cfg.solver)
-            entry = report.to_dict()
-            entry["mse"] = ratio_mse(report.ratio, truth)
-            entry["error"] = ""
-        except Exception as exc:
-            entry = {"error": f"{type(exc).__name__}: {exc}"}
-        reports[est] = entry
+    for est, report, mse, err in results:
+        reports[est] = {"error": err} if err else {**report.to_dict(), "mse": mse, "error": ""}
     summary = _base_summary(cfg)
     summary["drawn_marginal"] = marginal.probs.tolist()
     summary["empirical_counts"] = ds.class_counts().tolist()
     summary["true_ratio"] = truth.ratios.tolist()
     summary["estimates"] = reports
-    _write_json(out / "estimate_once_summary.json", summary)
-    return summary
+    return _write_summary(cfg, summary)
 
 
 def run_federate(cfg: ExperimentConfig) -> dict:
@@ -602,8 +518,7 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     summary["weightings"] = variants
     if cfg.crossnode_listing:
         summary["crossnode_listing_ratios"] = crossnode_listing_ratios(fed).tolist()
-    _write_json(out / "federate_summary.json", summary)
-    return summary
+    return _write_summary(cfg, summary)
 
 
 RUNNERS = {
@@ -612,8 +527,9 @@ RUNNERS = {
     "rate_check": run_rate_check,
     "estimate_once": run_estimate_once,
     "federate": run_federate,
-    "relaxed_sweep": run_relaxed_sweep,
+    "relaxed_sweep": run_sweep_alpha,
 }
+HELP = {"relaxed_sweep": "sweep_alpha with per-sample feature corruption applied to test draws."}
 
 
 def main(argv=None) -> int:
@@ -623,7 +539,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
-        p = sub.add_parser(kind, help=RUNNERS[kind].__doc__)
+        p = sub.add_parser(kind, help=HELP.get(kind, RUNNERS[kind].__doc__))
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config and env)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")

@@ -303,10 +303,7 @@ def estimate_vrls(
     if opts.method not in ("mlls_em", "mlls_gd"):
         raise ValueError("estimate_vrls requires a likelihood-maximizing method")
     pred = train_predictor(train, pcfg)
-    preds_te = predict_proba(pred, test_features)
-    tr = train.empirical_marginal()
-    solver = estimate_mlls_em if opts.method == "mlls_em" else estimate_mlls_gd
-    return solver(preds_te, tr, opts)
+    return solve_mlls(predict_proba(pred, test_features), train.empirical_marginal(), opts)
 
 
 def solve_mlls(

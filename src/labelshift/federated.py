@@ -23,9 +23,9 @@ from .estimators import EstimatorOptions, solve_mlls
 from .predictor import (
     Predictor,
     PredictorConfig,
-    _forward,
     _loss_and_grad,
     init_predictor,
+    predict_labels,
     predict_proba,
     train_predictor,
 )
@@ -80,7 +80,7 @@ class FederationConfig:
     """
 
     nodes: tuple[NodeSpec, ...]
-    global_model: PredictorConfig
+    global_model: PredictorConfig = PredictorConfig()
     scenario: str = "ls_multi"
     rounds: int = 100
     local_steps: int = 1
@@ -406,11 +406,7 @@ def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple[float, ...], float
     """Top-1 accuracy on every node's test split, plus the unweighted mean."""
     accs = []
     for node in fed.nodes:
-        logp, _ = _forward(
-            pred.parameters, pred.architecture, pred.hidden_units, pred.m, pred.d,
-            node.test.features,
-        )
-        accs.append(float((logp.argmax(axis=1) == node.test.labels).mean()))
+        accs.append(float((predict_labels(pred, node.test.features) == node.test.labels).mean()))
     return tuple(accs), float(np.mean(accs))
 
 

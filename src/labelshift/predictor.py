@@ -244,13 +244,22 @@ def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
     return Predictor(params, arch, hidden, train.m, train.d)
 
 
-def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
-    """Class probabilities for a feature matrix, floored and renormalized."""
+def _log_proba(pred: Predictor, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
     logp, _ = _forward(pred.parameters, pred.architecture, pred.hidden_units, pred.m, pred.d, x)
-    return ProbabilityMatrix.from_rows(np.exp(logp))
+    return logp
+
+
+def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
+    """Class probabilities for a feature matrix, floored and renormalized."""
+    return ProbabilityMatrix.from_rows(np.exp(_log_proba(pred, features)))
+
+
+def predict_labels(pred: Predictor, features) -> np.ndarray:
+    """Most probable class per row: the argmax of the unfloored log-probabilities."""
+    return _log_proba(pred, features).argmax(axis=1)
 
 
 def mean_loss(pred: Predictor, data: LabeledDataset, zeta: float = 0.0, weights=None) -> float:

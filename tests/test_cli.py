@@ -45,6 +45,15 @@ def body_lines(path):
     return Path(path).read_text().splitlines()[1:]  # drop the config line
 
 
+def parent_of(raw, path):
+    for step in path[:-1]:
+        raw = raw[step]
+    return raw
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
 # ----------------------------------------------------------- configuration
 
 
@@ -61,21 +70,71 @@ def test_resolve_rejects_unknown_keys():
                            "sweep_alpha")
 
 
+EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
+                         "brightness_delta": 0.1}
+
+
 @pytest.mark.parametrize(
-    "section, where",
-    [("data", "data"), ("node", r"federation\.nodes\[1\]"), ("server", "server_optimizer")],
-    ids=["data", "node", "server"],
+    "path, section, key, where",
+    [
+        (["data"], None, "mm", "data"),
+        (["federation", "nodes", 1], None, "n_trr", r"federation\.nodes\[1\]"),
+        (["federation", "server_optimizer"], None, "lr", r"federation\.server_optimizer"),
+        (["solver"], {"tol": 1e-5}, "tl", "solver"),
+        (["predictor"], {"zeta": 0.5}, "lr", "predictor"),
+        (["perturbation"], EXPLICIT_PERTURBATION, "p", "perturbation"),
+        (["perturbation"], {"preset": "relaxed", "apply_prob": 0.2}, "p", "perturbation"),
+        (["federation"], None, "round", "federation"),
+        (["federation", "global_model"], None, "lr", r"federation\.global_model"),
+        (["federation", "ratio_predictor"], None, "lr", r"federation\.ratio_predictor"),
+        (["federation", "ratio_solver"], {"max_iters": 50}, "tl", r"federation\.ratio_solver"),
+    ],
+    ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
+         "federation", "global_model", "ratio_predictor", "ratio_solver"],
 )
-def test_resolve_rejects_unknown_keys_in_every_section(section, where):
+def test_resolve_rejects_unknown_keys_in_every_section(path, section, key, where):
     raw = json.loads(json.dumps(FED_RAW))
-    if section == "data":
-        raw["data"]["mm"] = 3
-    elif section == "node":
-        raw["federation"]["nodes"][1]["n_trr"] = 5
-    else:
-        raw["federation"]["server_optimizer"]["lr"] = 0.1
-    with pytest.raises(ValueError, match=rf"unknown {where} keys: \['(mm|n_trr|lr)'\]"):
+    parent = parent_of(raw, path)
+    if section is not None:
+        parent[path[-1]] = json.loads(json.dumps(section))
+    parent[path[-1]][key] = 1
+    with pytest.raises(ValueError, match=rf"unknown {where} keys: \['{key}'\]"):
         cli.resolve_config(raw, "federate")
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (["federation", "nodes", 0, "n_tr"], 2.5, r"federation\.nodes\[0\]\.n_tr"),
+        (["size_grid"], [500, 2.5], r"size_grid\[1\]"),
+        (["trials"], "3", "trials"),
+        (["seed"], True, "seed"),
+        (["federation", "rounds"], 8.0, r"federation\.rounds"),
+        (["federation", "global_model", "batch_size"], 32.0,
+         r"federation\.global_model\.batch_size"),
+    ],
+    ids=["node_n_tr", "size_grid", "trials", "seed", "rounds", "batch_size"],
+)
+def test_resolve_accepts_only_json_integers_for_int_fields(path, value, where):
+    raw = json.loads(json.dumps(FED_RAW))
+    parent_of(raw, path)[path[-1]] = value
+    with pytest.raises(ValueError, match=rf"^{where} must be an integer, got "):
+        cli.resolve_config(raw, "federate")
+
+
+def test_resolve_keeps_float_fields_as_written():
+    cfg = cli.resolve_config(sweep_raw(alpha=2, split_fraction=0), "sweep_alpha")
+    assert '"alpha":2,' in cli._config_line(cfg)
+    assert '"split_fraction":0,' in cli._config_line(cfg)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_round_trip(path):
+    raw = json.loads(path.read_text())
+    cfg = cli.resolve_config(raw, raw["kind"])
+    line = cli._config_line(cfg)
+    again = cli.resolve_config(json.loads(line), cfg.kind)
+    assert cli._config_line(again) == line
 
 
 def test_resolve_validates_estimator_names():
@@ -254,7 +313,7 @@ def test_relaxed_with_zero_apply_prob_reproduces_sweep(tmp_path):
     raw = sweep_raw(perturbation={"apply_prob": 0.0, "noise_sigma_range": [0.1, 0.5],
                                   "brightness_delta": 0.1, "seed": 0})
     relaxed = cli.resolve_config(raw, "relaxed_sweep", out=str(tmp_path / "r"), seed=3)
-    cli.run_relaxed_sweep(relaxed)
+    cli.run_sweep_alpha(relaxed)
     assert body_lines(tmp_path / "r" / "relaxed_sweep_results.csv") == body_lines(
         tmp_path / "p" / "sweep_alpha_results.csv")
 
@@ -268,7 +327,7 @@ def test_heavier_corruption_degrades_estimates(tmp_path):
                                    "loss_threshold": 0.0},
                         perturbation={"preset": preset})
         cfg = cli.resolve_config(raw, "relaxed_sweep", out=str(tmp_path / preset), seed=11)
-        cli.run_relaxed_sweep(cfg)
+        cli.run_sweep_alpha(cfg)
         rows = read_rows(tmp_path / preset / "relaxed_sweep_results.csv")
         medians[preset] = float(np.median([float(r["mse"]) for r in rows]))
     assert medians["relax_m"] >= medians["relaxed"]
@@ -385,6 +444,19 @@ def test_federate_matches_run_federation_per_weighting(tmp_path):
         assert variant["avg_accuracy"] == direct.avg_accuracy
         assert variant["node_weights"] == direct.node_weights.tolist()
         assert variant["final_loss"] == direct.loss_trace[-1]
+
+
+def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, capsys):
+    raw = json.loads(next(p for p in CONFIGS if p.stem == "federate").read_text())
+    raw["weightings"].append("bogus")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    builds = []
+    _count_calls(monkeypatch, cli, "build_federation", builds)
+    out = tmp_path / "out"
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "unknown weighting 'bogus'" in capsys.readouterr().err
+    assert builds == [] and not out.exists()
 
 
 def test_federate_rejects_idx_source(tmp_path):

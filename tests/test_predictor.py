@@ -17,6 +17,7 @@ from labelshift import (
     loss_gradient,
     mean_loss,
     posterior_matrix,
+    predict_labels,
     predict_proba,
     regularized_loss,
     save_predictor,
@@ -214,6 +215,15 @@ def test_prediction_rejects_dimension_mismatch():
     pred = init_predictor(LINEAR, 3, 2)
     with pytest.raises(ValueError, match="matching the predictor"):
         predict_proba(pred, np.zeros((4, 5)))
+
+
+def test_predict_labels_is_the_argmax_of_the_probabilities():
+    data = tiny_dataset(seed=4, n=200)
+    pred = train_predictor(data, replace(LINEAR, max_epochs=5))
+    labels = predict_labels(pred, data.features)
+    assert np.array_equal(labels, predict_proba(pred, data.features).rows.argmax(axis=1))
+    with pytest.raises(ValueError, match="matching the predictor"):
+        predict_labels(pred, np.zeros((4, 5)))
 
 
 def test_logit_shift_invariance():
