@@ -3,7 +3,6 @@
 from .data import (
     GaussianMixtureSpec,
     RelaxedShiftSpec,
-    ShiftSpec,
     equidistant_means,
     gen_gaussian_mixture,
     load_idx,
@@ -13,7 +12,6 @@ from .data import (
     relaxed_preset,
     resample_by_marginal,
     sample_dirichlet_marginal,
-    true_posterior,
     uniform_marginal,
 )
 from .estimators import (
@@ -56,11 +54,9 @@ from .predictor import (
     entropy_penalty,
     init_predictor,
     load_predictor,
-    loss_gradient,
-    mean_loss,
+    loss_and_grad,
     predict_labels,
     predict_proba,
-    regularized_loss,
     save_predictor,
     train_predictor,
 )

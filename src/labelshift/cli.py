@@ -63,6 +63,15 @@ DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 _PRESETS = {RelaxedShiftSpec: {"relaxed": relaxed_preset, "relax_m": relax_m_preset}}
 
+# The JSON types each scalar field accepts. Matched by exact type, not
+# isinstance, so JSON true/false never pass as numbers.
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+    str: ((str,), "a string"),
+}
+
 
 @dataclass(frozen=True)
 class DataSource:
@@ -173,8 +182,10 @@ def _decode(tp, raw, where: str, default=MISSING):
     A section (JSON object) overrides default, or else its dataclass's field
     defaults, key by key; a perturbation preset picks default instead. where
     names raw in errors: "experiment" for the root, dotted paths such as
-    federation.nodes[1] below it. Floats pass through as given, so the
-    resolved config echoes the file's numbers.
+    federation.nodes[1] below it. Scalars must have their field's JSON type
+    (_SCALARS); floats pass through as given, so the resolved config echoes
+    the file's numbers. tuple[X, ...] takes a list of any length, tuple[X, Y]
+    exactly one entry per type.
     """
     if isinstance(tp, UnionType):  # X | None: null stays None
         if raw is None:
@@ -184,8 +195,12 @@ def _decode(tp, raw, where: str, default=MISSING):
     if typing.get_origin(tp) is tuple:
         if not isinstance(raw, list):
             raise ValueError(f"{where} must be a list, got {raw!r}")
-        elem = typing.get_args(tp)[0]  # tuple[X, ...], or a pair whose owner checks its length
-        return tuple(_decode(elem, x, f"{where}[{i}]") for i, x in enumerate(raw))
+        elems = typing.get_args(tp)
+        if elems[-1] is Ellipsis:
+            elems = elems[:1] * len(raw)
+        elif len(raw) != len(elems):
+            raise ValueError(f"{where} must have {len(elems)} entries, got {len(raw)}")
+        return tuple(_decode(t, x, f"{where}[{i}]") for i, (t, x) in enumerate(zip(elems, raw)))
     if tp is LabelMarginal and isinstance(raw, list):
         return LabelMarginal(np.asarray(raw, dtype=float))
     if dataclasses.is_dataclass(tp):
@@ -215,8 +230,8 @@ def _decode(tp, raw, where: str, default=MISSING):
         if missing:
             raise ValueError(f"missing {where} keys: {missing}")
         return tp(**values)
-    if tp is int and type(raw) is not int:  # not isinstance: JSON true would pass as an int
-        raise ValueError(f"{where} must be an integer, got {raw!r}")
+    if tp in _SCALARS and type(raw) not in _SCALARS[tp][0]:
+        raise ValueError(f"{where} must be {_SCALARS[tp][1]}, got {raw!r}")
     return raw
 
 

@@ -49,21 +49,6 @@ class GaussianMixtureSpec:
 
 
 @dataclass(frozen=True)
-class ShiftSpec:
-    """Dirichlet label-shift intensity: small alpha means spiky test marginals."""
-
-    alpha: float
-    n_te: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive")
-        if self.n_te < 1:
-            raise ValueError("n_te must be at least 1")
-
-
-@dataclass(frozen=True)
 class RelaxedShiftSpec:
     """Per-sample feature corruption: with probability apply_prob a sample
     gets additive Gaussian noise (scale drawn uniformly from
@@ -146,14 +131,6 @@ def posterior_matrix(
     logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
     return w / w.sum(axis=1, keepdims=True)
-
-
-def true_posterior(spec: GaussianMixtureSpec, marginal: LabelMarginal, x) -> np.ndarray:
-    """Exact posterior p(y | x) for a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x must be a single d-vector")
-    return posterior_matrix(spec, marginal, x[None, :])[0]
 
 
 def sample_dirichlet_marginal(alpha: float, m: int, seed: int) -> LabelMarginal:

@@ -75,6 +75,17 @@ def _ratio_values(r) -> np.ndarray:
     return np.asarray(getattr(r, "ratios", r), dtype=np.float64)
 
 
+def _mean_log(like) -> float:
+    """The likelihood objective from the per-row likelihoods preds_j . r."""
+    return float(np.log(np.maximum(like, PROB_FLOOR)).mean())
+
+
+def _mean_log_gradient(p, like) -> np.ndarray:
+    """Gradient of _mean_log in r: mean_j p_j / like_j over unfloored rows."""
+    live = like > PROB_FLOOR  # floored rows have zero slope
+    return (p * (live / np.maximum(like, PROB_FLOOR))[:, None]).mean(axis=0)
+
+
 def empirical_objective(r, preds: ProbabilityMatrix) -> float:
     """Mean over test samples of log(preds_j . r), with floored arguments."""
     rv = _ratio_values(r)
@@ -82,17 +93,13 @@ def empirical_objective(r, preds: ProbabilityMatrix) -> float:
         raise ValueError("ratio length does not match prediction columns")
     if np.any(rv < 0) or not np.all(np.isfinite(rv)):
         raise ValueError("ratios must be finite and nonnegative")
-    like = preds.rows @ rv
-    return float(np.log(np.maximum(like, PROB_FLOOR)).mean())
+    return _mean_log(preds.rows @ rv)
 
 
 def empirical_objective_gradient(r, preds: ProbabilityMatrix) -> np.ndarray:
     """Gradient of empirical_objective in r: mean_j preds_j / (preds_j . r)."""
     rv = _ratio_values(r)
-    like = preds.rows @ rv
-    live = like > PROB_FLOOR  # floored rows have zero slope
-    denom = np.maximum(like, PROB_FLOOR)
-    return (preds.rows * (live / denom)[:, None]).mean(axis=0)
+    return _mean_log_gradient(preds.rows, preds.rows @ rv)
 
 
 def project_to_simplex(v) -> np.ndarray:
@@ -131,8 +138,7 @@ def estimate_mlls_em(
     """
     p, t, sup = _support(preds_te, tr)
     r = np.ones(t.size)
-    like = p @ r
-    trace = [float(np.log(np.maximum(like, PROB_FLOOR)).mean())]
+    trace = [_mean_log(p @ r)]
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
@@ -142,8 +148,7 @@ def estimate_mlls_em(
         r_new = q / t
         delta = float(np.max(np.abs(r_new - r)))
         r = r_new
-        like = p @ r
-        trace.append(float(np.log(np.maximum(like, PROB_FLOOR)).mean()))
+        trace.append(_mean_log(p @ r))
         if delta < opts.tol:
             converged = True
             break
@@ -173,14 +178,12 @@ def estimate_mlls_gd(
     q = t.copy()  # r = all-ones
     r = np.ones(t.size)
     like = p @ r
-    obj = float(np.log(np.maximum(like, PROB_FLOOR)).mean())
+    obj = _mean_log(like)
     trace = [obj]
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        live = like > PROB_FLOOR
-        grad_r = (p * (live / np.maximum(like, PROB_FLOOR))[:, None]).mean(axis=0)
-        grad_q = grad_r / t
+        grad_q = _mean_log_gradient(p, like) / t
         step = opts.step_size
         moved = False
         while True:
@@ -191,7 +194,7 @@ def estimate_mlls_gd(
             q_try /= s
             r_try = q_try / t
             like_try = p @ r_try
-            obj_try = float(np.log(np.maximum(like_try, PROB_FLOOR)).mean())
+            obj_try = _mean_log(like_try)
             if not np.isfinite(obj_try):
                 raise RuntimeError("diverged: non-finite objective")
             if obj_try >= obj - 1e-12:

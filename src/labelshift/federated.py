@@ -23,8 +23,8 @@ from .estimators import EstimatorOptions, solve_mlls
 from .predictor import (
     Predictor,
     PredictorConfig,
-    _loss_and_grad,
     init_predictor,
+    loss_and_grad,
     predict_labels,
     predict_proba,
     train_predictor,
@@ -304,7 +304,7 @@ def estimated_weight_vectors(fed: Federation, posterior_fn=None) -> tuple[np.nda
     return np.stack(rows), marginals
 
 
-def _local_pseudograd(params, node, w_vec, cfg: FederationConfig, rng):
+def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
     """One sampled node's contribution for a round.
 
     With one local step this is exactly the weighted minibatch gradient;
@@ -314,15 +314,10 @@ def _local_pseudograd(params, node, w_vec, cfg: FederationConfig, rng):
     gm = cfg.global_model
     x, y = node.train.features, node.train.labels
     b = min(gm.batch_size, node.train.n)
-    hidden = gm.hidden_units if gm.architecture == "mlp" else 0
 
     def batch_grad(theta):
         idx = rng.choice(node.train.n, size=b, replace=False)
-        w = w_vec[y[idx]]
-        total, _, grad = _loss_and_grad(
-            theta, gm.architecture, hidden, node.train.m, node.train.d,
-            x[idx], y[idx], 0.0, weights=w,
-        )
+        total, _, grad = loss_and_grad(layout, theta, x[idx], y[idx], weights=w_vec[y[idx]])
         if gm.weight_decay:
             grad = grad + gm.weight_decay * theta
         return total, grad
@@ -357,9 +352,8 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationR
     if cfg.normalize_weights:
         w_all = w_all / k
 
-    gm = cfg.global_model
-    params = init_predictor(gm, m, d).parameters.copy()
-    hidden = gm.hidden_units if gm.architecture == "mlp" else 0
+    layout = init_predictor(cfg.global_model, m, d)
+    params = layout.parameters.copy()
     sample_rng = stream(cfg.seed, 0x5A)
     node_rngs = [stream(cfg.seed, 0x5B, i) for i in range(k)]
     srv = cfg.server_optimizer
@@ -372,7 +366,7 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationR
         grads = np.zeros_like(params)
         losses = []
         for i in chosen:
-            g, loss = _local_pseudograd(params, fed.nodes[i], w_all[i], cfg, node_rngs[i])
+            g, loss = _local_pseudograd(layout, params, fed.nodes[i], w_all[i], cfg, node_rngs[i])
             grads += g
             losses.append(loss)
         grads /= chosen.size
@@ -388,9 +382,8 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationR
             vh = adam_v / (1 - b2 ** (rnd + 1))
             params -= srv.learning_rate * mh / (np.sqrt(vh) + srv.eps)
         loss_trace.append(float(np.mean(losses)))
-        pred = Predictor(params.copy(), gm.architecture, hidden, m, d)
-        acc_trace.append(evaluate(pred, fed)[1])
-    pred = Predictor(params, gm.architecture, hidden, m, d)
+        acc_trace.append(evaluate(replace(layout, parameters=params), fed)[1])
+    pred = replace(layout, parameters=params)
     per_node, avg = evaluate(pred, fed)
     return FederationResult(
         predictor=pred,

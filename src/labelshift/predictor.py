@@ -10,7 +10,7 @@ predictor and would otherwise stop training immediately.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class Predictor:
         p = np.array(self.parameters, dtype=np.float64)
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        expected = _param_count(self.architecture, self.hidden_units, self.m, self.d)
+        m, d, h = self.m, self.d, self.hidden_units
+        expected = d * m + m if self.architecture == "linear" else d * h + h + h * m + m
         if p.ndim != 1 or p.size != expected:
             raise ValueError(f"expected {expected} parameters, got {p.size}")
         if not np.all(np.isfinite(p)):
@@ -84,14 +85,9 @@ class Predictor:
         object.__setattr__(self, "parameters", p)
 
 
-def _param_count(arch: str, hidden: int, m: int, d: int) -> int:
-    if arch == "linear":
-        return d * m + m
-    return d * hidden + hidden + hidden * m + m
-
-
-def _unpack(params: np.ndarray, arch: str, hidden: int, m: int, d: int):
-    if arch == "linear":
+def _unpack(layout, params: np.ndarray):
+    m, d, hidden = layout.m, layout.d, layout.hidden_units
+    if layout.architecture == "linear":
         w = params[: d * m].reshape(d, m)
         b = params[d * m :]
         return (w, b)
@@ -121,14 +117,14 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
     return Predictor(np.concatenate(parts), cfg.architecture, hidden, m, d)
 
 
-def _forward(params, arch, hidden, m, d, x):
+def _forward(layout, params, x):
     """Returns (log-probabilities, pre-activations of the hidden layer or None)."""
-    if arch == "linear":
-        w, b = _unpack(params, arch, hidden, m, d)
+    if layout.architecture == "linear":
+        w, b = _unpack(layout, params)
         z = x @ w + b
         pre = None
     else:
-        w1, b1, w2, b2 = _unpack(params, arch, hidden, m, d)
+        w1, b1, w2, b2 = _unpack(layout, params)
         pre = x @ w1 + b1
         z = np.maximum(pre, 0.0) @ w2 + b2
     z = z - z.max(axis=1, keepdims=True)
@@ -142,32 +138,21 @@ def entropy_penalty(p) -> float:
     return float(np.sum(p * np.log(np.maximum(p, PROB_FLOOR))))
 
 
-def regularized_loss(pred: Predictor, batch: LabeledDataset, zeta: float) -> float:
-    """Mean cross-entropy plus zeta times the mean confidence penalty."""
-    if batch.d != pred.d:
-        raise ValueError("feature dimension does not match the predictor")
-    logp, _ = _forward(
-        pred.parameters, pred.architecture, pred.hidden_units, pred.m, pred.d, batch.features
-    )
-    p = np.exp(logp)
-    ce = -logp[np.arange(batch.n), batch.labels].mean()
-    pen = np.sum(p * logp, axis=1).mean()
-    return float(ce + zeta * pen)
+def loss_and_grad(layout: Predictor, params, x, y, zeta: float = 0.0, weights=None):
+    """Penalized loss and its gradient in the flat parameter layout.
 
-
-def _loss_and_grad(params, arch, hidden, m, d, x, y, zeta, weights=None):
-    """Weighted loss and its gradient in the flat parameter layout.
-
-    Per-sample losses are scaled by weights (default all ones) and averaged.
+    layout supplies only the architecture and shapes; params is the flat
+    parameter vector to evaluate, so training loops pass their working copy.
+    The loss is mean cross-entropy plus zeta times the mean confidence
+    penalty, with per-sample losses scaled by weights (default all ones).
     Returns (total loss, mean weighted cross-entropy, gradient).
     """
+    if x.shape[1] != layout.d:
+        raise ValueError("feature dimension does not match the predictor")
     n = x.shape[0]
-    logp, pre = _forward(params, arch, hidden, m, d, x)
+    logp, pre = _forward(layout, params, x)
     p = np.exp(logp)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     picked = logp[np.arange(n), y]
     ce = float(-(w * picked).mean())
     pen_rows = np.sum(p * logp, axis=1)
@@ -180,12 +165,12 @@ def _loss_and_grad(params, arch, hidden, m, d, x, y, zeta, weights=None):
         dz += zeta * p * (logp - pen_rows[:, None])
     dz *= w[:, None] / n
 
-    if arch == "linear":
+    if layout.architecture == "linear":
         gw = x.T @ dz
         gb = dz.sum(axis=0)
         grad = np.concatenate([gw.ravel(), gb])
     else:
-        w1, b1, w2, b2 = _unpack(params, arch, hidden, m, d)
+        w1, b1, w2, b2 = _unpack(layout, params)
         h = np.maximum(pre, 0.0)
         gw2 = h.T @ dz
         gb2 = dz.sum(axis=0)
@@ -197,21 +182,6 @@ def _loss_and_grad(params, arch, hidden, m, d, x, y, zeta, weights=None):
     return total, ce, grad
 
 
-def loss_gradient(pred: Predictor, batch: LabeledDataset, zeta: float) -> np.ndarray:
-    """Gradient of regularized_loss with respect to the flat parameters."""
-    _, _, grad = _loss_and_grad(
-        pred.parameters,
-        pred.architecture,
-        pred.hidden_units,
-        pred.m,
-        pred.d,
-        batch.features,
-        batch.labels,
-        zeta,
-    )
-    return grad
-
-
 def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
     """Minibatch SGD on the penalized loss.
 
@@ -219,9 +189,8 @@ def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
     below cfg.loss_threshold. max_epochs = 0 returns the seeded
     initialization untouched. Non-finite loss raises with the epoch number.
     """
-    pred = init_predictor(cfg, train.m, train.d)
-    params = pred.parameters.copy()
-    arch, hidden = cfg.architecture, pred.hidden_units
+    layout = init_predictor(cfg, train.m, train.d)
+    params = layout.parameters.copy()
     x, y = train.features, train.labels
     n = train.n
     order_rng = stream(cfg.seed, 0x2)
@@ -230,9 +199,7 @@ def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
         ce_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            total, ce, grad = _loss_and_grad(
-                params, arch, hidden, train.m, train.d, x[idx], y[idx], cfg.zeta
-            )
+            total, ce, grad = loss_and_grad(layout, params, x[idx], y[idx], cfg.zeta)
             if not np.isfinite(total):
                 raise RuntimeError(f"diverged at epoch {epoch}")
             if cfg.weight_decay:
@@ -241,14 +208,14 @@ def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
             ce_sum += ce * idx.size
         if ce_sum / n < cfg.loss_threshold:
             break
-    return Predictor(params, arch, hidden, train.m, train.d)
+    return replace(layout, parameters=params)
 
 
 def _log_proba(pred: Predictor, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
-    logp, _ = _forward(pred.parameters, pred.architecture, pred.hidden_units, pred.m, pred.d, x)
+    logp, _ = _forward(pred, pred.parameters, x)
     return logp
 
 
@@ -260,22 +227,6 @@ def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
 def predict_labels(pred: Predictor, features) -> np.ndarray:
     """Most probable class per row: the argmax of the unfloored log-probabilities."""
     return _log_proba(pred, features).argmax(axis=1)
-
-
-def mean_loss(pred: Predictor, data: LabeledDataset, zeta: float = 0.0, weights=None) -> float:
-    """Average (optionally weighted, optionally penalized) loss over a dataset."""
-    total, _, _ = _loss_and_grad(
-        pred.parameters,
-        pred.architecture,
-        pred.hidden_units,
-        pred.m,
-        pred.d,
-        data.features,
-        data.labels,
-        zeta,
-        weights=weights,
-    )
-    return total
 
 
 def save_predictor(pred: Predictor, path) -> None:

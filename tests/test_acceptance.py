@@ -32,12 +32,11 @@ from labelshift import (
     init_predictor,
     load_idx,
     loglog_slope,
-    loss_gradient,
+    loss_and_grad,
     make_marginal,
     predict_proba,
     ratio_from_marginals,
     ratio_mse,
-    regularized_loss,
     resample_by_marginal,
     run_federation,
     sample_dirichlet_marginal,
@@ -268,10 +267,10 @@ def test_ac7_gradients_and_ascent_sanity():
         cfg = PredictorConfig(architecture=arch, hidden_units=hidden, seed=6)
         pred = init_predictor(cfg, 3, 2)
         for zeta in (0.0, 1.0, 5.0):
-            analytic = loss_gradient(pred, data, zeta)
+            x, y = data.features, data.labels
+            analytic = loss_and_grad(pred, pred.parameters, x, y, zeta)[2]
             numeric = central_diff(
-                lambda theta: regularized_loss(replace(pred, parameters=theta), data, zeta),
-                pred.parameters,
+                lambda theta: loss_and_grad(pred, theta, x, y, zeta)[0], pred.parameters
             )
             worst_pred = max(worst_pred, rel_err(analytic, numeric))
 

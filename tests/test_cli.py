@@ -122,6 +122,45 @@ def test_resolve_accepts_only_json_integers_for_int_fields(path, value, where):
         cli.resolve_config(raw, "federate")
 
 
+@pytest.mark.parametrize(
+    "path, value, where, expected",
+    [
+        (["alpha"], "1", "alpha", "a number"),
+        (["predictor", "zeta"], True, r"predictor\.zeta", "a number"),
+        (["alpha_grid"], [0.5, "2"], r"alpha_grid\[1\]", "a number"),
+        (["crossnode_listing"], "yes", "crossnode_listing", "a boolean"),
+        (["federation", "normalize_weights"], "no", r"federation\.normalize_weights",
+         "a boolean"),
+        (["out_dir"], 5, "out_dir", "a string"),
+        (["estimators"], ["vrls_em", 3], r"estimators\[1\]", "a string"),
+        (["federation", "server_optimizer", "kind"], 1, r"federation\.server_optimizer\.kind",
+         "a string"),
+    ],
+    ids=["alpha", "zeta", "alpha_grid", "crossnode_listing", "normalize_weights", "out_dir",
+         "estimators", "server_kind"],
+)
+def test_resolve_type_checks_scalar_fields(path, value, where, expected):
+    raw = json.loads(json.dumps({**FED_RAW, "predictor": {"zeta": 0.5}}))
+    parent_of(raw, path)[path[-1]] = value
+    with pytest.raises(ValueError, match=rf"^{where} must be {expected}, got "):
+        cli.resolve_config(raw, "federate")
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        (["federation", "server_optimizer", "betas"], r"federation\.server_optimizer\.betas"),
+        (["perturbation", "noise_sigma_range"], r"perturbation\.noise_sigma_range"),
+    ],
+    ids=["betas", "noise_sigma_range"],
+)
+def test_resolve_checks_the_length_of_fixed_pairs(path, where):
+    raw = json.loads(json.dumps({**FED_RAW, "perturbation": EXPLICIT_PERTURBATION}))
+    parent_of(raw, path)[path[-1]] = [0.1, 0.2, 0.3]
+    with pytest.raises(ValueError, match=rf"^{where} must have 2 entries, got 3$"):
+        cli.resolve_config(raw, "federate")
+
+
 def test_resolve_keeps_float_fields_as_written():
     cfg = cli.resolve_config(sweep_raw(alpha=2, split_fraction=0), "sweep_alpha")
     assert '"alpha":2,' in cli._config_line(cfg)

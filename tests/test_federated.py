@@ -21,8 +21,8 @@ from labelshift import (
     gen_gaussian_mixture,
     init_predictor,
     local_test_marginal,
+    loss_and_grad,
     make_marginal,
-    mean_loss,
     posterior_matrix,
     run_federation,
     train_global,
@@ -382,13 +382,14 @@ def weighted_risk_gap(mix, fixed, n_tr, seed):
     fed = build_federation(cfg, mix)
     w = true_weight_vectors(cfg) / cfg.k
     emp = float(np.mean([
-        mean_loss(fixed, nd.train, 0.0, weights=w[k][nd.train.labels])
+        loss_and_grad(fixed, fixed.parameters, nd.train.features, nd.train.labels,
+                      weights=w[k][nd.train.labels])[0]
         for k, nd in enumerate(fed.nodes)
     ]))
     true_risk = float(np.mean([
-        mean_loss(fixed, gen_gaussian_mixture(mix, spec.test_marginal, 200_000,
-                                              seed=0xBEEF + i), 0.0)
-        for i, spec in enumerate(cfg.nodes)
+        loss_and_grad(fixed, fixed.parameters, test.features, test.labels)[0]
+        for test in (gen_gaussian_mixture(mix, spec.test_marginal, 200_000, seed=0xBEEF + i)
+                     for i, spec in enumerate(cfg.nodes))
     ]))
     return abs(emp - true_risk)
 

@@ -14,12 +14,10 @@ from labelshift import (
     gen_gaussian_mixture,
     init_predictor,
     load_predictor,
-    loss_gradient,
-    mean_loss,
+    loss_and_grad,
     posterior_matrix,
     predict_labels,
     predict_proba,
-    regularized_loss,
     save_predictor,
     train_predictor,
     uniform_marginal,
@@ -87,20 +85,27 @@ def test_penalty_never_positive():
 # --------------------------------------------------------------------- loss
 
 
-def test_loss_zeta_zero_is_plain_cross_entropy():
+@pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0, 5.0])
+def test_loss_is_cross_entropy_plus_zeta_times_penalty(zeta):
+    # oracle from the predicted probabilities, not from the loss code
     data = tiny_dataset(seed=2)
     pred = init_predictor(replace(LINEAR, seed=3), 3, 2)
     rows = predict_proba(pred, data.features).rows
     ce = float(-np.log(rows[np.arange(data.n), data.labels]).mean())
-    assert regularized_loss(pred, data, zeta=0.0) == pytest.approx(ce, abs=1e-9)
+    pen = float(np.sum(rows * np.log(rows), axis=1).mean())
+    total, _, _ = loss_and_grad(pred, pred.parameters, data.features, data.labels, zeta)
+    assert total == pytest.approx(ce + zeta * pen, abs=1e-9)
 
 
 def test_loss_cancels_at_uniform_output():
     # zero weights -> uniform rows -> CE = log m exactly offsets the penalty
     data = tiny_dataset(seed=4)
     pred = Predictor(np.zeros(3 * 2 + 3), "linear", 0, 3, 2)
-    assert regularized_loss(pred, data, zeta=1.0) == pytest.approx(0.0, abs=1e-9)
-    assert regularized_loss(pred, data, zeta=0.0) == pytest.approx(math.log(3), abs=1e-9)
+    x, y = data.features, data.labels
+    assert loss_and_grad(pred, pred.parameters, x, y, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
+    assert loss_and_grad(pred, pred.parameters, x, y, 0.0)[0] == pytest.approx(
+        math.log(3), abs=1e-9
+    )
 
 
 @pytest.mark.parametrize("arch,hidden", [("linear", 0), ("mlp", 6)])
@@ -111,18 +116,25 @@ def test_loss_gradient_matches_central_differences(arch, hidden, zeta):
     pred = init_predictor(cfg, 3, 2)
 
     def f(theta):
-        return regularized_loss(replace(pred, parameters=theta), data, zeta)
+        return loss_and_grad(pred, theta, data.features, data.labels, zeta)[0]
 
-    analytic = loss_gradient(pred, data, zeta)
+    analytic = loss_and_grad(pred, pred.parameters, data.features, data.labels, zeta)[2]
     numeric = central_diff(f, pred.parameters)
     assert rel_err(analytic, numeric) < 1e-4
+
+
+def test_loss_rejects_feature_dimension_mismatch():
+    pred = init_predictor(LINEAR, 3, 2)
+    with pytest.raises(ValueError, match="feature dimension"):
+        loss_and_grad(pred, pred.parameters, np.zeros((4, 3)), np.zeros(4, dtype=int))
 
 
 def test_weighted_mean_loss_all_ones_identity():
     data = tiny_dataset(seed=7, n=40)
     pred = init_predictor(replace(LINEAR, seed=8), 3, 2)
-    plain = mean_loss(pred, data, zeta=0.0)
-    weighted = mean_loss(pred, data, zeta=0.0, weights=np.ones(data.n))
+    x, y = data.features, data.labels
+    plain = loss_and_grad(pred, pred.parameters, x, y, 0.0)[0]
+    weighted = loss_and_grad(pred, pred.parameters, x, y, 0.0, weights=np.ones(data.n))[0]
     assert weighted == plain
 
 
@@ -192,7 +204,7 @@ def test_early_stop_watches_cross_entropy_only():
     ran_out = train_predictor(data, replace(LINEAR, max_epochs=500, loss_threshold=0.0,
                                             zeta=1.0, seed=31))
     assert not np.array_equal(stopped.parameters, ran_out.parameters)
-    ce = mean_loss(stopped, data, zeta=0.0)
+    ce = loss_and_grad(stopped, stopped.parameters, data.features, data.labels, 0.0)[0]
     assert ce < 0.35  # near the threshold, far from convergence
 
 
