@@ -176,6 +176,17 @@ def _field_default(f: dataclasses.Field, base):
     return f.default
 
 
+def _build(where: str, make):
+    """make(), with where prefixed to the ValueError it raises (the root's
+    own checks name their keys already)."""
+    try:
+        return make()
+    except ValueError as exc:
+        if where == "experiment":
+            raise
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _decode(tp, raw, where: str, default=MISSING):
     """Builds a value of type tp from the JSON value raw.
 
@@ -185,7 +196,8 @@ def _decode(tp, raw, where: str, default=MISSING):
     federation.nodes[1] below it. Scalars must have their field's JSON type
     (_SCALARS); floats pass through as given, so the resolved config echoes
     the file's numbers. tuple[X, ...] takes a list of any length, tuple[X, Y]
-    exactly one entry per type.
+    exactly one entry per type. A LabelMarginal list takes numbers. A value
+    its dataclass rejects raises that ValueError prefixed by where.
     """
     if isinstance(tp, UnionType):  # X | None: null stays None
         if raw is None:
@@ -202,7 +214,8 @@ def _decode(tp, raw, where: str, default=MISSING):
             raise ValueError(f"{where} must have {len(elems)} entries, got {len(raw)}")
         return tuple(_decode(t, x, f"{where}[{i}]") for i, (t, x) in enumerate(zip(elems, raw)))
     if tp is LabelMarginal and isinstance(raw, list):
-        return LabelMarginal(np.asarray(raw, dtype=float))
+        probs = _decode(tuple[float, ...], raw, where)
+        return _build(where, lambda: LabelMarginal(np.asarray(probs, dtype=float)))
     if dataclasses.is_dataclass(tp):
         if not isinstance(raw, dict):
             raise ValueError(f"{where} must be an object, got {raw!r}")
@@ -224,12 +237,12 @@ def _decode(tp, raw, where: str, default=MISSING):
             for key, value in raw.items()
         }
         if default is not MISSING:
-            return replace(default, **values)
+            return _build(where, lambda: replace(default, **values))
         missing = [k for k, f in fields.items() if k not in values
                    and _field_default(f, MISSING) is MISSING]
         if missing:
             raise ValueError(f"missing {where} keys: {missing}")
-        return tp(**values)
+        return _build(where, lambda: tp(**values))
     if tp in _SCALARS and type(raw) not in _SCALARS[tp][0]:
         raise ValueError(f"{where} must be {_SCALARS[tp][1]}, got {raw!r}")
     return raw

@@ -134,24 +134,30 @@ def estimate_mlls_em(
 
     Starting from the training marginal, each step computes responsibilities
     proportional to preds * r and averages them. Classes with zero training
-    mass are excluded and reported with ratio zero.
+    mass are excluded and reported with ratio zero. The row sums of preds * r
+    are the likelihoods at r, so each step's sums give the trace entry of the
+    update before it; only the first and the last entries use preds @ r, and
+    the entries between may differ from empirical_objective by rounding.
     """
     p, t, sup = _support(preds_te, tr)
+    n = p.shape[0]
     r = np.ones(t.size)
     trace = [_mean_log(p @ r)]
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
         w = p * r
-        w /= np.maximum(w.sum(axis=1, keepdims=True), PROB_FLOOR)
-        q = w.mean(axis=0)
-        r_new = q / t
+        like = np.maximum(w.sum(axis=1), PROB_FLOOR)
+        if iters > 1:  # the row sums are the likelihoods at the previous update
+            trace.append(_mean_log(like))
+        w /= like[:, None]
+        r_new = np.add.reduce(w) / n / t
         delta = float(np.max(np.abs(r_new - r)))
         r = r_new
-        trace.append(_mean_log(p @ r))
         if delta < opts.tol:
             converged = True
             break
+    trace.append(_mean_log(p @ r))
     q = r * t
     r = (q / q.sum()) / t  # tidy feasibility against accumulated rounding
     return EstimateReport(

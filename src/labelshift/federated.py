@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import child_seed, stream
 from .data import GaussianMixtureSpec, gen_gaussian_mixture
-from .estimators import EstimatorOptions, solve_mlls
+from .estimators import EstimateReport, EstimatorOptions, solve_mlls
 from .predictor import (
     Predictor,
     PredictorConfig,
@@ -156,6 +156,27 @@ class Federation:
             for i, node in enumerate(self.nodes)
         )
 
+    @cached_property
+    def local_estimates(self) -> tuple[EstimateReport, ...]:
+        """Each node's ratio estimate from its own ratio predictor on its own
+        test split, solved once and shared by exchange_marginals and
+        crossnode_listing_ratios."""
+        return tuple(
+            _estimate(node, predict_proba(predictor, node.test.features), self.cfg.ratio_solver)
+            for node, predictor in zip(self.nodes, self.ratio_predictors)
+        )
+
+    @cached_property
+    def stacked_test(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's test features and labels stacked in node order, plus
+        the row offsets that split them back into nodes (for np.split)."""
+        tests = [node.test for node in self.nodes]
+        return (
+            np.concatenate([t.features for t in tests]),
+            np.concatenate([t.labels for t in tests]),
+            np.cumsum([t.n for t in tests])[:-1],
+        )
+
 
 @dataclass(frozen=True)
 class FederationResult:
@@ -233,35 +254,37 @@ def local_test_marginal(
     posterior_fn substitutes an oracle posterior for the trained predictor
     (same shape contract as predict_proba).
     """
-    predictor = train_predictor(node.train, pcfg) if posterior_fn is None else None
-    return _estimate_marginal(node, predictor, opts, posterior_fn)
-
-
-def _estimate_marginal(node: FederationNode, predictor, opts: EstimatorOptions, posterior_fn):
     if posterior_fn is None:
-        preds = predict_proba(predictor, node.test.features)
+        preds = predict_proba(train_predictor(node.train, pcfg), node.test.features)
     else:
         preds = ProbabilityMatrix.from_rows(posterior_fn(node.test.features))
-    tr = node.train.empirical_marginal()
-    q = solve_mlls(preds, tr, opts).ratio.ratios * tr.probs
-    return LabelMarginal(q / q.sum())
+    return _estimate(node, preds, opts).ratio.implied_test_marginal()
+
+
+def _estimate(node: FederationNode, preds: ProbabilityMatrix, opts: EstimatorOptions):
+    """The node's ratio estimate against its own empirical train marginal."""
+    return solve_mlls(preds, node.train.empirical_marginal(), opts)
 
 
 def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMarginal, ...]:
     """The single communication round before training: every node publishes
     one length-m marginal estimate and nothing else.
 
-    Each node scores its test features with its own ratio predictor from
-    fed.ratio_predictors, or with posterior_fn when one is given.
+    Each node publishes its estimate from fed.local_estimates, or, when
+    posterior_fn is given, one from scoring its test features with it.
     """
     if posterior_fn is None:
-        predictors = fed.ratio_predictors
+        reports = fed.local_estimates
     else:
-        predictors = (None,) * len(fed.nodes)
-    return tuple(
-        _estimate_marginal(node, predictor, fed.cfg.ratio_solver, posterior_fn)
-        for node, predictor in zip(fed.nodes, predictors)
-    )
+        reports = [
+            _estimate(
+                node,
+                ProbabilityMatrix.from_rows(posterior_fn(node.test.features)),
+                fed.cfg.ratio_solver,
+            )
+            for node in fed.nodes
+        ]
+    return tuple(report.ratio.implied_test_marginal() for report in reports)
 
 
 def aggregate_ratios(k: int, test_marginals, tr_k: LabelMarginal) -> np.ndarray:
@@ -396,10 +419,13 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationR
 
 
 def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple[float, ...], float]:
-    """Top-1 accuracy on every node's test split, plus the unweighted mean."""
-    accs = []
-    for node in fed.nodes:
-        accs.append(float((predict_labels(pred, node.test.features) == node.test.labels).mean()))
+    """Top-1 accuracy on every node's test split, plus the unweighted mean.
+
+    One forward pass scores the stacked test splits of fed.stacked_test.
+    """
+    features, labels, offsets = fed.stacked_test
+    hits = predict_labels(pred, features) == labels
+    accs = [float(node_hits.mean()) for node_hits in np.split(hits, offsets)]
     return tuple(accs), float(np.mean(accs))
 
 
@@ -429,6 +455,7 @@ def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
     resulting matrix combines estimates against the other nodes' train
     marginals. Unlike the marginal exchange, this ships raw features across
     nodes, so it stays an opt-in diagnostic rather than a training path.
+    The diagonal, each node on its own test split, is fed.local_estimates.
     """
     cfg = fed.cfg
     k, m = cfg.k, fed.m
@@ -439,8 +466,12 @@ def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
     for a, predictor in enumerate(fed.ratio_predictors):
         tr_a = fed.nodes[a].train.empirical_marginal()
         for b in range(k):
-            preds = predict_proba(predictor, fed.nodes[b].test.features)
-            est[a, b] = solve_mlls(preds, tr_a, cfg.ratio_solver).ratio.ratios
+            if b == a:
+                report = fed.local_estimates[a]
+            else:
+                preds = predict_proba(predictor, fed.nodes[b].test.features)
+                report = solve_mlls(preds, tr_a, cfg.ratio_solver)
+            est[a, b] = report.ratio.ratios
     values = marg[None, :, :] * est
     aggregated = values.sum(axis=1)
     return aggregated / marg

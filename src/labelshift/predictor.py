@@ -117,19 +117,23 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
     return Predictor(np.concatenate(parts), cfg.architecture, hidden, m, d)
 
 
-def _forward(layout, params, x):
-    """Returns (log-probabilities, pre-activations of the hidden layer or None)."""
+def _forward(layout, parts, x):
+    """Log-probabilities and the hidden activations (None for linear) from
+    the unpacked parameters; each layer is built in one buffer."""
     if layout.architecture == "linear":
-        w, b = _unpack(layout, params)
-        z = x @ w + b
-        pre = None
+        w, b = parts
+        z = x @ w
+        h = None
     else:
-        w1, b1, w2, b2 = _unpack(layout, params)
-        pre = x @ w1 + b1
-        z = np.maximum(pre, 0.0) @ w2 + b2
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return logp, pre
+        w1, b1, w, b = parts
+        h = x @ w1
+        h += b1
+        np.maximum(h, 0.0, out=h)
+        z = h @ w
+    z += b
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z, h
 
 
 def entropy_penalty(p) -> float:
@@ -150,35 +154,34 @@ def loss_and_grad(layout: Predictor, params, x, y, zeta: float = 0.0, weights=No
     if x.shape[1] != layout.d:
         raise ValueError("feature dimension does not match the predictor")
     n = x.shape[0]
-    logp, pre = _forward(layout, params, x)
+    rows = np.arange(n)
+    parts = _unpack(layout, params)
+    logp, h = _forward(layout, parts, x)
     p = np.exp(logp)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    picked = logp[np.arange(n), y]
-    ce = float(-(w * picked).mean())
+    picked = logp[rows, y]
     pen_rows = np.sum(p * logp, axis=1)
-    total = float(ce + zeta * (w * pen_rows).mean())
+    if weights is None:
+        ce_terms, pen_terms, scale = picked, pen_rows, 1.0 / n
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        ce_terms, pen_terms, scale = w * picked, w * pen_rows, (w / n)[:, None]
+    # np.add.reduce(a) / n is the same float as a.mean(), without its overhead.
+    ce = float(-(np.add.reduce(ce_terms) / n))
+    total = float(ce + zeta * (np.add.reduce(pen_terms) / n))
 
     # d/dz of the cross-entropy is p - onehot; of the penalty, p*(logp - pen).
     dz = p.copy()
-    dz[np.arange(n), y] -= 1.0
+    dz[rows, y] -= 1.0
     if zeta:
         dz += zeta * p * (logp - pen_rows[:, None])
-    dz *= w[:, None] / n
+    dz *= scale
 
-    if layout.architecture == "linear":
-        gw = x.T @ dz
-        gb = dz.sum(axis=0)
-        grad = np.concatenate([gw.ravel(), gb])
-    else:
-        w1, b1, w2, b2 = _unpack(layout, params)
-        h = np.maximum(pre, 0.0)
-        gw2 = h.T @ dz
-        gb2 = dz.sum(axis=0)
-        dh = dz @ w2.T
-        dh[pre <= 0] = 0.0
-        gw1 = x.T @ dh
-        gb1 = dh.sum(axis=0)
-        grad = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    gb = np.add.reduce(dz)
+    if h is None:
+        return total, ce, np.concatenate([(x.T @ dz).ravel(), gb])
+    # h <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
+    dh = np.where(h <= 0, 0.0, dz @ parts[2].T)
+    grad = np.concatenate([(x.T @ dh).ravel(), np.add.reduce(dh), (h.T @ dz).ravel(), gb])
     return total, ce, grad
 
 
@@ -215,8 +218,7 @@ def _log_proba(pred: Predictor, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
-    logp, _ = _forward(pred, pred.parameters, x)
-    return logp
+    return _forward(pred, _unpack(pred, pred.parameters), x)[0]
 
 
 def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:

@@ -1,6 +1,7 @@
-"""Shared fixtures: grid-search oracle for two-class MLE instances and
+"""Shared fixtures: grid-search oracle for two-class MLE instances,
 finite-difference gradient checks used across the estimator and predictor
-suites."""
+suites, and reference copies of the original (allocating) forward pass,
+SGD step and EM loop that the lean versions must match bit for bit."""
 
 import numpy as np
 
@@ -11,10 +12,14 @@ from labelshift import (
     ProbabilityMatrix,
     equidistant_means,
     gen_gaussian_mixture,
+    init_predictor,
     make_marginal,
     uniform_marginal,
 )
+from labelshift._rng import stream
 from labelshift.estimators import empirical_objective
+from labelshift.predictor import _unpack  # the parameter layout, unchanged
+from labelshift.types import PROB_FLOOR
 
 GRID_STEP = 1e-5
 
@@ -97,6 +102,97 @@ def assert_feasible(ratio, tr, tol=1e-6):
     assert abs(float(r @ tr.probs) - 1.0) <= tol
 
 
+# ------------------------------------------- reference arithmetic (original)
+
+
+def reference_forward(layout, params, x):
+    """(log-probabilities, hidden pre-activations or None), one fresh array per step."""
+    if layout.architecture == "linear":
+        w, b = _unpack(layout, params)
+        z = x @ w + b
+        pre = None
+    else:
+        w1, b1, w2, b2 = _unpack(layout, params)
+        pre = x @ w1 + b1
+        z = np.maximum(pre, 0.0) @ w2 + b2
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return logp, pre
+
+
+def reference_loss_and_grad(layout, params, x, y, zeta=0.0, weights=None):
+    n = x.shape[0]
+    logp, pre = reference_forward(layout, params, x)
+    p = np.exp(logp)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    picked = logp[np.arange(n), y]
+    ce = float(-(w * picked).mean())
+    pen_rows = np.sum(p * logp, axis=1)
+    total = float(ce + zeta * (w * pen_rows).mean())
+    dz = p.copy()
+    dz[np.arange(n), y] -= 1.0
+    if zeta:
+        dz += zeta * p * (logp - pen_rows[:, None])
+    dz *= w[:, None] / n
+    if layout.architecture == "linear":
+        return total, ce, np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
+    w1, b1, w2, b2 = _unpack(layout, params)
+    h = np.maximum(pre, 0.0)
+    gw2 = h.T @ dz
+    gb2 = dz.sum(axis=0)
+    dh = dz @ w2.T
+    dh[pre <= 0] = 0.0
+    gw1 = x.T @ dh
+    gb1 = dh.sum(axis=0)
+    return total, ce, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+
+
+def reference_train(train, cfg):
+    """The train_predictor loop on reference_loss_and_grad; returns the parameters."""
+    layout = init_predictor(cfg, train.m, train.d)
+    params = layout.parameters.copy()
+    x, y, n = train.features, train.labels, train.n
+    order_rng = stream(cfg.seed, 0x2)
+    for _ in range(cfg.max_epochs):
+        order = order_rng.permutation(n)
+        ce_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, ce, grad = reference_loss_and_grad(layout, params, x[idx], y[idx], cfg.zeta)
+            if cfg.weight_decay:
+                grad = grad + cfg.weight_decay * params
+            params -= cfg.learning_rate * grad
+            ce_sum += ce * idx.size
+        if ce_sum / n < cfg.loss_threshold:
+            break
+    return params
+
+
+def reference_em(preds, tr, max_iters=1000, tol=1e-6):
+    """The EM loop with p @ r twice per step: (full ratio, iterations, converged, trace)."""
+    sup = tr.probs > 0
+    p, t = preds.rows[:, sup], tr.probs[sup]
+    mean_log = lambda like: float(np.log(np.maximum(like, PROB_FLOOR)).mean())
+    r = np.ones(t.size)
+    trace = [mean_log(p @ r)]
+    converged = False
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        w = p * r
+        w /= np.maximum(w.sum(axis=1, keepdims=True), PROB_FLOOR)
+        r_new = w.mean(axis=0) / t
+        delta = float(np.max(np.abs(r_new - r)))
+        r = r_new
+        trace.append(mean_log(p @ r))
+        if delta < tol:
+            converged = True
+            break
+    q = r * t
+    full = np.zeros(sup.size)
+    full[sup] = (q / q.sum()) / t
+    return full, iters, converged, trace
+
+
 __all__ = [
     "GRID_STEP",
     "assert_feasible",
@@ -107,6 +203,10 @@ __all__ = [
     "marginal",
     "random_marginal",
     "random_preds",
+    "reference_em",
+    "reference_forward",
+    "reference_loss_and_grad",
+    "reference_train",
     "rel_err",
     "tiny_dataset",
     "tiny_mixture",

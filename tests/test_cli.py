@@ -161,6 +161,25 @@ def test_resolve_checks_the_length_of_fixed_pairs(path, where):
         cli.resolve_config(raw, "federate")
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (["federation", "ratio_predictor", "zeta"], -1,
+         r"federation\.ratio_predictor: zeta must be nonnegative$"),
+        (["federation", "nodes", 1, "train_marginal"], [0.5, 0.6, 0.1],
+         r"federation\.nodes\[1\]\.train_marginal: marginal sums to 1\.2"),
+        (["federation", "nodes", 1, "train_marginal"], [0.5, "x", 0.1],
+         r"federation\.nodes\[1\]\.train_marginal\[1\] must be a number, got 'x'$"),
+    ],
+    ids=["zeta", "marginal_sum", "marginal_entry"],
+)
+def test_resolve_names_the_path_of_a_value_its_section_rejects(path, value, message):
+    raw = json.loads(json.dumps(FED_RAW))
+    parent_of(raw, path)[path[-1]] = value
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        cli.resolve_config(raw, "federate")
+
+
 def test_resolve_keeps_float_fields_as_written():
     cfg = cli.resolve_config(sweep_raw(alpha=2, split_fraction=0), "sweep_alpha")
     assert '"alpha":2,' in cli._config_line(cfg)

@@ -24,13 +24,17 @@ from labelshift import (
     loss_and_grad,
     make_marginal,
     posterior_matrix,
+    predict_labels,
+    predict_proba,
     run_federation,
+    solve_mlls,
     train_global,
     train_predictor,
     true_weight_vectors,
     uniform_marginal,
     weight_vectors,
 )
+from labelshift import federated
 from labelshift._rng import child_seed
 from labelshift.types import LabelMarginal
 
@@ -365,6 +369,23 @@ def test_evaluate_separable_mixture_near_perfect():
     assert acc >= 0.99
 
 
+def test_evaluate_scores_the_stacked_test_splits_once(monkeypatch):
+    nodes = tuple(skew_node(i, 2, n_tr=20, n_te=n_te, seed=i) for i, n_te in enumerate((50, 7, 31)))
+    fed = build_federation(
+        FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=3), MIX3)
+    pred = init_predictor(PredictorConfig(architecture="linear", seed=2), 3, 2)
+    one_by_one = [float((predict_labels(pred, node.test.features) == node.test.labels).mean())
+                  for node in fed.nodes]
+    calls = []
+    original = federated.predict_labels
+    monkeypatch.setattr(federated, "predict_labels",
+                        lambda *args: calls.append(args) or original(*args))
+    per_node, avg = evaluate(pred, fed)
+    assert len(calls) == 1
+    assert list(per_node) == one_by_one
+    assert avg == float(np.mean(one_by_one))
+
+
 # -------------------------------------------------- risk-gap consistency
 
 
@@ -420,6 +441,30 @@ def test_crossnode_listing_shape_and_flagged_nature():
     listing = crossnode_listing_ratios(fed)
     assert listing.shape == (2, 3)
     assert np.all(listing >= 0)
+
+
+def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
+    nodes = tuple(skew_node(i, (i + 1) % 3, n_tr=200, n_te=150, seed=i) for i in range(3))
+    cfg = FederationConfig(
+        nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=8,
+        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
+                                        max_epochs=5))
+    fed = build_federation(cfg, MIX3)
+    fed.ratio_predictors  # trained before counting
+    scored, solved = [], []
+    for name, calls in (("predict_proba", scored), ("solve_mlls", solved)):
+        original = getattr(federated, name)
+        monkeypatch.setattr(federated, name,
+                            lambda *args, f=original, c=calls: c.append(args) or f(*args))
+    published = exchange_marginals(fed)
+    crossnode_listing_ratios(fed)
+    assert len(scored) == len(solved) == 3 * 3  # one per (predictor, test split) pair
+    for node, predictor, report, mg in zip(fed.nodes, fed.ratio_predictors,
+                                           fed.local_estimates, published):
+        alone = solve_mlls(predict_proba(predictor, node.test.features),
+                           node.train.empirical_marginal(), cfg.ratio_solver)
+        assert np.array_equal(report.ratio.ratios, alone.ratio.ratios)
+        assert np.array_equal(mg.probs, alone.ratio.implied_test_marginal().probs)
 
 
 def test_crossnode_listing_needs_full_class_support():

@@ -1,0 +1,139 @@
+"""The lean forward pass, SGD step and EM loop give the same bits as the
+original arithmetic kept in helpers.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labelshift import (
+    EstimatorOptions,
+    PredictorConfig,
+    ProbabilityMatrix,
+    estimate_mlls_em,
+    init_predictor,
+    loss_and_grad,
+    predict_proba,
+    train_predictor,
+)
+
+from .helpers import (
+    marginal,
+    random_preds,
+    reference_em,
+    reference_forward,
+    reference_loss_and_grad,
+    reference_train,
+    tiny_dataset,
+)
+
+prop = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+def config(architecture, zeta, **over):
+    base = dict(architecture=architecture, hidden_units=24, learning_rate=0.1, batch_size=32,
+                max_epochs=12, loss_threshold=0.0, zeta=zeta, seed=3)
+    return PredictorConfig(**{**base, **over})
+
+
+@pytest.mark.parametrize(
+    "architecture, zeta, over",
+    [
+        ("linear", 0.0, {}),
+        ("linear", 1.0, {}),
+        ("mlp", 0.0, {}),
+        ("mlp", 1.0, {}),
+        # stops early, after 10 of 200 epochs
+        ("mlp", 0.5, {"weight_decay": 1e-3, "max_epochs": 200, "loss_threshold": 0.7}),
+    ],
+    ids=["linear-0", "linear-1", "mlp-0", "mlp-1", "mlp-decay-early-stop"],
+)
+def test_train_predictor_matches_reference(architecture, zeta, over):
+    train = tiny_dataset(seed=1, n=300, m=3, d=4, separation=2.0)  # 300 = 9 batches + 12
+    cfg = config(architecture, zeta, **over)
+    assert np.array_equal(train_predictor(train, cfg).parameters, reference_train(train, cfg))
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_loss_and_grad_matches_reference(architecture, weighted):
+    rng = np.random.default_rng(7)
+    data = tiny_dataset(seed=4, n=50, m=3, d=4)
+    layout = init_predictor(config(architecture, 0.5), 3, 4)
+    params = layout.parameters + rng.normal(scale=0.3, size=layout.parameters.size)
+    weights = rng.uniform(0.0, 3.0, size=50) if weighted else None
+    args = (layout, params, data.features, data.labels, 0.5, weights)
+    total, ce, grad = loss_and_grad(*args)
+    ref_total, ref_ce, ref_grad = reference_loss_and_grad(*args)
+    assert (total, ce) == (ref_total, ref_ce)
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_relu_mask_matches_reference_at_exact_zeros_and_nan():
+    layout = init_predictor(config("mlp", 1.0, hidden_units=4), 3, 2)
+    params = layout.parameters.copy()
+    params[8:12] = 0.0  # b1: a zero input row gives pre-activations of exactly 0
+    x = np.array([[0.0, 0.0], [1.0, -2.0], [np.nan, 1.0], [-0.5, 0.25]])
+    y = np.array([0, 1, 2, 1])
+    total, ce, grad = loss_and_grad(layout, params, x, y, 1.0)
+    ref_total, ref_ce, ref_grad = reference_loss_and_grad(layout, params, x, y, 1.0)
+    assert np.isnan(total) and np.isnan(ref_total)
+    assert np.array_equal(grad, ref_grad, equal_nan=True)
+    clean = [0, 1, 3]
+    out = loss_and_grad(layout, params, x[clean], y[clean], 1.0)
+    ref = reference_loss_and_grad(layout, params, x[clean], y[clean], 1.0)
+    assert out[:2] == ref[:2] and np.array_equal(out[2], ref[2])
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp"])
+def test_predict_proba_matches_reference(architecture):
+    train = tiny_dataset(seed=5, n=300, m=3, d=4, separation=2.0)
+    pred = train_predictor(train, config(architecture, 1.0, hidden_units=64))
+    x = tiny_dataset(seed=6, n=2000, m=3, d=4, separation=2.0).features
+    logp, _ = reference_forward(pred, pred.parameters, x)
+    assert np.array_equal(predict_proba(pred, x).rows,
+                          ProbabilityMatrix.from_rows(np.exp(logp)).rows)
+
+
+@pytest.mark.parametrize(
+    "seed, m, conc, tr, max_iters",
+    [
+        (0, 3, 1.5, (0.2, 0.3, 0.5), 1000),
+        (1, 4, 20.0, (0.25, 0.25, 0.25, 0.25), 1000),  # flat posteriors: many steps
+        (2, 3, 1.0, (0.6, 0.0, 0.4), 1000),  # a class without train mass
+        (3, 5, 5.0, (0.1, 0.2, 0.3, 0.2, 0.2), 7),  # stops at the cap
+    ],
+    ids=["sharp", "flat", "zero_mass", "cap"],
+)
+def test_em_matches_reference(seed, m, conc, tr, max_iters):
+    preds = random_preds(np.random.default_rng(seed), 400, m=m, conc=conc)
+    tr = marginal(*tr)
+    report = estimate_mlls_em(preds, tr, EstimatorOptions(max_iters=max_iters))
+    ratio, iters, converged, trace = reference_em(preds, tr, max_iters=max_iters)
+    assert np.array_equal(report.ratio.ratios, ratio)
+    assert (report.iterations_used, report.converged) == (iters, converged)
+    assert report.final_objective == trace[-1]
+    assert report.objective_trace[0] == trace[0]
+    assert len(report.objective_trace) == len(trace)
+    assert np.allclose(report.objective_trace, trace, rtol=0.0, atol=1e-12)
+
+
+@prop
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(2, 8),
+    n=st.integers(5, 200),
+    conc=st.floats(1.0, 10.0),
+    max_iters=st.integers(1, 25),
+)
+def test_em_at_the_iteration_cap_reports_honestly(seed, m, n, conc, max_iters):
+    rng = np.random.default_rng(seed)
+    preds = random_preds(rng, n, m=m, conc=conc)
+    tr = marginal(*rng.dirichlet(np.full(m, 5.0)))
+    # A tolerance no step of flat posteriors reaches within 25 steps.
+    report = estimate_mlls_em(preds, tr, EstimatorOptions(max_iters=max_iters, tol=1e-300))
+    assert report.iterations_used == max_iters
+    assert report.converged is False
+    assert len(report.objective_trace) == report.iterations_used + 1
+    assert report.objective_trace[-1] == report.final_objective
+    assert np.all(np.diff(report.objective_trace) >= -1e-12)
