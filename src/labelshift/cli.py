@@ -196,8 +196,9 @@ def _decode(tp, raw, where: str, default=MISSING):
     federation.nodes[1] below it. Scalars must have their field's JSON type
     (_SCALARS); floats pass through as given, so the resolved config echoes
     the file's numbers. tuple[X, ...] takes a list of any length, tuple[X, Y]
-    exactly one entry per type. A LabelMarginal list takes numbers. A value
-    its dataclass rejects raises that ValueError prefixed by where.
+    exactly one entry per type. A LabelMarginal, as a list or as the
+    {"probs": list} that the echoed config prints, takes numbers. A value its
+    dataclass rejects raises that ValueError prefixed by where.
     """
     if isinstance(tp, UnionType):  # X | None: null stays None
         if raw is None:
@@ -213,6 +214,9 @@ def _decode(tp, raw, where: str, default=MISSING):
         elif len(raw) != len(elems):
             raise ValueError(f"{where} must have {len(elems)} entries, got {len(raw)}")
         return tuple(_decode(t, x, f"{where}[{i}]") for i, (t, x) in enumerate(zip(elems, raw)))
+    if tp is LabelMarginal and isinstance(raw, dict) and set(raw) == {"probs"}:
+        probs = _decode(tuple[float, ...], raw["probs"], f"{where}.probs")
+        return _build(where, lambda: LabelMarginal(np.asarray(probs, dtype=float)))
     if tp is LabelMarginal and isinstance(raw, list):
         probs = _decode(tuple[float, ...], raw, where)
         return _build(where, lambda: LabelMarginal(np.asarray(probs, dtype=float)))

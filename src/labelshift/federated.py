@@ -166,17 +166,6 @@ class Federation:
             for node, predictor in zip(self.nodes, self.ratio_predictors)
         )
 
-    @cached_property
-    def stacked_test(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every node's test features and labels stacked in node order, plus
-        the row offsets that split them back into nodes (for np.split)."""
-        tests = [node.test for node in self.nodes]
-        return (
-            np.concatenate([t.features for t in tests]),
-            np.concatenate([t.labels for t in tests]),
-            np.cumsum([t.n for t in tests])[:-1],
-        )
-
 
 @dataclass(frozen=True)
 class FederationResult:
@@ -421,11 +410,13 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationR
 def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple[float, ...], float]:
     """Top-1 accuracy on every node's test split, plus the unweighted mean.
 
-    One forward pass scores the stacked test splits of fed.stacked_test.
+    Each split gets its own forward pass: a product over the stacked splits
+    can round differently from the per-node products (an MLP, or a linear
+    model with d >= 16, on OpenBLAS) and so flip a near-tie argmax.
     """
-    features, labels, offsets = fed.stacked_test
-    hits = predict_labels(pred, features) == labels
-    accs = [float(node_hits.mean()) for node_hits in np.split(hits, offsets)]
+    accs = []
+    for node in fed.nodes:
+        accs.append(float((predict_labels(pred, node.test.features) == node.test.labels).mean()))
     return tuple(accs), float(np.mean(accs))
 
 

@@ -170,8 +170,12 @@ def test_resolve_checks_the_length_of_fixed_pairs(path, where):
          r"federation\.nodes\[1\]\.train_marginal: marginal sums to 1\.2"),
         (["federation", "nodes", 1, "train_marginal"], [0.5, "x", 0.1],
          r"federation\.nodes\[1\]\.train_marginal\[1\] must be a number, got 'x'$"),
+        (["federation", "nodes", 1, "train_marginal"], {"probs": [0.5, "x", 0.1]},
+         r"federation\.nodes\[1\]\.train_marginal\.probs\[1\] must be a number, got 'x'$"),
+        (["federation", "nodes", 1, "train_marginal"], {"probs": [True, False, 0]},
+         r"federation\.nodes\[1\]\.train_marginal\.probs\[0\] must be a number, got True$"),
     ],
-    ids=["zeta", "marginal_sum", "marginal_entry"],
+    ids=["zeta", "marginal_sum", "marginal_entry", "marginal_probs_entry", "marginal_probs_bool"],
 )
 def test_resolve_names_the_path_of_a_value_its_section_rejects(path, value, message):
     raw = json.loads(json.dumps(FED_RAW))

@@ -369,11 +369,15 @@ def test_evaluate_separable_mixture_near_perfect():
     assert acc >= 0.99
 
 
-def test_evaluate_scores_the_stacked_test_splits_once(monkeypatch):
+@pytest.mark.parametrize("model", [LINEAR, PredictorConfig(architecture="mlp", hidden_units=128)],
+                         ids=["linear", "mlp"])
+def test_evaluate_scores_each_node_split_on_its_own(monkeypatch, model):
+    # a product over stacked splits can round differently from the per-node
+    # products, so each split keeps its own forward pass
     nodes = tuple(skew_node(i, 2, n_tr=20, n_te=n_te, seed=i) for i, n_te in enumerate((50, 7, 31)))
     fed = build_federation(
-        FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=3), MIX3)
-    pred = init_predictor(PredictorConfig(architecture="linear", seed=2), 3, 2)
+        FederationConfig(nodes=nodes, global_model=model, scenario="ls_multi", seed=3), MIX3)
+    pred = init_predictor(replace(model, seed=2), 3, 2)
     one_by_one = [float((predict_labels(pred, node.test.features) == node.test.labels).mean())
                   for node in fed.nodes]
     calls = []
@@ -381,7 +385,8 @@ def test_evaluate_scores_the_stacked_test_splits_once(monkeypatch):
     monkeypatch.setattr(federated, "predict_labels",
                         lambda *args: calls.append(args) or original(*args))
     per_node, avg = evaluate(pred, fed)
-    assert len(calls) == 1
+    assert len(calls) == len(fed.nodes)
+    assert all(features is node.test.features for (_, features), node in zip(calls, fed.nodes))
     assert list(per_node) == one_by_one
     assert avg == float(np.mean(one_by_one))
 

@@ -2,15 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 tools/reprocheck.py [--out out/reprocheck] [--only sweep_alpha ...]
+    python3 tools/reprocheck.py
 
 Every file in configs/ runs through labelshift.cli.main (imported from this
 checkout's src/) at --threads 1 and --threads 2, into the fixed directory
-<out>/<config name>/threads<N>, which is emptied first. Configs that read
-IDX files (sweep_alpha_idx) run on the seed-0 synthetic corpus that
-perfbench/idx_corpus.write_corpus writes into <out>/idx_corpus. All paths
-stay relative to the checkout, and every artifact embeds its resolved
-config with the paths as given, so two checkouts print comparable lines:
+out/reprocheck/<config name>/threads<N>, which is emptied first. Configs
+that read IDX files (sweep_alpha_idx) run on the seed-0 synthetic corpus
+that perfbench/idx_corpus.write_corpus writes into out/reprocheck/idx_corpus.
+All paths stay relative to the checkout, and every artifact embeds its
+resolved config with the paths as given, so two checkouts print comparable
+lines:
 
     (cd parent && python3 tools/reprocheck.py) > parent.txt
     (cd change && python3 tools/reprocheck.py) > change.txt
@@ -20,7 +21,6 @@ Standard output holds one "<sha256>  <path>" line per file, sorted by path;
 progress goes to standard error. The exit code is 1 if a run fails.
 """
 
-import argparse
 import hashlib
 import json
 import shutil
@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = Path("out/reprocheck")
 THREADS = (1, 2)
 CORPUS_SEED = 0
 
@@ -36,12 +37,12 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _with_corpus(raw: dict, out: Path) -> dict:
+def _with_corpus(raw: dict) -> dict:
     """raw with its IDX paths pointing at the seed-0 corpus, written on first use."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from idx_corpus import FILES, write_corpus
 
-    corpus = out / "idx_corpus"
+    corpus = OUT / "idx_corpus"
     paths = {key: str(corpus / name) for key, name in FILES.items()}
     if not all(Path(p).is_file() for p in paths.values()):
         print(f"writing the seed-{CORPUS_SEED} IDX corpus into {corpus}", file=sys.stderr)
@@ -49,35 +50,28 @@ def _with_corpus(raw: dict, out: Path) -> dict:
     return {**raw, "data": {**raw["data"], **paths}}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="out/reprocheck", help="relative output root")
-    parser.add_argument("--only", nargs="*", default=None, help="config names to run")
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from labelshift import cli
 
-    out = Path(args.out)
     configs = sorted((ROOT / "configs").glob("*.json"))
-    if args.only is not None:
-        configs = [c for c in configs if c.stem in args.only]
     failed = 0
     for config in configs:
         raw = json.loads(config.read_text(encoding="utf-8"))
         if raw.get("data", {}).get("source") == "idx":
-            raw = _with_corpus(raw, out)
-        resolved = out / f"{config.stem}.json"
+            raw = _with_corpus(raw)
+        resolved = OUT / f"{config.stem}.json"
         resolved.parent.mkdir(parents=True, exist_ok=True)
         resolved.write_text(json.dumps(raw), encoding="utf-8")
         for threads in THREADS:
-            run_dir = out / config.stem / f"threads{threads}"
+            run_dir = OUT / config.stem / f"threads{threads}"
             shutil.rmtree(run_dir, ignore_errors=True)
             print(f"{config.stem} --threads {threads}", file=sys.stderr)
             argv = [raw["kind"], "--config", str(resolved), "--out", str(run_dir),
                     "--threads", str(threads)]
             if cli.main(argv) != 0:
                 failed += 1
-    for path in sorted(p for c in configs for p in (out / c.stem).rglob("*") if p.is_file()):
+    for path in sorted(p for c in configs for p in (OUT / c.stem).rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.as_posix()}")
     return 1 if failed else 0
 
