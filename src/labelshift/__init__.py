@@ -26,7 +26,6 @@ from .estimators import (
     estimate_vrls,
     project_to_simplex,
     solve_mlls,
-    unregularized,
 )
 from .federated import (
     Federation,
@@ -38,10 +37,8 @@ from .federated import (
     aggregate_ratios,
     build_federation,
     crossnode_listing_ratios,
-    estimated_weight_vectors,
     evaluate,
     exchange_marginals,
-    local_test_marginal,
     run_federation,
     train_global,
     true_weight_vectors,

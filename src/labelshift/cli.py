@@ -41,7 +41,6 @@ from .estimators import (
     estimate_bbse,
     estimate_rlls,
     solve_mlls,
-    unregularized,
 )
 from .federated import (
     FederationConfig,
@@ -317,7 +316,7 @@ class _SweepEnv:
         needs_base = any(not e.startswith("vrls") for e in cfg.estimators)
         self.pred_reg = train_predictor(fit, cfg.predictor) if needs_reg else None
         self.pred_base = (
-            train_predictor(fit, unregularized(cfg.predictor)) if needs_base else None
+            train_predictor(fit, replace(cfg.predictor, zeta=0.0)) if needs_base else None
         )
         needs_val = any(e in ("bbse", "rlls") for e in cfg.estimators)
         self.preds_val = predict_proba(self.pred_base, val.features) if needs_val else None

@@ -13,7 +13,7 @@ the penalty strength in the predictor config selects between plain and
 confidence-regularized estimation.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -324,8 +324,3 @@ def solve_mlls(
     if opts.method == "mlls_gd":
         return estimate_mlls_gd(preds_te, tr, opts)
     raise ValueError(f"not a likelihood-maximizing method: {opts.method!r}")
-
-
-def unregularized(pcfg: PredictorConfig) -> PredictorConfig:
-    """The same training setup with the confidence penalty switched off."""
-    return replace(pcfg, zeta=0.0)

@@ -3,11 +3,13 @@
 Three phases mirror the deployment story:
 
 1. Each node estimates its own test marginal from local data only
-   (local_test_marginal / exchange_marginals). A node trains its ratio
-   predictor once per Federation and reuses it for every estimate.
+   (exchange_marginals). A node trains its ratio predictor once per
+   Federation (ratio_predictors) and solves its estimate once
+   (local_estimates).
 2. The estimated marginals are shared once; node k turns them into per-class
-   weights w_k(y) = sum_j p_j_te(y) / p_k_tr(y) (aggregate_ratios). The only
-   values that ever cross a node boundary are these K vectors of length m.
+   weights w_k(y) = sum_j p_j_te(y) / p_k_tr(y) (aggregate_ratios, through
+   weight_vectors). The only values that ever cross a node boundary are these
+   K vectors of length m.
 3. A shared model is trained on weighted cross-entropy, with per-round node
    sampling and a server-side optimizer (train_global).
 """
@@ -231,25 +233,6 @@ def build_federation(cfg: FederationConfig, mix: GaussianMixtureSpec) -> Federat
     return Federation(cfg, mix, tuple(nodes))
 
 
-def local_test_marginal(
-    node: FederationNode,
-    pcfg: PredictorConfig,
-    opts: EstimatorOptions = EstimatorOptions(),
-    posterior_fn=None,
-) -> LabelMarginal:
-    """One node's estimate of its own test label marginal.
-
-    Uses only the node's local train split and unlabeled test features.
-    posterior_fn substitutes an oracle posterior for the trained predictor
-    (same shape contract as predict_proba).
-    """
-    if posterior_fn is None:
-        preds = predict_proba(train_predictor(node.train, pcfg), node.test.features)
-    else:
-        preds = ProbabilityMatrix.from_rows(posterior_fn(node.test.features))
-    return _estimate(node, preds, opts).ratio.implied_test_marginal()
-
-
 def _estimate(node: FederationNode, preds: ProbabilityMatrix, opts: EstimatorOptions):
     """The node's ratio estimate against its own empirical train marginal."""
     return solve_mlls(preds, node.train.empirical_marginal(), opts)
@@ -259,8 +242,10 @@ def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMargina
     """The single communication round before training: every node publishes
     one length-m marginal estimate and nothing else.
 
-    Each node publishes its estimate from fed.local_estimates, or, when
-    posterior_fn is given, one from scoring its test features with it.
+    Each node publishes its estimate from fed.local_estimates. posterior_fn
+    (features -> (n, m) posterior rows, the contract of predict_proba)
+    substitutes an oracle for every node's ratio predictor, so tests can
+    check the exchange against the true posterior.
     """
     if posterior_fn is None:
         reports = fed.local_estimates
@@ -304,16 +289,6 @@ def true_weight_vectors(cfg: FederationConfig) -> np.ndarray:
     return np.stack(
         [aggregate_ratios(k, marginals, cfg.nodes[k].train_marginal) for k in range(cfg.k)]
     )
-
-
-def estimated_weight_vectors(fed: Federation, posterior_fn=None) -> tuple[np.ndarray, tuple]:
-    """Weights from locally estimated marginals, plus the exchanged marginals."""
-    marginals = exchange_marginals(fed, posterior_fn=posterior_fn)
-    rows = [
-        aggregate_ratios(k, marginals, fed.nodes[k].train.empirical_marginal())
-        for k in range(fed.cfg.k)
-    ]
-    return np.stack(rows), marginals
 
 
 def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
@@ -420,23 +395,29 @@ def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple[float, ...], float
     return tuple(accs), float(np.mean(accs))
 
 
-def weight_vectors(fed: Federation, weighting: str, posterior_fn=None) -> np.ndarray:
-    """Per-node class weights under the named weighting, one row per node."""
+def weight_vectors(fed: Federation, weighting: str) -> np.ndarray:
+    """Per-node class weights under the named weighting, one row per node.
+
+    estimated_ratios aggregates the exchanged marginals against each node's
+    empirical train marginal.
+    """
     if weighting == "none":
         return np.ones((fed.cfg.k, fed.m))
     if weighting == "true_ratios":
         return true_weight_vectors(fed.cfg)
     if weighting == "estimated_ratios":
-        return estimated_weight_vectors(fed, posterior_fn=posterior_fn)[0]
+        marginals = exchange_marginals(fed)
+        return np.stack([
+            aggregate_ratios(k, marginals, node.train.empirical_marginal())
+            for k, node in enumerate(fed.nodes)
+        ])
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
-def run_federation(
-    cfg: FederationConfig, mix: GaussianMixtureSpec, posterior_fn=None
-) -> FederationResult:
+def run_federation(cfg: FederationConfig, mix: GaussianMixtureSpec) -> FederationResult:
     """Build the federation, derive weights per cfg.weighting, and train."""
     fed = build_federation(cfg, mix)
-    return train_global(fed, weight_vectors(fed, cfg.weighting, posterior_fn), cfg)
+    return train_global(fed, weight_vectors(fed, cfg.weighting), cfg)
 
 
 def crossnode_listing_ratios(fed: Federation) -> np.ndarray:

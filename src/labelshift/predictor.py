@@ -118,8 +118,8 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
 
 
 def _forward(layout, parts, x):
-    """Log-probabilities and the hidden activations (None for linear) from
-    the unpacked parameters; each layer is built in one buffer."""
+    """Logits and the hidden activations (None for linear) from the unpacked
+    parameters; each layer is built in one buffer."""
     if layout.architecture == "linear":
         w, b = parts
         z = x @ w
@@ -131,9 +131,14 @@ def _forward(layout, parts, x):
         np.maximum(h, 0.0, out=h)
         z = h @ w
     z += b
+    return z, h
+
+
+def _log_softmax(z):
+    """Row-wise log-softmax of the logits z, computed in z's own buffer."""
     z -= z.max(axis=1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return z, h
+    return z
 
 
 def entropy_penalty(p) -> float:
@@ -156,7 +161,8 @@ def loss_and_grad(layout: Predictor, params, x, y, zeta: float = 0.0, weights=No
     n = x.shape[0]
     rows = np.arange(n)
     parts = _unpack(layout, params)
-    logp, h = _forward(layout, parts, x)
+    z, h = _forward(layout, parts, x)
+    logp = _log_softmax(z)
     p = np.exp(logp)
     picked = logp[rows, y]
     pen_rows = np.sum(p * logp, axis=1)
@@ -214,7 +220,7 @@ def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
     return replace(layout, parameters=params)
 
 
-def _log_proba(pred: Predictor, features) -> np.ndarray:
+def _logits(pred: Predictor, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
@@ -223,12 +229,14 @@ def _log_proba(pred: Predictor, features) -> np.ndarray:
 
 def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
     """Class probabilities for a feature matrix, floored and renormalized."""
-    return ProbabilityMatrix.from_rows(np.exp(_log_proba(pred, features)))
+    return ProbabilityMatrix.from_rows(np.exp(_log_softmax(_logits(pred, features))))
 
 
 def predict_labels(pred: Predictor, features) -> np.ndarray:
-    """Most probable class per row: the argmax of the unfloored log-probabilities."""
-    return _log_proba(pred, features).argmax(axis=1)
+    """Most likely class per row: the argmax of the logits, so a tie goes to
+    the lowest index and the strictly larger logit wins even where rounding
+    makes two probabilities equal."""
+    return _logits(pred, features).argmax(axis=1)
 
 
 def save_predictor(pred: Predictor, path) -> None:

@@ -44,7 +44,6 @@ from labelshift import (
     train_predictor,
     true_weight_vectors,
     uniform_marginal,
-    unregularized,
 )
 from labelshift._rng import child_seed, stream
 from labelshift.estimators import empirical_objective, empirical_objective_gradient
@@ -221,7 +220,7 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
         max_epochs=60, loss_threshold=0.05, zeta=1.0, seed=child_seed(6, 2),
     )
     pred_reg = train_predictor(train, pcfg)
-    pred_base = train_predictor(train, unregularized(pcfg))
+    pred_base = train_predictor(train, replace(pcfg, zeta=0.0))
     emp = train.empirical_marginal()
     drift = {}
     for name, pred in (("vrls_em", pred_reg), ("vrls_gd", pred_reg),
@@ -324,7 +323,7 @@ def test_ac8_idx_corpus_sweep():
         max_epochs=60, loss_threshold=0.05, zeta=1.0, seed=child_seed(8, 1),
     )
     pred_reg = train_predictor(train, pcfg)
-    pred_base = train_predictor(train, unregularized(pcfg))
+    pred_base = train_predictor(train, replace(pcfg, zeta=0.0))
     tr = train.empirical_marginal()
     reg_mses, base_mses = [], []
     for ti in range(20):

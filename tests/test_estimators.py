@@ -24,7 +24,6 @@ from labelshift import (
     solve_mlls,
     train_predictor,
     uniform_marginal,
-    unregularized,
 )
 from labelshift._rng import child_seed, stream
 from labelshift.estimators import empirical_objective, empirical_objective_gradient
@@ -339,13 +338,6 @@ def test_solve_mlls_dispatches_both_solvers():
     assert abs(em.final_objective - gd.final_objective) < 1e-6
     with pytest.raises(ValueError, match="not a likelihood-maximizing method"):
         solve_mlls(preds, tr, EstimatorOptions(method="rlls"))
-
-
-def test_unregularized_strips_only_zeta():
-    cfg = unregularized(PCFG5)
-    assert cfg.zeta == 0.0
-    assert (cfg.max_epochs, cfg.seed, cfg.hidden_units) == (
-        PCFG5.max_epochs, PCFG5.seed, PCFG5.hidden_units)
 
 
 def test_options_validation():

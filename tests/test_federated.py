@@ -14,13 +14,11 @@ from labelshift import (
     aggregate_ratios,
     build_federation,
     equidistant_means,
-    estimated_weight_vectors,
     evaluate,
     exchange_marginals,
     crossnode_listing_ratios,
     gen_gaussian_mixture,
     init_predictor,
-    local_test_marginal,
     loss_and_grad,
     make_marginal,
     posterior_matrix,
@@ -178,12 +176,13 @@ def test_true_weights_uniform_two_nodes_all_twos():
 def test_local_marginal_without_intra_node_shift():
     node = NodeSpec(marginal(0.5, 0.3, 0.2), marginal(0.5, 0.3, 0.2), 4000, 5000, seed=2)
     fed = build_federation(
-        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="no_ls", seed=7), MIX3)
-    est = local_test_marginal(
-        fed.nodes[0],
-        PredictorConfig(architecture="mlp", hidden_units=32, learning_rate=0.1,
-                        max_epochs=120, zeta=0.25, seed=8),
-    )
+        FederationConfig(
+            nodes=(node,), global_model=LINEAR, scenario="no_ls", seed=7,
+            ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
+                                            learning_rate=0.1, max_epochs=120, zeta=0.25,
+                                            seed=8)),
+        MIX3)
+    (est,) = exchange_marginals(fed)
     assert float(est.probs.sum()) == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(est.probs - node.train_marginal.probs)) < 0.05
 
@@ -193,9 +192,8 @@ def test_local_marginal_with_oracle_posterior():
     fed = build_federation(
         FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_multi", seed=4), MIX3)
     tr_emp = fed.nodes[0].train.empirical_marginal()
-    est = local_test_marginal(
-        fed.nodes[0], LINEAR,
-        posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp, feats))
+    (est,) = exchange_marginals(
+        fed, posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp, feats))
     assert np.max(np.abs(est.probs - node.test_marginal.probs)) < 0.03
 
 
@@ -211,12 +209,17 @@ def test_exchange_publishes_one_marginal_per_node():
     assert all(isinstance(p, LabelMarginal) and p.m == 3 for p in published)
 
 
+SMALL_RATIO = PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25, max_epochs=5,
+                              seed=4)
+
+
 def test_estimated_weights_recombine_exchanged_marginals():
     nodes = tuple(skew_node(i % 3, 2, n_tr=300, n_te=200, seed=i) for i in range(3))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=5)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=5,
+                           ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, MIX3)
-    oracle = lambda feats: posterior_matrix(MIX3, uniform_marginal(3), feats)
-    w, published = estimated_weight_vectors(fed, posterior_fn=oracle)
+    w = weight_vectors(fed, "estimated_ratios")
+    published = exchange_marginals(fed)
     assert w.shape == (3, 3)
     for k in range(3):
         expected = aggregate_ratios(k, published, fed.nodes[k].train.empirical_marginal())
@@ -225,29 +228,31 @@ def test_estimated_weights_recombine_exchanged_marginals():
 
 def test_ratio_predictors_train_once_and_reproduce_local_estimates():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
-    cfg = FederationConfig(
-        nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1,
-        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
-                                        max_epochs=5, seed=4))
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1,
+                           ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, MIX3)
     assert fed.ratio_predictors is fed.ratio_predictors
     published = exchange_marginals(fed)
     base = cfg.ratio_predictor
     for i, node in enumerate(fed.nodes):
         pcfg = replace(base, seed=child_seed(base.seed, cfg.seed, i, node.spec.seed))
-        alone = local_test_marginal(node, pcfg, cfg.ratio_solver)
+        alone = solve_mlls(predict_proba(train_predictor(node.train, pcfg), node.test.features),
+                           node.train.empirical_marginal(),
+                           cfg.ratio_solver).ratio.implied_test_marginal()
         assert np.array_equal(published[i].probs, alone.probs)
 
 
 def test_weight_vectors_per_weighting():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1,
+                           ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, MIX3)
     assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
     assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
-    oracle = lambda feats: posterior_matrix(MIX3, uniform_marginal(3), feats)
-    assert np.array_equal(weight_vectors(fed, "estimated_ratios", posterior_fn=oracle),
-                          estimated_weight_vectors(fed, posterior_fn=oracle)[0])
+    published = exchange_marginals(fed)
+    expected = np.stack([aggregate_ratios(k, published, node.train.empirical_marginal())
+                         for k, node in enumerate(fed.nodes)])
+    assert np.array_equal(weight_vectors(fed, "estimated_ratios"), expected)
     with pytest.raises(ValueError, match="unknown weighting 'bogus'"):
         weight_vectors(fed, "bogus")
 

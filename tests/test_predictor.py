@@ -229,13 +229,19 @@ def test_prediction_rejects_dimension_mismatch():
         predict_proba(pred, np.zeros((4, 5)))
 
 
-def test_predict_labels_is_the_argmax_of_the_probabilities():
+def test_predict_labels_is_the_argmax_of_the_logits():
     data = tiny_dataset(seed=4, n=200)
     pred = train_predictor(data, replace(LINEAR, max_epochs=5))
     labels = predict_labels(pred, data.features)
     assert np.array_equal(labels, predict_proba(pred, data.features).rows.argmax(axis=1))
     with pytest.raises(ValueError, match="matching the predictor"):
         predict_labels(pred, np.zeros((4, 5)))
+    # near tie: the logits are [0, 1e-17], whose probabilities both round to 0.5;
+    # the strictly larger logit wins
+    near_tie = Predictor(np.array([0.0, 0.0, 0.0, 1e-17]), "linear", 0, 2, 1)
+    x = np.zeros((1, 1))
+    assert np.array_equal(predict_proba(near_tie, x).rows, [[0.5, 0.5]])
+    assert predict_labels(near_tie, x).tolist() == [1]
 
 
 def test_logit_shift_invariance():
