@@ -2,6 +2,7 @@
 
 from .data import (
     GaussianMixtureSpec,
+    IdxPool,
     RelaxedShiftSpec,
     equidistant_means,
     gen_gaussian_mixture,

@@ -115,6 +115,7 @@ def gen_gaussian_mixture(
     rng = stream(seed)
     labels = rng.choice(spec.m, size=n, p=marginal.probs)
     feats = spec.means[labels] + spec.sigma * rng.standard_normal((n, spec.d))
+    feats.setflags(write=False)  # handed over to the dataset without a copy
     return LabeledDataset(feats, labels, spec.m)
 
 
@@ -147,11 +148,15 @@ def sample_dirichlet_marginal(alpha: float, m: int, seed: int) -> LabelMarginal:
 
 
 def resample_by_marginal(
-    pool: LabeledDataset, marginal: LabelMarginal, n: int, seed: int
+    pool: "LabeledDataset | IdxPool", marginal: LabelMarginal, n: int, seed: int
 ) -> LabeledDataset:
     """Label-conditional bootstrap: draw labels from the marginal, then
     features uniformly (with replacement) from the pool rows of that class.
-    Class conditionals are preserved exactly."""
+    Class conditionals are preserved exactly.
+
+    An IdxPool's pixels are scaled to [0, 1] after the rows are drawn, which
+    gives the same floats as scaling the whole pool first.
+    """
     if marginal.m != pool.m:
         raise ValueError("marginal class count does not match the pool")
     if n < 1:
@@ -170,7 +175,11 @@ def resample_by_marginal(
             continue
         members = np.nonzero(pool.labels == c)[0]
         rows[here] = rng.choice(members, size=here.size, replace=True)
-    return LabeledDataset(pool.features[rows], labels, pool.m)
+    feats = pool.features[rows]
+    if isinstance(pool, IdxPool):
+        feats = feats / 255.0
+    feats.setflags(write=False)
+    return LabeledDataset(feats, labels, pool.m)
 
 
 def perturb_relaxed(data: LabeledDataset, spec: RelaxedShiftSpec) -> LabeledDataset:
@@ -190,6 +199,7 @@ def perturb_relaxed(data: LabeledDataset, spec: RelaxedShiftSpec) -> LabeledData
     idx = np.nonzero(hit)[0]
     if idx.size:
         feats[idx] += noise[idx] * sigmas[idx, None] + offsets[idx, None]
+    feats.setflags(write=False)
     return LabeledDataset(feats, data.labels, data.m)
 
 
@@ -200,32 +210,71 @@ def _read_exact(f, count: int, path: str) -> bytes:
     return buf
 
 
-def load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
-    """Read an IDX image/label file pair into a dataset.
+def _check_header(path, **fields):
+    for name, value in fields.items():
+        if value < 1:
+            raise ValueError(f"bad IDX header in {path}: {name} is {value}, expected >= 1")
 
-    Pixels are scaled from bytes to [0, 1] and flattened to one row per
-    image. Big-endian headers per the classic format: magic 2051 for images
-    (then n, rows, cols), magic 2049 for labels (then n).
+
+@dataclass(frozen=True)
+class IdxPool:
+    """The images of an IDX file pair, kept as the file's bytes.
+
+    features: read-only (n, rows * cols) uint8 pixels, a view of the bytes.
+    labels: read-only (n,) int64 labels in [0, m).
+    resample_by_marginal draws from it and scales only the drawn rows, so a
+    pool costs about its file size in memory.
     """
+
+    features: np.ndarray
+    labels: np.ndarray
+    m: int
+
+    @property
+    def n(self) -> int:
+        return int(self.features.shape[0])
+
+    @property
+    def d(self) -> int:
+        return int(self.features.shape[1])
+
+    def class_counts(self) -> np.ndarray:
+        return np.bincount(self.labels, minlength=self.m)
+
+
+def load_idx(images_path, labels_path, num_classes: int = 10) -> IdxPool:
+    """Read an IDX image/label file pair into a pool of raw pixels.
+
+    Images are flattened to one row of bytes each; resample_by_marginal
+    scales the rows it draws to [0, 1]. Big-endian headers per the classic
+    format: magic 2051 for images (then n, rows, cols), magic 2049 for
+    labels (then n). A count, row or column number below 1 is rejected
+    before any pixel is read.
+    """
+    if num_classes < 2:
+        raise ValueError("need at least two classes")
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, str(images_path)))
         if magic != IDX_IMAGE_MAGIC:
             raise ValueError(f"bad IDX image magic {magic} in {images_path}")
+        _check_header(images_path, count=n, rows=rows, cols=cols)
         raw = _read_exact(f, n * rows * cols, str(images_path))
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, str(labels_path)))
         if magic != IDX_LABEL_MAGIC:
             raise ValueError(f"bad IDX label magic {magic} in {labels_path}")
+        _check_header(labels_path, count=n_labels)
         raw_labels = _read_exact(f, n_labels, str(labels_path))
     if n != n_labels:
         raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    if labels.size and labels.max() >= num_classes:
+    if labels.max() >= num_classes:
         raise ValueError(
             f"label {int(labels.max())} out of range for {num_classes} classes"
         )
-    feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
-    return LabeledDataset(feats, labels, num_classes)
+    labels.setflags(write=False)
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)  # read-only view
+    return IdxPool(pixels, labels, num_classes)
 
 
 def uniform_marginal(m: int) -> LabelMarginal:

@@ -1,7 +1,11 @@
 """Shared value types with validated invariants.
 
-Everything here is immutable after construction; arrays are copied in and
-marked read-only so downstream code can share them without defensive copies.
+Everything here is immutable after construction, and every array is
+read-only, so downstream code can share them without defensive copies.
+Construction adopts a read-only array of the right dtype that owns its
+memory: that is how the package hands over an array it has just built and
+frozen. Any other input, such as a caller's writable array or a view, is
+copied first, so later writes by the caller cannot reach the value.
 """
 
 from dataclasses import dataclass
@@ -13,6 +17,15 @@ PROB_FLOOR = 1e-12
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """values itself if it is a read-only dtype array owning its memory,
+    else a read-only copy."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a
@@ -25,14 +38,13 @@ class LabelMarginal:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=np.float64)
+        p = _frozen_array(self.probs, np.float64)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("marginal needs at least two classes")
         if not np.all(np.isfinite(p)) or np.any(p < 0):
             raise ValueError("marginal entries must be finite and nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-9:
             raise ValueError(f"marginal sums to {float(p.sum())!r}, expected 1")
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -53,7 +65,7 @@ class RatioVector:
     train_marginal: LabelMarginal
 
     def __post_init__(self):
-        r = np.array(self.ratios, dtype=np.float64)
+        r = _frozen_array(self.ratios, np.float64)
         tr = self.train_marginal
         if r.ndim != 1 or r.size != tr.m:
             raise ValueError("ratio length must match the training marginal")
@@ -62,7 +74,6 @@ class RatioVector:
         gap = abs(float(r @ tr.probs) - 1.0)
         if gap > 1e-6:
             raise ValueError(f"ratios violate feasibility by {gap:.3e}")
-        r.setflags(write=False)
         object.__setattr__(self, "ratios", r)
 
     @property
@@ -84,8 +95,8 @@ class LabeledDataset:
     m: int
 
     def __post_init__(self):
-        x = np.array(self.features, dtype=np.float64)
-        y = np.array(self.labels, dtype=np.int64)
+        x = _frozen_array(self.features, np.float64)
+        y = _frozen_array(self.labels, np.int64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
         if not np.all(np.isfinite(x)):
@@ -96,8 +107,6 @@ class LabeledDataset:
             raise ValueError("need at least two classes")
         if y.size and (y.min() < 0 or y.max() >= self.m):
             raise ValueError(f"labels must lie in [0, {self.m})")
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
 
@@ -128,7 +137,7 @@ class ProbabilityMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.rows, dtype=np.float64)
+        p = _frozen_array(self.rows, np.float64)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
             raise ValueError("need a nonempty (n, m) matrix with m >= 2")
         if not np.all(np.isfinite(p)):
@@ -138,20 +147,20 @@ class ProbabilityMatrix:
         gaps = np.abs(p.sum(axis=1) - 1.0)
         if np.any(gaps > 1e-6):
             raise ValueError(f"row sums deviate from 1 by up to {float(gaps.max()):.3e}")
-        p.setflags(write=False)
         object.__setattr__(self, "rows", p)
 
     @classmethod
     def from_rows(cls, raw) -> "ProbabilityMatrix":
         """Floor tiny or zero entries and renormalize each row."""
-        p = np.array(raw, dtype=np.float64)
+        p = np.asarray(raw, dtype=np.float64)
         if p.ndim != 2:
             raise ValueError("need an (n, m) matrix")
         if not np.all(np.isfinite(p)) or np.any(p < -1e-9):
             raise ValueError("rows must be finite and nonnegative")
-        p = np.maximum(p, PROB_FLOOR)
+        p = np.maximum(p, PROB_FLOOR)  # a fresh array; raw is never written
         p /= p.sum(axis=1, keepdims=True)
-        p = np.maximum(p, PROB_FLOOR)  # renormalization can dip a hair below the floor
+        np.maximum(p, PROB_FLOOR, out=p)  # renormalization can dip a hair below the floor
+        p.setflags(write=False)
         return cls(p)
 
     @property
@@ -165,13 +174,15 @@ class ProbabilityMatrix:
 
 def make_marginal(counts) -> LabelMarginal:
     """Normalize nonnegative class counts into a LabelMarginal."""
-    c = np.array(counts, dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
     if c.ndim != 1 or np.any(c < 0) or not np.all(np.isfinite(c)):
         raise ValueError("counts must be a nonnegative vector")
     total = float(c.sum())
     if total <= 0:
         raise ValueError("empty distribution")
-    return LabelMarginal(c / total)
+    probs = c / total
+    probs.setflags(write=False)
+    return LabelMarginal(probs)
 
 
 def ratio_from_marginals(te: LabelMarginal, tr: LabelMarginal) -> RatioVector:

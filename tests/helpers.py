@@ -1,7 +1,10 @@
 """Shared fixtures: grid-search oracle for two-class MLE instances,
 finite-difference gradient checks used across the estimator and predictor
 suites, and reference copies of the original (allocating) forward pass,
-SGD step and EM loop that the lean versions must match bit for bit."""
+SGD step, EM loop and float64 IDX loader that the lean versions must match
+bit for bit."""
+
+import struct
 
 import numpy as np
 
@@ -17,6 +20,7 @@ from labelshift import (
     uniform_marginal,
 )
 from labelshift._rng import stream
+from labelshift.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, _read_exact
 from labelshift.estimators import empirical_objective
 from labelshift.predictor import _unpack  # the parameter layout, unchanged
 from labelshift.types import PROB_FLOOR
@@ -193,6 +197,29 @@ def reference_em(preds, tr, max_iters=1000, tol=1e-6):
     return full, iters, converged, trace
 
 
+def reference_load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
+    """The float64 loader: the whole split scaled to [0, 1] up front."""
+    with open(images_path, "rb") as f:
+        magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, str(images_path)))
+        if magic != IDX_IMAGE_MAGIC:
+            raise ValueError(f"bad IDX image magic {magic} in {images_path}")
+        raw = _read_exact(f, n * rows * cols, str(images_path))
+    with open(labels_path, "rb") as f:
+        magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, str(labels_path)))
+        if magic != IDX_LABEL_MAGIC:
+            raise ValueError(f"bad IDX label magic {magic} in {labels_path}")
+        raw_labels = _read_exact(f, n_labels, str(labels_path))
+    if n != n_labels:
+        raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
+    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
+    if labels.size and labels.max() >= num_classes:
+        raise ValueError(
+            f"label {int(labels.max())} out of range for {num_classes} classes"
+        )
+    feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    return LabeledDataset(feats, labels, num_classes)
+
+
 __all__ = [
     "GRID_STEP",
     "assert_feasible",
@@ -205,6 +232,7 @@ __all__ = [
     "random_preds",
     "reference_em",
     "reference_forward",
+    "reference_load_idx",
     "reference_loss_and_grad",
     "reference_train",
     "rel_err",

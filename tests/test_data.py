@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from labelshift import (
     equidistant_means,
     gen_gaussian_mixture,
     load_idx,
+    make_marginal,
     perturb_relaxed,
     posterior_matrix,
     relax_m_preset,
@@ -252,11 +255,68 @@ def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2,
 def test_load_idx_round_trip(tmp_path):
     pixels = [0, 255, 128, 64] * 3
     img, lab = write_idx_pair(tmp_path, pixels, [0, 5, 9])
-    ds = load_idx(img, lab)
-    assert (ds.n, ds.d, ds.m) == (3, 4, 10)
+    pool = load_idx(img, lab)
+    assert (pool.n, pool.d, pool.m) == (3, 4, 10)
+    assert pool.features.dtype == np.uint8
+    assert pool.features[0, 0] == 0
+    assert pool.features[0, 1] == 255
+    assert pool.labels.tolist() == [0, 5, 9]
+    assert pool.class_counts().tolist() == [1, 0, 0, 0, 0, 1, 0, 0, 0, 1]
+    ds = resample_by_marginal(pool, make_marginal([1] + [0] * 9), 2, seed=0)
+    assert ds.features.dtype == np.float64
     assert ds.features[0, 0] == 0.0
     assert ds.features[0, 1] == 1.0
-    assert ds.labels.tolist() == [0, 5, 9]
+
+
+def test_load_idx_pool_is_read_only(tmp_path):
+    img, lab = write_idx_pair(tmp_path, [0, 255, 128, 64], [3])
+    pool = load_idx(img, lab)
+    with pytest.raises(ValueError):
+        pool.features[0, 0] = 1
+    with pytest.raises(ValueError):
+        pool.labels[0] = 1
+
+
+@pytest.mark.parametrize(
+    "which, header, message",
+    [
+        ("images", (2051, 0, 2, 2), "count is 0"),
+        ("images", (2051, -3, 2, 2), "count is -3"),
+        ("images", (2051, 1, 0, 2), "rows is 0"),
+        ("images", (2051, 1, 2, -1), "cols is -1"),
+        ("labels", (2049, 0), "count is 0"),
+    ],
+    ids=["count-zero", "count-negative", "rows", "cols", "label-count"],
+)
+def test_load_idx_rejects_bad_header(tmp_path, which, header, message):
+    img, lab = write_idx_pair(tmp_path, [0] * 4, [1])
+    path = img if which == "images" else lab
+    path.write_bytes(struct.pack(">" + "i" * len(header), *header) + bytes(4))
+    with pytest.raises(ValueError, match=f"bad IDX header in {re.escape(str(path))}: {message}"):
+        load_idx(img, lab)
+
+
+def test_load_idx_needs_two_classes(tmp_path):
+    img, lab = write_idx_pair(tmp_path, [0] * 4, [0])
+    with pytest.raises(ValueError, match="at least two classes"):
+        load_idx(img, lab, num_classes=1)
+
+
+def test_load_idx_peak_memory_is_about_the_pixel_bytes(tmp_path):
+    n, side = 20_000, 28
+    pixels = np.random.default_rng(0).integers(0, 256, size=n * side * side, dtype=np.uint8)
+    labels = np.arange(n) % 10
+    img, lab = write_idx_pair(tmp_path, pixels.tobytes(), labels.astype(np.uint8).tobytes(),
+                              rows=side, cols=side)
+    del pixels
+    tracemalloc.start()
+    try:
+        pool = load_idx(img, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool.features.nbytes == n * side * side
+    assert peak < 1.5 * pool.features.nbytes
 
 
 def test_load_idx_rejects_bad_image_magic(tmp_path):

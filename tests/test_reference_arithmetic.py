@@ -1,5 +1,7 @@
-"""The lean forward pass, SGD step and EM loop give the same bits as the
-original arithmetic kept in helpers.py."""
+"""The lean forward pass, SGD step, EM loop and uint8 IDX pool give the
+same bits as the original arithmetic kept in helpers.py."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -12,8 +14,11 @@ from labelshift import (
     ProbabilityMatrix,
     estimate_mlls_em,
     init_predictor,
+    load_idx,
     loss_and_grad,
+    make_marginal,
     predict_proba,
+    resample_by_marginal,
     train_predictor,
 )
 
@@ -22,6 +27,7 @@ from .helpers import (
     random_preds,
     reference_em,
     reference_forward,
+    reference_load_idx,
     reference_loss_and_grad,
     reference_train,
     tiny_dataset,
@@ -137,3 +143,22 @@ def test_em_at_the_iteration_cap_reports_honestly(seed, m, n, conc, max_iters):
     assert len(report.objective_trace) == report.iterations_used + 1
     assert report.objective_trace[-1] == report.final_objective
     assert np.all(np.diff(report.objective_trace) >= -1e-12)
+
+
+def test_resample_from_uint8_pool_matches_reference(tmp_path):
+    rows, cols, n = 4, 8, 96  # every byte value 0-255 appears, spread over 3 classes
+    pixels = np.random.default_rng(5).permutation(np.tile(np.arange(256, dtype=np.uint8), 12))
+    labels = np.arange(n, dtype=np.uint8) % 3
+    img, lab = tmp_path / "images.idx", tmp_path / "labels.idx"
+    img.write_bytes(struct.pack(">iiii", 2051, n, rows, cols) + pixels.tobytes())
+    lab.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
+    pool, reference = load_idx(img, lab, 3), reference_load_idx(img, lab, 3)
+    assert np.array_equal(pool.features / 255.0, reference.features)
+    for counts in ([1, 1, 1], [8, 1, 1], [0, 3, 1]):
+        for seed in (0, 1, 29):
+            q = make_marginal(counts)
+            got = resample_by_marginal(pool, q, 500, seed)
+            want = resample_by_marginal(reference, q, 500, seed)
+            assert got.features.dtype == np.float64
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.labels, want.labels)

@@ -211,3 +211,55 @@ def test_from_rows_always_valid(raw):
     p = ProbabilityMatrix.from_rows(raw)
     assert np.all(p.rows >= PROB_FLOOR)
     assert np.all(np.abs(p.rows.sum(axis=1) - 1.0) <= 1e-6)
+
+
+# ---------------------------------------------------------------- ownership
+
+
+def _build_each(probs, ratios, feats, labels, rows):
+    return [
+        (lambda v: v.probs, LabelMarginal(probs)),
+        (lambda v: v.ratios, RatioVector(ratios, marginal(0.5, 0.5))),
+        (lambda v: v.features, LabeledDataset(feats, labels, 2)),
+        (lambda v: v.labels, LabeledDataset(feats, labels, 2)),
+        (lambda v: v.rows, ProbabilityMatrix(rows)),
+    ]
+
+
+def test_values_ignore_later_writes_to_a_callers_array():
+    probs, ratios = np.array([0.25, 0.75]), np.array([0.5, 1.5])
+    feats, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1])
+    rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+    built = _build_each(probs, ratios, feats, labels, rows)
+    before = [get(v).copy() for get, v in built]
+    for a in (probs, ratios, feats, labels, rows):
+        a[...] = 7
+    for (get, v), old in zip(built, before):
+        assert np.array_equal(get(v), old)
+
+
+def test_values_adopt_a_frozen_array_they_can_own():
+    arrays = [np.array([0.25, 0.75]), np.array([0.5, 1.5]),
+              np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1], dtype=np.int64),
+              np.array([[0.25, 0.75], [0.5, 0.5]])]
+    for a in arrays:
+        a.setflags(write=False)
+    for (get, v), a in zip(_build_each(*arrays), arrays):
+        assert get(v) is a
+
+
+def test_values_copy_a_read_only_view():
+    base = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5]])
+    view = base[:2]
+    view.setflags(write=False)
+    p = ProbabilityMatrix(view)
+    assert p.rows is not view and p.rows.flags.owndata
+    base[0] = 0.5
+    assert p.rows[0].tolist() == [0.25, 0.75]
+
+
+def test_from_rows_leaves_its_input_alone_and_returns_an_owned_array():
+    raw = np.array([[1.0, 0.0], [3.0, 1.0]])
+    p = ProbabilityMatrix.from_rows(raw)
+    assert raw.tolist() == [[1.0, 0.0], [3.0, 1.0]]
+    assert p.rows.flags.owndata and not p.rows.flags.writeable
