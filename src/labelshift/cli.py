@@ -147,6 +147,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown weighting {w!r}")
         if not 0.0 <= self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in [0, 1)")
+        n_train = self.data.n_train
+        if self.split_fraction and max(1, round(self.split_fraction * n_train)) >= n_train:
+            raise ValueError(f"split_fraction {self.split_fraction} of data.n_train {n_train}"
+                             " leaves no training rows")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.kind == "federate" and self.federation is None:
@@ -312,14 +316,11 @@ class _SweepEnv:
         else:
             fit = val = train
 
-        needs_reg = any(e.startswith("vrls") for e in cfg.estimators)
-        needs_base = any(not e.startswith("vrls") for e in cfg.estimators)
-        self.pred_reg = train_predictor(fit, cfg.predictor) if needs_reg else None
-        self.pred_base = (
-            train_predictor(fit, replace(cfg.predictor, zeta=0.0)) if needs_base else None
-        )
+        needed = dict.fromkeys(_predictor_config(cfg.predictor, e) for e in cfg.estimators)
+        self.predictors = {pcfg: train_predictor(fit, pcfg) for pcfg in needed}
         needs_val = any(e in ("bbse", "rlls") for e in cfg.estimators)
-        self.preds_val = predict_proba(self.pred_base, val.features) if needs_val else None
+        base = self.predictors.get(_predictor_config(cfg.predictor, "bbse"))
+        self.preds_val = predict_proba(base, val.features) if needs_val else None
         self.labels_val = val.labels if needs_val else None
 
     def sample_test(self, marginal: LabelMarginal, n: int, seed: int) -> LabeledDataset:
@@ -328,37 +329,39 @@ class _SweepEnv:
         return gen_gaussian_mixture(self.mix, marginal, n, seed)
 
 
-def _predictor_for(estimator: str) -> str:
-    return "pred_reg" if estimator.startswith("vrls") else "pred_base"
+def _predictor_config(pcfg: PredictorConfig, estimator: str) -> PredictorConfig:
+    """The predictor an estimator scores with: pcfg for vrls_*, and its
+    unregularized (zeta = 0) twin for the rest."""
+    return pcfg if estimator.startswith("vrls") else replace(pcfg, zeta=0.0)
 
 
-def _score(env: _SweepEnv, test_features, estimators) -> dict[str, ProbabilityMatrix | Exception]:
-    """One forward pass of the test draw per predictor the estimators need.
+def _score(env: _SweepEnv, test_features) -> dict[PredictorConfig, ProbabilityMatrix | Exception]:
+    """One forward pass of the test draw per trained predictor.
 
-    Maps each predictor's attribute name on env to its ProbabilityMatrix, or
-    to the exception its forward pass raised, so that every estimator that
-    needed those scores records the failure as its own.
+    Maps each predictor's config to its ProbabilityMatrix, or to the
+    exception its forward pass raised, so that every estimator that needed
+    those scores records the failure as its own.
     """
     scores = {}
-    for name in dict.fromkeys(map(_predictor_for, estimators)):
+    for pcfg, pred in env.predictors.items():
         try:
-            scores[name] = predict_proba(getattr(env, name), test_features)
+            scores[pcfg] = predict_proba(pred, test_features)
         except Exception as exc:  # charged to each estimator that needs it
-            scores[name] = exc
+            scores[pcfg] = exc
     return scores
 
 
-def _run_estimator(name: str, env: _SweepEnv, scores: dict, opts: EstimatorOptions):
-    preds = scores[_predictor_for(name)]
+def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, scores: dict):
+    preds = scores[_predictor_config(cfg.predictor, name)]
     if isinstance(preds, Exception):
         raise preds
     if name in ("vrls_em", "vrls_gd"):
-        return solve_mlls(preds, env.tr, replace(opts, method=name.replace("vrls", "mlls")))
+        return solve_mlls(preds, env.tr, replace(cfg.solver, method=name.replace("vrls", "mlls")))
     if name in ("mlls_em", "mlls_gd"):
-        return solve_mlls(preds, env.tr, replace(opts, method=name))
+        return solve_mlls(preds, env.tr, replace(cfg.solver, method=name))
     if name == "bbse":
         return estimate_bbse(env.preds_val, env.labels_val, preds, env.tr)
-    return estimate_rlls(env.preds_val, env.labels_val, preds, env.tr, opts.rlls_lambda)
+    return estimate_rlls(env.preds_val, env.labels_val, preds, env.tr, cfg.solver.rlls_lambda)
 
 
 def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float, n_te: int,
@@ -375,11 +378,11 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
         spec = replace(cfg.perturbation, seed=child_seed(cfg.perturbation.seed, ci, ti))
         ds = perturb_relaxed(ds, spec)
     truth = ratio_from_marginals(marginal, env.tr)
-    scores = _score(env, ds.features, cfg.estimators)
+    scores = _score(env, ds.features)
     results = []
     for est in cfg.estimators:
         try:
-            report = _run_estimator(est, env, scores, cfg.solver)
+            report = _run_estimator(est, cfg, env, scores)
             results.append((est, report, ratio_mse(report.ratio, truth), ""))
         except Exception as exc:  # recorded per cell; the run keeps going
             results.append((est, None, None, f"{type(exc).__name__}: {exc}"))

@@ -20,7 +20,7 @@ import numpy as np
 from .predictor import PredictorConfig, predict_proba, train_predictor
 from .types import LabeledDataset, LabelMarginal, PROB_FLOOR, ProbabilityMatrix, RatioVector
 
-METHODS = ("mlls_em", "mlls_gd", "bbse", "rlls")
+METHODS = ("mlls_em", "mlls_gd")
 
 COND_LIMIT = 1e12
 
@@ -35,7 +35,8 @@ class EstimatorOptions:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"unknown method {self.method!r}: not a likelihood-maximizing"
+                             f" method (expected one of {', '.join(METHODS)})")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol > 0):
@@ -309,8 +310,6 @@ def estimate_vrls(
     opts.method picks the solver (mlls_em or mlls_gd); the training marginal
     is the empirical label distribution of the training set.
     """
-    if opts.method not in ("mlls_em", "mlls_gd"):
-        raise ValueError("estimate_vrls requires a likelihood-maximizing method")
     pred = train_predictor(train, pcfg)
     return solve_mlls(predict_proba(pred, test_features), train.empirical_marginal(), opts)
 
@@ -321,6 +320,4 @@ def solve_mlls(
     """Dispatch to the likelihood maximizer named in opts.method."""
     if opts.method == "mlls_em":
         return estimate_mlls_em(preds_te, tr, opts)
-    if opts.method == "mlls_gd":
-        return estimate_mlls_gd(preds_te, tr, opts)
-    raise ValueError(f"not a likelihood-maximizing method: {opts.method!r}")
+    return estimate_mlls_gd(preds_te, tr, opts)

@@ -75,8 +75,8 @@ class Predictor:
         p = np.array(self.parameters, dtype=np.float64)
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        m, d, h = self.m, self.d, self.hidden_units
-        expected = d * m + m if self.architecture == "linear" else d * h + h + h * m + m
+        layers = _layers(self.architecture, self.hidden_units, self.m, self.d)
+        expected = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
         if p.ndim != 1 or p.size != expected:
             raise ValueError(f"expected {expected} parameters, got {p.size}")
         if not np.all(np.isfinite(p)):
@@ -85,53 +85,50 @@ class Predictor:
         object.__setattr__(self, "parameters", p)
 
 
+def _layers(architecture: str, hidden_units: int, m: int, d: int) -> list[tuple[int, int]]:
+    """The dense layers as (fan_in, fan_out) pairs, input layer first."""
+    if architecture == "linear":
+        return [(d, m)]
+    return [(d, hidden_units), (hidden_units, m)]
+
+
 def _unpack(layout, params: np.ndarray):
-    m, d, hidden = layout.m, layout.d, layout.hidden_units
-    if layout.architecture == "linear":
-        w = params[: d * m].reshape(d, m)
-        b = params[d * m :]
-        return (w, b)
-    o = d * hidden
-    w1 = params[:o].reshape(d, hidden)
-    b1 = params[o : o + hidden]
-    o += hidden
-    w2 = params[o : o + hidden * m].reshape(hidden, m)
-    b2 = params[o + hidden * m :]
-    return (w1, b1, w2, b2)
+    """(w, b) views into the flat parameters for each layer, first layer first:
+    each layer's fan_in x fan_out weights (row-major), then its bias."""
+    parts, o = [], 0
+    for fan_in, fan_out in _layers(layout.architecture, layout.hidden_units, layout.m, layout.d):
+        e = o + fan_in * fan_out
+        parts.append((params[o:e].reshape(fan_in, fan_out), params[e : e + fan_out]))
+        o = e + fan_out
+    return parts
 
 
 def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
-    """Seeded initialization: each layer uniform in +-1/sqrt(fan_in)."""
+    """Seeded initialization: per layer, weights then bias, uniform in +-1/sqrt(fan_in)."""
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 classes and d >= 1 features")
     rng = stream(cfg.seed, 0x1)
     hidden = cfg.hidden_units if cfg.architecture == "mlp" else 0
-    if cfg.architecture == "linear":
-        shapes = [((d, m), d), ((m,), d)]
-    else:
-        shapes = [((d, hidden), d), ((hidden,), d), ((hidden, m), hidden), ((m,), hidden)]
     parts = []
-    for shape, fan_in in shapes:
+    for fan_in, fan_out in _layers(cfg.architecture, hidden, m, d):
         bound = 1.0 / np.sqrt(fan_in)
-        parts.append(rng.uniform(-bound, bound, size=shape).ravel())
+        parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+        parts.append(rng.uniform(-bound, bound, size=fan_out))
     return Predictor(np.concatenate(parts), cfg.architecture, hidden, m, d)
 
 
-def _forward(layout, parts, x):
-    """Logits and the hidden activations (None for linear) from the unpacked
-    parameters; each layer is built in one buffer."""
-    if layout.architecture == "linear":
-        w, b = parts
-        z = x @ w
-        h = None
-    else:
-        w1, b1, w, b = parts
-        h = x @ w1
-        h += b1
-        np.maximum(h, 0.0, out=h)
-        z = h @ w
-    z += b
-    return z, h
+def _forward(parts, x):
+    """Logits and each layer's input from the unpacked parameters. Each layer
+    is built in one buffer, and ReLU runs in place on it before the next
+    layer reads it."""
+    inputs = []
+    for w, b in parts:
+        if inputs:
+            np.maximum(x, 0.0, out=x)
+        inputs.append(x)
+        x = x @ w
+        x += b
+    return x, inputs
 
 
 def _log_softmax(z):
@@ -161,7 +158,7 @@ def loss_and_grad(layout: Predictor, params, x, y, zeta: float = 0.0, weights=No
     n = x.shape[0]
     rows = np.arange(n)
     parts = _unpack(layout, params)
-    z, h = _forward(layout, parts, x)
+    z, inputs = _forward(parts, x)
     logp = _log_softmax(z)
     p = np.exp(logp)
     picked = logp[rows, y]
@@ -182,13 +179,15 @@ def loss_and_grad(layout: Predictor, params, x, y, zeta: float = 0.0, weights=No
         dz += zeta * p * (logp - pen_rows[:, None])
     dz *= scale
 
-    gb = np.add.reduce(dz)
-    if h is None:
-        return total, ce, np.concatenate([(x.T @ dz).ravel(), gb])
-    # h <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
-    dh = np.where(h <= 0, 0.0, dz @ parts[2].T)
-    grad = np.concatenate([(x.T @ dh).ravel(), np.add.reduce(dh), (h.T @ dz).ravel(), gb])
-    return total, ce, grad
+    grads = []
+    for i in range(len(parts) - 1, -1, -1):
+        a = inputs[i]
+        grads += (np.add.reduce(dz), (a.T @ dz).ravel())
+        if i:
+            # a <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
+            dz = np.where(a <= 0, 0.0, dz @ parts[i][0].T)
+    grads.reverse()
+    return total, ce, np.concatenate(grads)
 
 
 def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
@@ -224,7 +223,7 @@ def _logits(pred: Predictor, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
-    return _forward(pred, _unpack(pred, pred.parameters), x)[0]
+    return _forward(_unpack(pred, pred.parameters), x)[0]
 
 
 def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:

@@ -1,10 +1,11 @@
 """Shared fixtures: grid-search oracle for two-class MLE instances,
 finite-difference gradient checks used across the estimator and predictor
-suites, and reference copies of the original (allocating) forward pass,
-SGD step, EM loop and float64 IDX loader that the lean versions must match
-bit for bit."""
+suites, and reference copies of the original parameter layout and seeded
+initialization, (allocating) forward pass, SGD step, EM loop and float64 IDX
+loader that the lean versions must match bit for bit."""
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,14 +16,12 @@ from labelshift import (
     ProbabilityMatrix,
     equidistant_means,
     gen_gaussian_mixture,
-    init_predictor,
     make_marginal,
     uniform_marginal,
 )
 from labelshift._rng import stream
 from labelshift.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, _read_exact
 from labelshift.estimators import empirical_objective
-from labelshift.predictor import _unpack  # the parameter layout, unchanged
 from labelshift.types import PROB_FLOOR
 
 GRID_STEP = 1e-5
@@ -109,14 +108,46 @@ def assert_feasible(ratio, tr, tol=1e-6):
 # ------------------------------------------- reference arithmetic (original)
 
 
+def reference_unpack(layout, params):
+    """The flat layout: (w, b) for linear, (w1, b1, w2, b2) for mlp."""
+    m, d, hidden = layout.m, layout.d, layout.hidden_units
+    if layout.architecture == "linear":
+        w = params[: d * m].reshape(d, m)
+        b = params[d * m :]
+        return (w, b)
+    o = d * hidden
+    w1 = params[:o].reshape(d, hidden)
+    b1 = params[o : o + hidden]
+    o += hidden
+    w2 = params[o : o + hidden * m].reshape(hidden, m)
+    b2 = params[o + hidden * m :]
+    return (w1, b1, w2, b2)
+
+
+def reference_init(cfg, m, d):
+    """The seeded initialization's flat parameters: per layer the weights,
+    then the bias, each uniform in +-1/sqrt(fan_in)."""
+    rng = stream(cfg.seed, 0x1)
+    hidden = cfg.hidden_units if cfg.architecture == "mlp" else 0
+    if cfg.architecture == "linear":
+        shapes = [((d, m), d), ((m,), d)]
+    else:
+        shapes = [((d, hidden), d), ((hidden,), d), ((hidden, m), hidden), ((m,), hidden)]
+    parts = []
+    for shape, fan_in in shapes:
+        bound = 1.0 / np.sqrt(fan_in)
+        parts.append(rng.uniform(-bound, bound, size=shape).ravel())
+    return np.concatenate(parts)
+
+
 def reference_forward(layout, params, x):
     """(log-probabilities, hidden pre-activations or None), one fresh array per step."""
     if layout.architecture == "linear":
-        w, b = _unpack(layout, params)
+        w, b = reference_unpack(layout, params)
         z = x @ w + b
         pre = None
     else:
-        w1, b1, w2, b2 = _unpack(layout, params)
+        w1, b1, w2, b2 = reference_unpack(layout, params)
         pre = x @ w1 + b1
         z = np.maximum(pre, 0.0) @ w2 + b2
     z = z - z.max(axis=1, keepdims=True)
@@ -140,7 +171,7 @@ def reference_loss_and_grad(layout, params, x, y, zeta=0.0, weights=None):
     dz *= w[:, None] / n
     if layout.architecture == "linear":
         return total, ce, np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
-    w1, b1, w2, b2 = _unpack(layout, params)
+    w1, b1, w2, b2 = reference_unpack(layout, params)
     h = np.maximum(pre, 0.0)
     gw2 = h.T @ dz
     gb2 = dz.sum(axis=0)
@@ -152,9 +183,12 @@ def reference_loss_and_grad(layout, params, x, y, zeta=0.0, weights=None):
 
 
 def reference_train(train, cfg):
-    """The train_predictor loop on reference_loss_and_grad; returns the parameters."""
-    layout = init_predictor(cfg, train.m, train.d)
-    params = layout.parameters.copy()
+    """The train_predictor loop on reference_loss_and_grad; returns the parameters.
+
+    layout only carries the shapes that reference_unpack reads."""
+    layout = SimpleNamespace(architecture=cfg.architecture, m=train.m, d=train.d,
+                             hidden_units=cfg.hidden_units if cfg.architecture == "mlp" else 0)
+    params = reference_init(cfg, train.m, train.d)
     x, y, n = train.features, train.labels, train.n
     order_rng = stream(cfg.seed, 0x2)
     for _ in range(cfg.max_epochs):
@@ -232,9 +266,11 @@ __all__ = [
     "random_preds",
     "reference_em",
     "reference_forward",
+    "reference_init",
     "reference_load_idx",
     "reference_loss_and_grad",
     "reference_train",
+    "reference_unpack",
     "rel_err",
     "tiny_dataset",
     "tiny_mixture",

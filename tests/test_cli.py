@@ -199,6 +199,39 @@ def test_shipped_configs_round_trip(path):
     assert cli._config_line(again) == line
 
 
+@pytest.mark.parametrize(
+    "kind, path, where",
+    [("sweep_alpha", ["solver"], "solver"),
+     ("federate", ["federation", "ratio_solver"], "federation.ratio_solver")],
+    ids=["solver", "ratio_solver"],
+)
+def test_resolve_rejects_non_likelihood_solver(tmp_path, capsys, kind, path, where):
+    raw = json.loads(next(p for p in CONFIGS if p.stem == kind).read_text())
+    parent_of(raw, path)[path[-1]] = {"method": "bbse"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{where}: unknown method 'bbse': not a likelihood-maximizing method" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n_train, split_fraction, fits",
+    [(1, 0.5, False), (3, 0.9999, False), (2, 0.5, True), (1, 0.0, True)],
+)
+def test_resolve_checks_that_the_split_leaves_training_rows(n_train, split_fraction, fits):
+    raw = sweep_raw(split_fraction=split_fraction)
+    raw["data"]["n_train"] = n_train
+    if fits:
+        assert cli.resolve_config(raw, "sweep_alpha").data.n_train == n_train
+        return
+    with pytest.raises(ValueError, match=rf"^split_fraction {split_fraction} of data\.n_train "
+                                         rf"{n_train} leaves no training rows$"):
+        cli.resolve_config(raw, "sweep_alpha")
+
+
 def test_resolve_validates_estimator_names():
     with pytest.raises(ValueError, match="unknown estimator 'vrls'"):
         cli.resolve_config(sweep_raw(estimators=["vrls"]), "sweep_alpha")
@@ -319,19 +352,23 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize(
-    "names, predictors",
-    [(["vrls_em", "mlls_em", "bbse", "rlls"], 2), (["mlls_em", "mlls_gd", "bbse"], 1),
-     (["vrls_em", "vrls_gd"], 1)],
-    ids=["both", "base", "reg"],
+    "names, zeta, predictors",
+    [(["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2), (["mlls_em", "mlls_gd", "bbse"], 0.25, 1),
+     (["vrls_em", "vrls_gd"], 0.25, 1), (["vrls_em", "mlls_em", "bbse", "rlls"], 0, 1)],
+    ids=["both", "base", "reg", "zeta0"],
 )
-def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names, predictors):
-    calls = []
+def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names, zeta,
+                                                   predictors):
+    calls, trained = [], []
     _count_calls(monkeypatch, cli, "predict_proba", calls)
+    _count_calls(monkeypatch, cli, "train_predictor", trained)
     raw = sweep_raw(estimators=names, trials=2)
+    raw["predictor"]["zeta"] = zeta
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
     cli.run_sweep_alpha(cfg)
     validation = 1 if {"bbse", "rlls"} & set(names) else 0
     draws = len(cfg.alpha_grid) * cfg.trials
+    assert len(trained) == predictors
     assert len(calls) == validation + draws * predictors
     assert len({(id(pred), id(feats)) for pred, feats in calls}) == len(calls)
 

@@ -1,5 +1,6 @@
-"""The lean forward pass, SGD step, EM loop and uint8 IDX pool give the
-same bits as the original arithmetic kept in helpers.py."""
+"""The layer-list initialization, lean forward pass, SGD step, EM loop and
+uint8 IDX pool give the same bits as the original arithmetic kept in
+helpers.py."""
 
 import struct
 
@@ -27,6 +28,7 @@ from .helpers import (
     random_preds,
     reference_em,
     reference_forward,
+    reference_init,
     reference_load_idx,
     reference_loss_and_grad,
     reference_train,
@@ -40,6 +42,12 @@ def config(architecture, zeta, **over):
     base = dict(architecture=architecture, hidden_units=24, learning_rate=0.1, batch_size=32,
                 max_epochs=12, loss_threshold=0.0, zeta=zeta, seed=3)
     return PredictorConfig(**{**base, **over})
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp"])
+def test_init_predictor_matches_reference(architecture):
+    cfg = config(architecture, 1.0, hidden_units=7, seed=11)
+    assert np.array_equal(init_predictor(cfg, 4, 5).parameters, reference_init(cfg, 4, 5))
 
 
 @pytest.mark.parametrize(
