@@ -145,6 +145,10 @@ class ExperimentConfig:
         for w in self.weightings:
             if w not in WEIGHTINGS:
                 raise ValueError(f"unknown weighting {w!r}")
+        if self.solver.method != EstimatorOptions.method:  # the default, which configs echo
+            raise ValueError(f"solver.method {self.solver.method!r} is not read: the estimator"
+                             " name picks the solver (vrls_gd and mlls_gd run mlls_gd), and"
+                             " federate reads federation.ratio_solver.method")
         if not 0.0 <= self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in [0, 1)")
         n_train = self.data.n_train

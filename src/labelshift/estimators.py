@@ -52,8 +52,10 @@ class EstimateReport:
     """Estimate plus solver diagnostics.
 
     final_objective is the mean log-likelihood for the maximizing methods and
-    None for the moment matchers. objective_trace records the objective
-    before the first update and after every subsequent one.
+    None for the moment matchers. objective_trace records the objective at
+    the start and at every accepted iterate. For estimate_mlls_em,
+    iterations_used counts EM-map evaluations and converged means that the
+    ratio lies within tol of the optimum.
     """
 
     ratio: RatioVector
@@ -128,36 +130,103 @@ def _embed(r_sup: np.ndarray, sup: np.ndarray, tr: LabelMarginal) -> RatioVector
     return RatioVector(full, tr)
 
 
+def _em_map(p, t, r, n):
+    """One fixed-point step of Saerens et al. (2002): (F(r), likelihoods at r).
+
+    F(r) is the column mean of the responsibilities, proportional to preds * r,
+    over t. The row sums of preds * r are the likelihoods at r, so _mean_log
+    of the second value is the objective at r.
+    """
+    w = p * r
+    like = np.maximum(w.sum(axis=1), PROB_FLOOR)
+    w /= like[:, None]
+    return np.add.reduce(w) / n / t, like
+
+
+def _distance_to_optimum(p, t, r, r1, like) -> float:
+    """max|r1 - r*| for r1 = F(r), to first order in r - r*, and never below
+    the rounding of r1.
+
+    F(r) - r* = J (r - r*) + O(|r - r*|^2) for the Jacobian J of F at r, so
+    r - r* = (I - J)^{-1} (r - F(r)) to first order. J is
+    diag(g / t) - diag(r / t) (P^T P / n), where P_jc = preds_jc / like_j and
+    g = mean_j P_j is the gradient of the objective (g = t at r* on the
+    classes with r*_c > 0). A fixed point r1 = r > 0 has g = t, so it is a
+    maximum of the concave objective even where the optimum is not unique;
+    elsewhere a singular I - J certifies no distance.
+    """
+    rounding = np.finfo(np.float64).eps * float(np.max(r1))
+    if np.array_equal(r1, r):
+        return rounding
+    n = p.shape[0]
+    w = p / like[:, None]
+    jac = np.diag(np.add.reduce(w) / n / t) - (r / t)[:, None] * (w.T @ w / n)
+    try:
+        err = np.linalg.solve(np.eye(t.size) - jac, r - r1)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.max(np.abs(err + r1 - r))) + rounding
+
+
 def estimate_mlls_em(
     preds_te: ProbabilityMatrix, tr: LabelMarginal, opts: EstimatorOptions = EstimatorOptions()
 ) -> EstimateReport:
-    """Fixed-point iteration for the likelihood maximizer.
+    """Safeguarded SQUAREM-3 (Varadhan & Roland, 2008) over the EM map F.
 
-    Starting from the training marginal, each step computes responsibilities
-    proportional to preds * r and averages them. Classes with zero training
-    mass are excluded and reported with ratio zero. The row sums of preds * r
-    are the likelihoods at r, so each step's sums give the trace entry of the
-    update before it; only the first and the last entries use preds @ r, and
-    the entries between may differ from empirical_objective by rounding.
+    F is the fixed-point step of Saerens et al. (2002) (_em_map). From the
+    all-ones ratio, each cycle computes r1 = F(r), r2 = F(r1), s = r1 - r,
+    v = r2 - r1 - s, alpha = min(-|s|/|v|, -1) and the extrapolation
+    rx = r - 2 alpha s + alpha^2 v. It accepts F(rx) when rx > 0 and the
+    objective at rx is at least that at r, and r2 otherwise. EM never lowers
+    the objective, so neither choice does and the trace is monotone. rx must
+    be positive, not just nonnegative, because F keeps a zero class at zero.
+    rx keeps sum(r t) = 1 only in exact arithmetic, so it is rescaled before
+    F; otherwise rounding at a large |alpha| biases the safeguard's
+    comparison. When fewer than three map evaluations remain, a cycle is a
+    plain step r = F(r).
+
+    The solver stops at r1 = F(r), converged, once max|r1 - r| < tol and
+    twice the first-order distance of r1 to the optimum r*
+    (_distance_to_optimum) is below tol. The factor two covers the
+    second-order term: on the benchmark's sweep draws the true distance
+    exceeded the first-order one by up to 7% at tol 1e-6 and 44% at tol 1e-2.
+    So converged means max|r - r*| < tol. iterations_used counts map
+    evaluations and never exceeds max_iters. objective_trace holds the
+    objective at the start and at each accepted iterate; each entry but the
+    last comes from the likelihoods that F computes, the last from preds @ r.
+    Classes with zero training mass are excluded and reported with ratio zero.
     """
     p, t, sup = _support(preds_te, tr)
     n = p.shape[0]
     r = np.ones(t.size)
-    trace = [_mean_log(p @ r)]
+    trace = []
     converged = False
     iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        w = p * r
-        like = np.maximum(w.sum(axis=1), PROB_FLOOR)
-        if iters > 1:  # the row sums are the likelihoods at the previous update
-            trace.append(_mean_log(like))
-        w /= like[:, None]
-        r_new = np.add.reduce(w) / n / t
-        delta = float(np.max(np.abs(r_new - r)))
-        r = r_new
-        if delta < opts.tol:
-            converged = True
+    while iters < opts.max_iters:
+        r1, like = _em_map(p, t, r, n)
+        iters += 1
+        obj = _mean_log(like)
+        trace.append(obj)  # the objective at r, the start or an accepted iterate
+        s = r1 - r
+        if (float(np.max(np.abs(s))) < opts.tol
+                and 2.0 * _distance_to_optimum(p, t, r, r1, like) < opts.tol):
+            r, converged = r1, True
             break
+        if opts.max_iters - iters < 2:
+            r = r1
+            continue
+        r2, _ = _em_map(p, t, r1, n)
+        iters += 1
+        v = r2 - r1 - s
+        nv = float(np.sqrt(v @ v))
+        alpha = min(-float(np.sqrt(s @ s)) / nv, -1.0) if nv > 0 else -1.0
+        rx = r - 2.0 * alpha * s + alpha * alpha * v
+        r = r2
+        if rx.min() > 0:
+            r3, like_x = _em_map(p, t, rx / (rx @ t), n)
+            iters += 1
+            if _mean_log(like_x) >= obj:
+                r = r3
     trace.append(_mean_log(p @ r))
     q = r * t
     r = (q / q.sum()) / t  # tidy feasibility against accumulated rounding

@@ -1,7 +1,7 @@
 """Shared fixtures: grid-search oracle for two-class MLE instances,
 finite-difference gradient checks used across the estimator and predictor
 suites, and reference copies of the original parameter layout and seeded
-initialization, (allocating) forward pass, SGD step, EM loop and float64 IDX
+initialization, (allocating) forward pass, SGD step, EM step and float64 IDX
 loader that the lean versions must match bit for bit."""
 
 import struct
@@ -10,18 +10,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from labelshift import (
+    EstimatorOptions,
     GaussianMixtureSpec,
     LabeledDataset,
     LabelMarginal,
     ProbabilityMatrix,
     equidistant_means,
+    estimate_mlls_em,
     gen_gaussian_mixture,
     make_marginal,
     uniform_marginal,
 )
 from labelshift._rng import stream
 from labelshift.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, _read_exact
-from labelshift.estimators import empirical_objective
+from labelshift.estimators import empirical_objective, empirical_objective_gradient
 from labelshift.types import PROB_FLOOR
 
 GRID_STEP = 1e-5
@@ -77,6 +79,40 @@ def random_preds(rng, n, m=2, conc=1.5) -> ProbabilityMatrix:
 def random_marginal(rng, m=2) -> LabelMarginal:
     p = np.clip(rng.dirichlet(np.full(m, 3.0)), 0.05, 0.95)
     return LabelMarginal(p / p.sum())
+
+
+def shifted_posteriors(rng, m, n, signal, tiny=0, flat_prior=False):
+    """(preds, train marginal) for n test rows drawn under label shift.
+
+    The train marginal t is Dirichlet(5), or uniform with flat_prior, and its
+    first `tiny` classes get a mass of about 1e-6. Test labels follow t times
+    ratios uniform in [0.2, 3]. A row's logits are standard normal plus
+    `signal` on its label, and its posterior is proportional to t times their
+    softmax: a signal of 40 gives near-one-hot rows, and a signal near 0 with
+    a flat prior gives near-uniform rows.
+    """
+    t = np.full(m, 1.0 / m) if flat_prior else rng.dirichlet(np.full(m, 5.0))
+    t[:tiny] = 1e-6 * rng.uniform(0.5, 2.0, tiny)
+    t /= t.sum()
+    q = t * rng.uniform(0.2, 3.0, m)
+    y = rng.choice(m, size=n, p=q / q.sum())
+    logits = rng.normal(size=(n, m))
+    logits[np.arange(n), y] += signal
+    rows = t * np.exp(logits - logits.max(axis=1, keepdims=True))
+    return ProbabilityMatrix.from_rows(rows / rows.sum(axis=1, keepdims=True)), LabelMarginal(t)
+
+
+def tight_em(preds, tr) -> np.ndarray:
+    """The maximizer r* from an EM solve at tol 1e-13, checked apart from the
+    solver's stopping rule: for the concave objective f and feasible r, r',
+    f(r') - f(r) <= max_c g_c / t_c - 1 with g the gradient at r, so that gap
+    bounds how far r*'s objective is from the maximum."""
+    rep = estimate_mlls_em(preds, tr, EstimatorOptions(tol=1e-13, max_iters=100_000))
+    assert rep.converged
+    sup = tr.probs > 0
+    g = empirical_objective_gradient(rep.ratio, preds)
+    assert np.max(g[sup] / tr.probs[sup]) - 1.0 < 1e-12
+    return rep.ratio.ratios
 
 
 def tiny_mixture(m=3, d=2, separation=3.0) -> GaussianMixtureSpec:
@@ -206,29 +242,11 @@ def reference_train(train, cfg):
     return params
 
 
-def reference_em(preds, tr, max_iters=1000, tol=1e-6):
-    """The EM loop with p @ r twice per step: (full ratio, iterations, converged, trace)."""
-    sup = tr.probs > 0
-    p, t = preds.rows[:, sup], tr.probs[sup]
-    mean_log = lambda like: float(np.log(np.maximum(like, PROB_FLOOR)).mean())
-    r = np.ones(t.size)
-    trace = [mean_log(p @ r)]
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        w = p * r
-        w /= np.maximum(w.sum(axis=1, keepdims=True), PROB_FLOOR)
-        r_new = w.mean(axis=0) / t
-        delta = float(np.max(np.abs(r_new - r)))
-        r = r_new
-        trace.append(mean_log(p @ r))
-        if delta < tol:
-            converged = True
-            break
-    q = r * t
-    full = np.zeros(sup.size)
-    full[sup] = (q / q.sum()) / t
-    return full, iters, converged, trace
+def reference_em_step(p, t, r):
+    """One plain EM step with the original allocating arithmetic: F(r)."""
+    w = p * r
+    w /= np.maximum(w.sum(axis=1, keepdims=True), PROB_FLOOR)
+    return w.mean(axis=0) / t
 
 
 def reference_load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
@@ -264,7 +282,7 @@ __all__ = [
     "marginal",
     "random_marginal",
     "random_preds",
-    "reference_em",
+    "reference_em_step",
     "reference_forward",
     "reference_init",
     "reference_load_idx",
@@ -272,6 +290,8 @@ __all__ = [
     "reference_train",
     "reference_unpack",
     "rel_err",
+    "shifted_posteriors",
+    "tight_em",
     "tiny_dataset",
     "tiny_mixture",
     "empirical_objective",

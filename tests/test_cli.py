@@ -217,6 +217,15 @@ def test_resolve_rejects_non_likelihood_solver(tmp_path, capsys, kind, path, whe
     assert not out.exists()
 
 
+def test_resolve_rejects_a_solver_method_no_run_reads():
+    with pytest.raises(ValueError, match=r"^solver\.method 'mlls_gd' is not read: the estimator"
+                                         r" name picks the solver"):
+        cli.resolve_config(sweep_raw(solver={"method": "mlls_gd"}), "sweep_alpha")
+    # The default is what every resolved config echoes, so it resolves again.
+    assert cli.resolve_config(sweep_raw(solver={"method": "mlls_em"}), "sweep_alpha").solver \
+        == estimators.EstimatorOptions()
+
+
 @pytest.mark.parametrize(
     "n_train, split_fraction, fits",
     [(1, 0.5, False), (3, 0.9999, False), (2, 0.5, True), (1, 0.0, True)],

@@ -36,6 +36,8 @@ from .helpers import (
     random_marginal,
     random_preds,
     rel_err,
+    shifted_posteriors,
+    tight_em,
     tiny_mixture,
 )
 
@@ -172,6 +174,79 @@ def test_em_reports_zero_ratio_for_empty_train_class():
     report = estimate_mlls_em(preds, tr)
     assert report.ratio.ratios[2] == 0.0
     assert_feasible(report.ratio, tr)
+
+
+# ----------------------------------------------------------- em at the edges
+
+EDGES = {
+    "many_classes": lambda rng: shifted_posteriors(rng, int(rng.integers(20, 101)), 1000, 7.0),
+    "tiny_train_mass": lambda rng: shifted_posteriors(
+        rng, int(rng.integers(3, 9)), 400, 3.0, tiny=int(rng.integers(1, 3))),
+    "near_one_hot": lambda rng: shifted_posteriors(rng, int(rng.integers(2, 9)), 400, 40.0),
+    "near_uniform": lambda rng: shifted_posteriors(
+        rng, int(rng.integers(2, 9)), 400, float(rng.uniform(0.0, 0.3)), flat_prior=True),
+}
+
+# The flat instance of test_em_matches_reference, where plain EM contracts slowly.
+FLAT = (random_preds(np.random.default_rng(1), 400, m=4, conc=20.0), marginal(*[0.25] * 4))
+
+
+def assert_em_invariants(report, tr, max_iters):
+    assert_feasible(report.ratio, tr)  # nonnegative too
+    trace = np.asarray(report.objective_trace)
+    assert np.all(np.diff(trace) >= -1e-12)
+    assert trace[-1] == report.final_objective
+    assert 1 <= report.iterations_used <= max_iters
+
+
+@prop
+@given(kind=st.sampled_from(sorted(EDGES)), seed=st.integers(0, 10_000))
+def test_em_invariants_hold_at_the_edges(kind, seed):
+    preds, tr = EDGES[kind](np.random.default_rng(seed))
+    report = estimate_mlls_em(preds, tr)
+    assert_em_invariants(report, tr, 1000)
+    if report.converged:
+        assert np.max(np.abs(report.ratio.ratios - tight_em(preds, tr))) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [3, 9, 24])
+def test_em_trace_monotone_through_long_extrapolations(seed):
+    # 80 classes and diffuse rows: many classes head to zero, and the
+    # extrapolation steps get long enough for rounding to move sum(r t) off 1.
+    rng = np.random.default_rng(seed)
+    tr = marginal(*rng.dirichlet(np.full(80, 5.0)))
+    report = estimate_mlls_em(random_preds(rng, 400, m=80, conc=1.5), tr)
+    assert_em_invariants(report, tr, 1000)
+
+
+@pytest.mark.parametrize("max_iters", range(1, 26))
+@pytest.mark.parametrize("kind", sorted(EDGES))
+def test_em_stops_exactly_at_every_budget(kind, max_iters):
+    preds, tr = EDGES[kind](np.random.default_rng(max_iters))
+    # No distance is certified below the rounding of r, so tol 1e-300 is never met.
+    report = estimate_mlls_em(preds, tr, EstimatorOptions(max_iters=max_iters, tol=1e-300))
+    assert report.iterations_used == max_iters
+    assert report.converged is False
+    assert_em_invariants(report, tr, max_iters)
+
+
+@prop
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 8), conc=st.floats(1.0, 20.0),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_em_converged_means_within_tol_of_the_optimum(seed, m, conc, tol):
+    rng = np.random.default_rng(seed)
+    preds = random_preds(rng, 200, m=m, conc=conc)
+    tr = random_marginal(rng, m)
+    report = estimate_mlls_em(preds, tr, EstimatorOptions(tol=tol))
+    if report.converged:
+        assert np.max(np.abs(report.ratio.ratios - tight_em(preds, tr))) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_em_converges_within_tol_on_flat_posteriors(tol):
+    report = estimate_mlls_em(*FLAT, EstimatorOptions(tol=tol))
+    assert report.converged
+    assert np.max(np.abs(report.ratio.ratios - tight_em(*FLAT))) <= tol
 
 
 # ----------------------------------------------------------------------- gd
