@@ -26,7 +26,6 @@ from .estimators import (
     estimate_rlls,
     estimate_vrls,
     project_to_simplex,
-    solve_mlls,
 )
 from .federated import (
     Federation,
@@ -40,7 +39,6 @@ from .federated import (
     crossnode_listing_ratios,
     evaluate,
     exchange_marginals,
-    run_federation,
     train_global,
     true_weight_vectors,
     weight_vectors,

@@ -39,8 +39,9 @@ from .data import (
 from .estimators import (
     EstimatorOptions,
     estimate_bbse,
+    estimate_mlls_em,
+    estimate_mlls_gd,
     estimate_rlls,
-    solve_mlls,
 )
 from .federated import (
     FederationConfig,
@@ -145,10 +146,6 @@ class ExperimentConfig:
         for w in self.weightings:
             if w not in WEIGHTINGS:
                 raise ValueError(f"unknown weighting {w!r}")
-        if self.solver.method != EstimatorOptions.method:  # the default, which configs echo
-            raise ValueError(f"solver.method {self.solver.method!r} is not read: the estimator"
-                             " name picks the solver (vrls_gd and mlls_gd run mlls_gd), and"
-                             " federate reads federation.ratio_solver.method")
         if not 0.0 <= self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in [0, 1)")
         n_train = self.data.n_train
@@ -266,15 +263,22 @@ def resolve_config(
     seed: int | None = None,
     threads: int | None = None,
 ) -> ExperimentConfig:
-    """Merge a raw JSON config with command-line overrides."""
+    """Merge a raw JSON config with command-line overrides.
+
+    A federation runs on the experiment seed: federation.seed follows seed
+    (or the seed override), and a file whose federation.seed differs from
+    its seed is rejected.
+    """
     file_kind = raw.get("kind")
     if file_kind is not None and file_kind != kind:
         raise ValueError(f"config is for kind {file_kind!r}, not {kind!r}")
     cfg = _decode(ExperimentConfig, {**raw, "kind": kind}, "experiment")
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-        if cfg.federation is not None:
-            cfg = replace(cfg, federation=replace(cfg.federation, seed=seed))
+    if cfg.federation is not None:
+        if seed is None and "seed" in raw["federation"] and cfg.federation.seed != cfg.seed:
+            raise ValueError(f"federation.seed {cfg.federation.seed} differs from seed {cfg.seed}")
+        cfg = replace(cfg, federation=replace(cfg.federation, seed=cfg.seed))
     if out is None:
         out = os.environ.get("LABELSHIFT_OUT")
     if out is not None:
@@ -359,10 +363,10 @@ def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, scores: dic
     preds = scores[_predictor_config(cfg.predictor, name)]
     if isinstance(preds, Exception):
         raise preds
-    if name in ("vrls_em", "vrls_gd"):
-        return solve_mlls(preds, env.tr, replace(cfg.solver, method=name.replace("vrls", "mlls")))
-    if name in ("mlls_em", "mlls_gd"):
-        return solve_mlls(preds, env.tr, replace(cfg.solver, method=name))
+    if name.endswith("_em"):
+        return estimate_mlls_em(preds, env.tr, cfg.solver)
+    if name.endswith("_gd"):
+        return estimate_mlls_gd(preds, env.tr, cfg.solver)
     if name == "bbse":
         return estimate_bbse(env.preds_val, env.labels_val, preds, env.tr)
     return estimate_rlls(env.preds_val, env.labels_val, preds, env.tr, cfg.solver.rlls_lambda)

@@ -8,8 +8,8 @@ Two families:
 * Moment matchers (estimate_bbse, estimate_rlls) that solve a hard-label
   confusion system, optionally with a ridge term.
 
-estimate_vrls composes predictor training with a likelihood maximizer, so
-the penalty strength in the predictor config selects between plain and
+estimate_vrls composes predictor training with estimate_mlls_em, so the
+penalty strength in the predictor config selects between plain and
 confidence-regularized estimation.
 """
 
@@ -20,23 +20,17 @@ import numpy as np
 from .predictor import PredictorConfig, predict_proba, train_predictor
 from .types import LabeledDataset, LabelMarginal, PROB_FLOOR, ProbabilityMatrix, RatioVector
 
-METHODS = ("mlls_em", "mlls_gd")
-
 COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class EstimatorOptions:
-    method: str = "mlls_em"
     max_iters: int = 1000
     tol: float = 1e-6
     step_size: float = 0.05
     rlls_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}: not a likelihood-maximizing"
-                             f" method (expected one of {', '.join(METHODS)})")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol > 0):
@@ -374,19 +368,8 @@ def estimate_vrls(
     opts: EstimatorOptions = EstimatorOptions(),
 ) -> EstimateReport:
     """Train a predictor on the labeled source data, score the unlabeled test
-    features, and maximize the resulting likelihood.
-
-    opts.method picks the solver (mlls_em or mlls_gd); the training marginal
-    is the empirical label distribution of the training set.
+    features, and maximize the resulting likelihood with estimate_mlls_em
+    against the empirical label distribution of the training set.
     """
     pred = train_predictor(train, pcfg)
-    return solve_mlls(predict_proba(pred, test_features), train.empirical_marginal(), opts)
-
-
-def solve_mlls(
-    preds_te: ProbabilityMatrix, tr: LabelMarginal, opts: EstimatorOptions
-) -> EstimateReport:
-    """Dispatch to the likelihood maximizer named in opts.method."""
-    if opts.method == "mlls_em":
-        return estimate_mlls_em(preds_te, tr, opts)
-    return estimate_mlls_gd(preds_te, tr, opts)
+    return estimate_mlls_em(predict_proba(pred, test_features), train.empirical_marginal(), opts)

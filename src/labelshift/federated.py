@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import child_seed, stream
 from .data import GaussianMixtureSpec, gen_gaussian_mixture
-from .estimators import EstimateReport, EstimatorOptions, solve_mlls
+from .estimators import EstimateReport, EstimatorOptions, estimate_mlls_em
 from .predictor import (
     Predictor,
     PredictorConfig,
@@ -75,8 +75,8 @@ class ServerOptimizer:
 class FederationConfig:
     """Scenario, schedule, and model settings for one simulated federation.
 
-    ratio_predictor and ratio_solver drive the per-node estimation used by
-    weighting="estimated_ratios". normalize_weights divides every weight
+    ratio_predictor and ratio_solver drive the per-node estimation behind the
+    "estimated_ratios" weighting. normalize_weights divides every weight
     vector by the node count, which rescales the loss without moving the
     minimizer.
     """
@@ -88,7 +88,6 @@ class FederationConfig:
     local_steps: int = 1
     sample_nodes_per_round: int = 0  # 0 means all nodes every round
     server_optimizer: ServerOptimizer = ServerOptimizer()
-    weighting: str = "none"
     ratio_predictor: PredictorConfig = field(
         default_factory=lambda: PredictorConfig(architecture="mlp", hidden_units=32)
     )
@@ -102,8 +101,6 @@ class FederationConfig:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
         if self.local_steps < 1:
@@ -174,7 +171,7 @@ class FederationResult:
     """Outcome of one federated run.
 
     node_weights holds the per-class weight vectors actually used (the
-    estimated ones under weighting="estimated_ratios"). loss_trace and
+    estimated ones under the "estimated_ratios" weighting). loss_trace and
     accuracy_trace both have one entry per round.
     """
 
@@ -235,7 +232,7 @@ def build_federation(cfg: FederationConfig, mix: GaussianMixtureSpec) -> Federat
 
 def _estimate(node: FederationNode, preds: ProbabilityMatrix, opts: EstimatorOptions):
     """The node's ratio estimate against its own empirical train marginal."""
-    return solve_mlls(preds, node.train.empirical_marginal(), opts)
+    return estimate_mlls_em(preds, node.train.empirical_marginal(), opts)
 
 
 def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMarginal, ...]:
@@ -261,8 +258,9 @@ def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMargina
     return tuple(report.ratio.implied_test_marginal() for report in reports)
 
 
-def aggregate_ratios(k: int, test_marginals, tr_k: LabelMarginal) -> np.ndarray:
-    """Weight vector for node k: sum over nodes of p_j_te(y) / p_k_tr(y).
+def aggregate_ratios(test_marginals, tr_k: LabelMarginal) -> np.ndarray:
+    """Weight vector for the node with train marginal tr_k: sum over nodes of
+    p_j_te(y) / p_k_tr(y).
 
     Unnormalized by convention, so the entries sum to the node count when
     integrated against tr_k.
@@ -270,8 +268,6 @@ def aggregate_ratios(k: int, test_marginals, tr_k: LabelMarginal) -> np.ndarray:
     marginals = list(test_marginals)
     if not marginals:
         raise ValueError("need at least one test marginal")
-    if not 0 <= k < len(marginals):
-        raise ValueError("node index out of range")
     total = np.zeros(tr_k.m)
     for mg in marginals:
         if mg.m != tr_k.m:
@@ -286,9 +282,7 @@ def aggregate_ratios(k: int, test_marginals, tr_k: LabelMarginal) -> np.ndarray:
 def true_weight_vectors(cfg: FederationConfig) -> np.ndarray:
     """Weights computed from the configured marginals, one row per node."""
     marginals = [n.test_marginal for n in cfg.nodes]
-    return np.stack(
-        [aggregate_ratios(k, marginals, cfg.nodes[k].train_marginal) for k in range(cfg.k)]
-    )
+    return np.stack([aggregate_ratios(marginals, node.train_marginal) for node in cfg.nodes])
 
 
 def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
@@ -408,16 +402,9 @@ def weight_vectors(fed: Federation, weighting: str) -> np.ndarray:
     if weighting == "estimated_ratios":
         marginals = exchange_marginals(fed)
         return np.stack([
-            aggregate_ratios(k, marginals, node.train.empirical_marginal())
-            for k, node in enumerate(fed.nodes)
+            aggregate_ratios(marginals, node.train.empirical_marginal()) for node in fed.nodes
         ])
     raise ValueError(f"unknown weighting {weighting!r}")
-
-
-def run_federation(cfg: FederationConfig, mix: GaussianMixtureSpec) -> FederationResult:
-    """Build the federation, derive weights per cfg.weighting, and train."""
-    fed = build_federation(cfg, mix)
-    return train_global(fed, weight_vectors(fed, cfg.weighting), cfg)
 
 
 def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
@@ -442,7 +429,7 @@ def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
                 report = fed.local_estimates[a]
             else:
                 preds = predict_proba(predictor, fed.nodes[b].test.features)
-                report = solve_mlls(preds, tr_a, cfg.ratio_solver)
+                report = estimate_mlls_em(preds, tr_a, cfg.ratio_solver)
             est[a, b] = report.ratio.ratios
     values = marg[None, :, :] * est
     aggregated = values.sum(axis=1)

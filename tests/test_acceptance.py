@@ -23,6 +23,7 @@ from labelshift import (
     PredictorConfig,
     ProbabilityMatrix,
     ServerOptimizer,
+    build_federation,
     estimate_bbse,
     estimate_mlls_em,
     estimate_mlls_gd,
@@ -38,12 +39,12 @@ from labelshift import (
     ratio_from_marginals,
     ratio_mse,
     resample_by_marginal,
-    run_federation,
     sample_dirichlet_marginal,
-    solve_mlls,
+    train_global,
     train_predictor,
     true_weight_vectors,
     uniform_marginal,
+    weight_vectors,
 )
 from labelshift._rng import child_seed, stream
 from labelshift.estimators import empirical_objective, empirical_objective_gradient
@@ -180,21 +181,20 @@ def test_ac5_weighted_training_closes_the_gap():
     gaps, offs = [], []
     for seed in range(5):
         nodes = (node(0, 2, 1), node(0, 2, 2), node(1, 2, 3))
-        accs = {}
-        for w in ("none", "true_ratios", "estimated_ratios"):
-            cfg = FederationConfig(
-                nodes=nodes,
-                global_model=PredictorConfig(architecture="linear", learning_rate=0.1,
-                                             batch_size=64, seed=0),
-                scenario="ls_multi", rounds=300, local_steps=1,
-                server_optimizer=ServerOptimizer(kind="adam", learning_rate=0.05),
-                weighting=w,
-                ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
-                                                learning_rate=0.1, max_epochs=120,
-                                                loss_threshold=0.05, zeta=0.25, seed=0),
-                seed=seed,
-            )
-            accs[w] = run_federation(cfg, mix).avg_accuracy
+        cfg = FederationConfig(
+            nodes=nodes,
+            global_model=PredictorConfig(architecture="linear", learning_rate=0.1,
+                                         batch_size=64, seed=0),
+            scenario="ls_multi", rounds=300, local_steps=1,
+            server_optimizer=ServerOptimizer(kind="adam", learning_rate=0.05),
+            ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
+                                            learning_rate=0.1, max_epochs=120,
+                                            loss_threshold=0.05, zeta=0.25, seed=0),
+            seed=seed,
+        )
+        fed = build_federation(cfg, mix)
+        accs = {w: train_global(fed, weight_vectors(fed, w), cfg).avg_accuracy
+                for w in ("none", "true_ratios", "estimated_ratios")}
         gaps.append(accs["true_ratios"] - accs["none"])
         offs.append(abs(accs["estimated_ratios"] - accs["true_ratios"]))
     med_gap = statistics.median(gaps)
@@ -223,10 +223,11 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     pred_base = train_predictor(train, replace(pcfg, zeta=0.0))
     emp = train.empirical_marginal()
     drift = {}
-    for name, pred in (("vrls_em", pred_reg), ("vrls_gd", pred_reg),
-                       ("mlls_em", pred_base), ("mlls_gd", pred_base)):
-        opts = EstimatorOptions(method="mlls_" + name.split("_")[1])
-        rep = solve_mlls(predict_proba(pred, test.features), emp, opts)
+    for name, pred, solve in (("vrls_em", pred_reg, estimate_mlls_em),
+                              ("vrls_gd", pred_reg, estimate_mlls_gd),
+                              ("mlls_em", pred_base, estimate_mlls_em),
+                              ("mlls_gd", pred_base, estimate_mlls_gd)):
+        rep = solve(predict_proba(pred, test.features), emp, EstimatorOptions())
         drift[name] = _linf(rep.ratio.ratios, 1.0)
     preds_val = predict_proba(pred_base, train.features)
     preds_te = predict_proba(pred_base, test.features)
@@ -241,8 +242,10 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     nodes = tuple(NodeSpec(p, p, 1000, 500, seed=i) for i in range(3))
     base = FederationConfig(nodes=nodes, global_model=PredictorConfig(),
                             scenario="no_ls", rounds=40, seed=3)
-    plain = run_federation(replace(base, weighting="none"), mix6)
-    trued = run_federation(replace(base, weighting="true_ratios", normalize_weights=True), mix6)
+    fed = build_federation(base, mix6)
+    plain = train_global(fed, weight_vectors(fed, "none"), base)
+    trued = train_global(fed, weight_vectors(fed, "true_ratios"),
+                         replace(base, normalize_weights=True))
     weights_const = bool(np.all(true_weight_vectors(base) == 3.0))
     bitwise = (
         np.array_equal(plain.predictor.parameters, trued.predictor.parameters)

@@ -1,7 +1,6 @@
 import csv
 import json
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +8,13 @@ import pytest
 
 from labelshift import (
     GaussianMixtureSpec,
+    build_federation,
     cli,
     equidistant_means,
     estimators,
     federated,
-    run_federation,
+    train_global,
+    weight_vectors,
 )
 
 BASE_SWEEP = {
@@ -212,18 +213,19 @@ def test_resolve_rejects_non_likelihood_solver(tmp_path, capsys, kind, path, whe
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"{where}: unknown method 'bbse': not a likelihood-maximizing method" in err
+    assert f"error: unknown {where} keys: ['method']" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_resolve_rejects_a_solver_method_no_run_reads():
-    with pytest.raises(ValueError, match=r"^solver\.method 'mlls_gd' is not read: the estimator"
-                                         r" name picks the solver"):
-        cli.resolve_config(sweep_raw(solver={"method": "mlls_gd"}), "sweep_alpha")
-    # The default is what every resolved config echoes, so it resolves again.
-    assert cli.resolve_config(sweep_raw(solver={"method": "mlls_em"}), "sweep_alpha").solver \
-        == estimators.EstimatorOptions()
+def test_resolve_rejects_a_federation_weighting(tmp_path, capsys):
+    raw = json.loads(next(p for p in CONFIGS if p.stem == "federate").read_text())
+    raw["federation"]["weighting"] = "true_ratios"  # the weightings list decides
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: unknown federation keys: ['weighting']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -277,6 +279,22 @@ def test_seed_override_reaches_federation():
     cfg = cli.resolve_config(raw, "federate", seed=42)
     assert cfg.seed == 42
     assert cfg.federation.seed == 42
+    raw["federation"]["seed"] = 0
+    cfg = cli.resolve_config({**raw, "seed": 5}, "federate", seed=42)
+    assert cfg.seed == cfg.federation.seed == 42
+
+
+def test_federation_runs_on_the_experiment_seed():
+    raw = json.loads(json.dumps(FED_RAW))
+    assert "seed" not in raw["federation"]
+    assert cli.resolve_config({**raw, "seed": 5}, "federate").federation.seed == 5
+    raw["federation"]["seed"] = 5
+    assert cli.resolve_config({**raw, "seed": 5}, "federate").federation.seed == 5
+    raw["federation"]["seed"] = 0
+    with pytest.raises(ValueError, match=r"^federation\.seed 0 differs from seed 5$"):
+        cli.resolve_config({**raw, "seed": 5}, "federate")
+    with pytest.raises(ValueError, match=r"^federation\.seed 7 differs from seed 0$"):
+        cli.resolve_config({**raw, "federation": {**raw["federation"], "seed": 7}}, "federate")
 
 
 def test_perturbation_presets_resolve():
@@ -336,7 +354,7 @@ def test_estimator_failures_recorded_not_fatal(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli, "solve_mlls", boom)
+    monkeypatch.setattr(cli, "estimate_mlls_em", boom)
     raw = sweep_raw(estimators=["mlls_em", "bbse"], trials=2, alpha_grid=[1.0])
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=1)
     summary = cli.run_sweep_alpha(cfg)
@@ -380,6 +398,19 @@ def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names,
     assert len(trained) == predictors
     assert len(calls) == validation + draws * predictors
     assert len({(id(pred), id(feats)) for pred, feats in calls}) == len(calls)
+
+
+def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):
+    em, gd = [], []
+    _count_calls(monkeypatch, cli, "estimate_mlls_em", em)
+    _count_calls(monkeypatch, cli, "estimate_mlls_gd", gd)
+    raw = sweep_raw(estimators=["vrls_em", "vrls_gd", "mlls_em", "mlls_gd"], trials=1,
+                    alpha_grid=[1.0])
+    cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
+    summary = cli.run_sweep_alpha(cfg)
+    assert len(em) == len(gd) == 2
+    assert all(opts is cfg.solver for *_, opts in em + gd)
+    assert all(c["count"] == 1 and c["errors"] == 0 for c in summary["cells"])
 
 
 def test_scoring_failure_is_charged_to_each_estimator_needing_it(tmp_path, monkeypatch):
@@ -539,14 +570,25 @@ def test_federate_builds_once_and_trains_one_ratio_predictor_per_node(tmp_path, 
     assert len(trainings) == cfg.federation.k
 
 
-def test_federate_matches_run_federation_per_weighting(tmp_path):
+def test_federate_solves_each_node_with_em_once(tmp_path, monkeypatch):
+    solved = []
+    _count_calls(monkeypatch, federated, "estimate_mlls_em", solved)
+    raw = {**json.loads(json.dumps(FED_RAW)), "crossnode_listing": False}
+    cfg = cli.resolve_config(raw, "federate", out=str(tmp_path), seed=2)
+    cli.run_federate(cfg)
+    assert len(solved) == cfg.federation.k
+    assert all(opts is cfg.federation.ratio_solver for *_, opts in solved)
+
+
+def test_federate_matches_train_global_per_weighting(tmp_path):
     cfg = cli.resolve_config(json.loads(json.dumps(FED_RAW)), "federate",
                              out=str(tmp_path), seed=2)
     summary = cli.run_federate(cfg)
     mix = GaussianMixtureSpec(
         equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma)
     for weighting in cfg.weightings:
-        direct = run_federation(replace(cfg.federation, weighting=weighting), mix)
+        fed = build_federation(cfg.federation, mix)  # a fresh build for each weighting
+        direct = train_global(fed, weight_vectors(fed, weighting), cfg.federation)
         variant = summary["weightings"][weighting]
         assert variant["per_node_accuracy"] == list(direct.per_node_accuracy)
         assert variant["avg_accuracy"] == direct.avg_accuracy

@@ -21,7 +21,6 @@ from labelshift import (
     ratio_from_marginals,
     ratio_mse,
     sample_dirichlet_marginal,
-    solve_mlls,
     train_predictor,
     uniform_marginal,
 )
@@ -269,7 +268,7 @@ def test_gd_trace_monotone_across_seeds():
         rng = np.random.default_rng(seed)
         preds = random_preds(rng, 50, m=3)
         tr = random_marginal(rng, 3)
-        report = estimate_mlls_gd(preds, tr, EstimatorOptions(method="mlls_gd", step_size=0.1))
+        report = estimate_mlls_gd(preds, tr, EstimatorOptions(step_size=0.1))
         trace = np.asarray(report.objective_trace)
         assert np.all(np.diff(trace) >= -1e-12)
 
@@ -398,26 +397,16 @@ def test_vrls_zeta_zero_is_plain_mlls_composition():
     assert np.array_equal(composed.ratio.ratios, manual.ratio.ratios)
 
 
-def test_vrls_requires_mle_method():
-    train = gen_gaussian_mixture(MIX5, uniform_marginal(3), 100, seed=0)
-    with pytest.raises(ValueError, match="likelihood-maximizing"):
-        estimate_vrls(train, train.features, PCFG5, EstimatorOptions(method="bbse"))
-
-
-def test_solve_mlls_dispatches_both_solvers():
+def test_em_and_gd_reach_one_objective_under_default_options():
     rng = np.random.default_rng(3)
     preds = random_preds(rng, 60, m=3)
     tr = random_marginal(rng, 3)
-    em = solve_mlls(preds, tr, EstimatorOptions(method="mlls_em"))
-    gd = solve_mlls(preds, tr, EstimatorOptions(method="mlls_gd"))
+    em = estimate_mlls_em(preds, tr, EstimatorOptions())
+    gd = estimate_mlls_gd(preds, tr, EstimatorOptions())
     assert abs(em.final_objective - gd.final_objective) < 1e-6
-    with pytest.raises(ValueError, match="not a likelihood-maximizing method"):
-        solve_mlls(preds, tr, EstimatorOptions(method="rlls"))
 
 
 def test_options_validation():
-    with pytest.raises(ValueError, match="unknown method"):
-        EstimatorOptions(method="newton")
     with pytest.raises(ValueError, match="tol"):
         EstimatorOptions(tol=0.0)
     with pytest.raises(ValueError, match="max_iters"):

@@ -24,8 +24,7 @@ from labelshift import (
     posterior_matrix,
     predict_labels,
     predict_proba,
-    run_federation,
-    solve_mlls,
+    estimate_mlls_em,
     train_global,
     train_predictor,
     true_weight_vectors,
@@ -71,8 +70,6 @@ def test_federation_config_validation():
     node = NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 10, 10)
     with pytest.raises(ValueError, match="unknown scenario"):
         FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_all")
-    with pytest.raises(ValueError, match="unknown weighting"):
-        FederationConfig(nodes=(node,), global_model=LINEAR, weighting="oracle")
     with pytest.raises(ValueError, match=r"sample_nodes_per_round"):
         FederationConfig(nodes=(node,), global_model=LINEAR, sample_nodes_per_round=2)
 
@@ -128,18 +125,18 @@ def test_build_is_deterministic_and_seed_sensitive():
 
 
 def test_aggregate_two_node_hand_value():
-    w1 = aggregate_ratios(0, [marginal(0.6, 0.4), marginal(0.2, 0.8)], marginal(0.5, 0.5))
+    w1 = aggregate_ratios([marginal(0.6, 0.4), marginal(0.2, 0.8)], marginal(0.5, 0.5))
     assert np.allclose(w1, [1.6, 2.4])
 
 
 def test_aggregate_single_node_no_shift():
     tr = marginal(0.3, 0.7)
-    assert np.allclose(aggregate_ratios(0, [tr], tr), 1.0)
+    assert np.allclose(aggregate_ratios([tr], tr), 1.0)
 
 
 def test_aggregate_uniform_three_nodes():
     u = uniform_marginal(4)
-    w = aggregate_ratios(1, [u, u, u], u)
+    w = aggregate_ratios([u, u, u], u)
     assert np.allclose(w, 3.0)
 
 
@@ -147,20 +144,18 @@ def test_aggregate_weight_sums_to_node_count():
     rng = np.random.default_rng(0)
     marginals = [make_marginal(rng.integers(1, 20, size=3)) for _ in range(5)]
     tr = make_marginal(rng.integers(1, 20, size=3))
-    w = aggregate_ratios(2, marginals, tr)
+    w = aggregate_ratios(marginals, tr)
     assert float(w @ tr.probs) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_aggregate_errors():
     tr = marginal(0.5, 0.5)
     with pytest.raises(ValueError, match="at least one test marginal"):
-        aggregate_ratios(0, [], tr)
-    with pytest.raises(ValueError, match="node index out of range"):
-        aggregate_ratios(3, [tr], tr)
+        aggregate_ratios([], tr)
     with pytest.raises(ValueError, match="class counts disagree"):
-        aggregate_ratios(0, [marginal(0.2, 0.3, 0.5)], tr)
+        aggregate_ratios([marginal(0.2, 0.3, 0.5)], tr)
     with pytest.raises(ValueError, match="unsupported class"):
-        aggregate_ratios(0, [marginal(0.5, 0.5)], marginal(0.0, 1.0))
+        aggregate_ratios([marginal(0.5, 0.5)], marginal(0.0, 1.0))
 
 
 def test_true_weights_uniform_two_nodes_all_twos():
@@ -222,7 +217,7 @@ def test_estimated_weights_recombine_exchanged_marginals():
     published = exchange_marginals(fed)
     assert w.shape == (3, 3)
     for k in range(3):
-        expected = aggregate_ratios(k, published, fed.nodes[k].train.empirical_marginal())
+        expected = aggregate_ratios(published, fed.nodes[k].train.empirical_marginal())
         assert np.array_equal(w[k], expected)
 
 
@@ -236,9 +231,9 @@ def test_ratio_predictors_train_once_and_reproduce_local_estimates():
     base = cfg.ratio_predictor
     for i, node in enumerate(fed.nodes):
         pcfg = replace(base, seed=child_seed(base.seed, cfg.seed, i, node.spec.seed))
-        alone = solve_mlls(predict_proba(train_predictor(node.train, pcfg), node.test.features),
-                           node.train.empirical_marginal(),
-                           cfg.ratio_solver).ratio.implied_test_marginal()
+        alone = estimate_mlls_em(
+            predict_proba(train_predictor(node.train, pcfg), node.test.features),
+            node.train.empirical_marginal(), cfg.ratio_solver).ratio.implied_test_marginal()
         assert np.array_equal(published[i].probs, alone.probs)
 
 
@@ -250,14 +245,19 @@ def test_weight_vectors_per_weighting():
     assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
     assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
     published = exchange_marginals(fed)
-    expected = np.stack([aggregate_ratios(k, published, node.train.empirical_marginal())
-                         for k, node in enumerate(fed.nodes)])
+    expected = np.stack([aggregate_ratios(published, node.train.empirical_marginal())
+                         for node in fed.nodes])
     assert np.array_equal(weight_vectors(fed, "estimated_ratios"), expected)
     with pytest.raises(ValueError, match="unknown weighting 'bogus'"):
         weight_vectors(fed, "bogus")
 
 
 # ------------------------------------------------------------ training loop
+
+
+def train_under(cfg, mix, weighting="none"):
+    fed = build_federation(cfg, mix)
+    return train_global(fed, weight_vectors(fed, weighting), cfg)
 
 
 def small_no_shift_cfg(rounds=6, **kw):
@@ -269,7 +269,7 @@ def small_no_shift_cfg(rounds=6, **kw):
 
 def test_weighting_none_equals_explicit_ones():
     cfg = small_no_shift_cfg()
-    via_mode = run_federation(cfg, MIX2)
+    via_mode = train_under(cfg, MIX2)
     fed = build_federation(cfg, MIX2)
     via_ones = train_global(fed, np.ones((2, 2)), cfg)
     assert np.array_equal(via_mode.predictor.parameters, via_ones.predictor.parameters)
@@ -281,14 +281,14 @@ def test_single_node_true_ratios_equals_plain_erm():
     nodes = (NodeSpec(u, u, 150, 100, seed=4),)
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls",
                            rounds=8, seed=6)
-    plain = run_federation(cfg, MIX2)
-    weighted = run_federation(replace(cfg, weighting="true_ratios"), MIX2)
+    plain = train_under(cfg, MIX2)
+    weighted = train_under(cfg, MIX2, "true_ratios")
     assert np.array_equal(plain.predictor.parameters, weighted.predictor.parameters)
 
 
 def test_result_invariants():
     cfg = small_no_shift_cfg(rounds=5)
-    result = run_federation(cfg, MIX2)
+    result = train_under(cfg, MIX2)
     assert len(result.loss_trace) == 5
     assert len(result.accuracy_trace) == 5
     assert all(0.0 <= a <= 1.0 for a in result.per_node_accuracy)
@@ -298,11 +298,11 @@ def test_result_invariants():
 
 def test_training_deterministic_with_node_sampling():
     cfg = small_no_shift_cfg(rounds=10, sample_nodes_per_round=1)
-    a = run_federation(cfg, MIX2)
-    b = run_federation(cfg, MIX2)
+    a = train_under(cfg, MIX2)
+    b = train_under(cfg, MIX2)
     assert np.array_equal(a.predictor.parameters, b.predictor.parameters)
     assert a.loss_trace == b.loss_trace
-    c = run_federation(replace(cfg, seed=99), MIX2)
+    c = train_under(replace(cfg, seed=99), MIX2)
     assert not np.array_equal(a.predictor.parameters, c.predictor.parameters)
 
 
@@ -324,13 +324,13 @@ def test_divergence_reports_round():
         server_optimizer=ServerOptimizer(kind="sgd", learning_rate=1e160))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged at round 1"):
-            run_federation(cfg, MIX2)
+            train_under(cfg, MIX2)
 
 
 def test_local_steps_change_the_trajectory():
     cfg = small_no_shift_cfg(rounds=4)
-    one = run_federation(cfg, MIX2)
-    several = run_federation(replace(cfg, local_steps=3), MIX2)
+    one = train_under(cfg, MIX2)
+    several = train_under(replace(cfg, local_steps=3), MIX2)
     assert not np.array_equal(one.predictor.parameters, several.predictor.parameters)
 
 
@@ -462,7 +462,7 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
     fed = build_federation(cfg, MIX3)
     fed.ratio_predictors  # trained before counting
     scored, solved = [], []
-    for name, calls in (("predict_proba", scored), ("solve_mlls", solved)):
+    for name, calls in (("predict_proba", scored), ("estimate_mlls_em", solved)):
         original = getattr(federated, name)
         monkeypatch.setattr(federated, name,
                             lambda *args, f=original, c=calls: c.append(args) or f(*args))
@@ -471,8 +471,8 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
     assert len(scored) == len(solved) == 3 * 3  # one per (predictor, test split) pair
     for node, predictor, report, mg in zip(fed.nodes, fed.ratio_predictors,
                                            fed.local_estimates, published):
-        alone = solve_mlls(predict_proba(predictor, node.test.features),
-                           node.train.empirical_marginal(), cfg.ratio_solver)
+        alone = estimate_mlls_em(predict_proba(predictor, node.test.features),
+                                 node.train.empirical_marginal(), cfg.ratio_solver)
         assert np.array_equal(report.ratio.ratios, alone.ratio.ratios)
         assert np.array_equal(mg.probs, alone.ratio.implied_test_marginal().probs)
 

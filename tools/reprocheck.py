@@ -17,15 +17,26 @@ lines:
     (cd change && python3 tools/reprocheck.py) > change.txt
     diff parent.txt change.txt
 
+The BLAS and OpenMP thread variables are set to 1 before numpy is imported,
+as perfbench/run.py does, so hashes from two hosts or shells compare like
+with like: the sweep_alpha_idx hashes change with the BLAS thread count.
+
 Standard output holds one "<sha256>  <path>" line per file, sorted by path;
 progress goes to standard error. The exit code is 1 if a run fails.
 """
 
 import hashlib
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
+
+THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS",
+)
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # before numpy is first imported
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path("out/reprocheck")
