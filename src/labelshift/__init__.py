@@ -55,6 +55,7 @@ from .predictor import (
     predict_proba,
     save_predictor,
     train_predictor,
+    train_predictors,
 )
 from .types import (
     LabeledDataset,

@@ -52,7 +52,7 @@ from .federated import (
     weight_vectors,
 )
 from .metrics import loglog_slope, ratio_mse, summarize
-from .predictor import PredictorConfig, predict_proba, train_predictor
+from .predictor import PredictorConfig, predict_proba, train_predictors
 from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix, ratio_from_marginals
 
 SCHEMA_VERSION = 1
@@ -325,7 +325,7 @@ class _SweepEnv:
             fit = val = train
 
         needed = dict.fromkeys(_predictor_config(cfg.predictor, e) for e in cfg.estimators)
-        self.predictors = {pcfg: train_predictor(fit, pcfg) for pcfg in needed}
+        self.predictors = dict(zip(needed, train_predictors((fit, pcfg) for pcfg in needed)))
         needs_val = any(e in ("bbse", "rlls") for e in cfg.estimators)
         base = self.predictors.get(_predictor_config(cfg.predictor, "bbse"))
         self.preds_val = predict_proba(base, val.features) if needs_val else None
@@ -539,8 +539,8 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     acc_rows = []
     trace_rows = []
     variants = {}
-    for weighting in cfg.weightings:
-        result = train_global(fed, weight_vectors(fed, weighting), fed.cfg)
+    weights = [weight_vectors(fed, weighting) for weighting in cfg.weightings]
+    for weighting, result in zip(cfg.weightings, train_global(fed, weights, fed.cfg)):
         for i, acc in enumerate(result.per_node_accuracy):
             acc_rows.append((weighting, i, acc))
         for rnd, (loss, acc) in enumerate(zip(result.loss_trace, result.accuracy_trace)):

@@ -29,7 +29,7 @@ from .predictor import (
     loss_and_grad,
     predict_labels,
     predict_proba,
-    train_predictor,
+    train_predictors,
 )
 from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix
 
@@ -146,12 +146,9 @@ class Federation:
         Node i trains cfg.ratio_predictor with its seed replaced by
         child_seed(ratio_predictor.seed, cfg.seed, i, node seed).
         """
-        base = self.cfg.ratio_predictor
-        return tuple(
-            train_predictor(
-                node.train,
-                replace(base, seed=child_seed(base.seed, self.cfg.seed, i, node.spec.seed)),
-            )
+        base, seed = self.cfg.ratio_predictor, self.cfg.seed
+        return train_predictors(
+            (node.train, replace(base, seed=child_seed(base.seed, seed, i, node.spec.seed)))
             for i, node in enumerate(self.nodes)
         )
 
@@ -286,7 +283,7 @@ def true_weight_vectors(cfg: FederationConfig) -> np.ndarray:
 
 
 def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
-    """One sampled node's contribution for a round.
+    """One sampled node's contribution this round to each stacked model (its row of w_vec).
 
     With one local step this is exactly the weighted minibatch gradient;
     with more, the node takes SGD steps at the model learning rate and
@@ -298,7 +295,7 @@ def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
 
     def batch_grad(theta):
         idx = rng.choice(node.train.n, size=b, replace=False)
-        total, _, grad = loss_and_grad(layout, theta, x[idx], y[idx], weights=w_vec[y[idx]])
+        total, _, grad = loss_and_grad(layout, theta, x[idx], y[idx], weights=w_vec[:, y[idx]])
         if gm.weight_decay:
             grad = grad + gm.weight_decay * theta
         return total, grad
@@ -312,42 +309,44 @@ def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
         loss, grad = batch_grad(theta)
         losses.append(loss)
         theta -= gm.learning_rate * grad
-    return (params - theta) / gm.learning_rate, float(np.mean(losses))
+    return (params - theta) / gm.learning_rate, np.stack(losses, axis=-1).mean(axis=-1)
 
 
-def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationResult:
+def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[FederationResult, ...]:
     """Round-based training of the shared model under per-node label weights.
 
-    Each round samples nodes without replacement, collects their (pseudo)
-    gradients in node-index order, averages, and applies the server
-    optimizer. weighting semantics live in the caller; this function just
-    consumes one weight vector per node.
+    One FederationResult per (k, m) matrix in weights, whose models step in
+    lockstep: the node and batch draws never see the weights. Each round
+    samples nodes without replacement, collects their (pseudo) gradients in
+    node-index order, averages, and applies the server optimizer.
     """
     k = len(fed.nodes)
     m, d = fed.nodes[0].train.m, fed.nodes[0].train.d
-    w_all = np.array(weights, dtype=np.float64)
-    if w_all.shape != (k, m):
+    w_all = [np.array(w, dtype=np.float64) for w in weights]
+    if any(w.shape != (k, m) for w in w_all):
         raise ValueError(f"weights must have shape ({k}, {m})")
-    if np.any(w_all < 0) or not np.all(np.isfinite(w_all)):
+    if any(np.any(w < 0) or not np.all(np.isfinite(w)) for w in w_all):
         raise ValueError("weights must be finite and nonnegative")
+    if not w_all:
+        return ()
+    w_all = np.stack(w_all)
     if cfg.normalize_weights:
         w_all = w_all / k
 
     layout = init_predictor(cfg.global_model, m, d)
-    params = layout.parameters.copy()
+    params = np.tile(layout.parameters, (len(w_all), 1))
     sample_rng = stream(cfg.seed, 0x5A)
-    node_rngs = [stream(cfg.seed, 0x5B, i) for i in range(k)]
+    rngs = [stream(cfg.seed, 0x5B, i) for i in range(k)]
     srv = cfg.server_optimizer
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
-    loss_trace = []
-    acc_trace = []
+    traces = np.zeros((len(w_all), 2, cfg.rounds))  # per model: loss, then accuracy
     for rnd in range(cfg.rounds):
         chosen = np.sort(sample_rng.choice(k, size=cfg.nodes_per_round, replace=False))
         grads = np.zeros_like(params)
         losses = []
         for i in chosen:
-            g, loss = _local_pseudograd(layout, params, fed.nodes[i], w_all[i], cfg, node_rngs[i])
+            g, loss = _local_pseudograd(layout, params, fed.nodes[i], w_all[:, i], cfg, rngs[i])
             grads += g
             losses.append(loss)
         grads /= chosen.size
@@ -362,31 +361,33 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> FederationR
             mh = adam_m / (1 - b1 ** (rnd + 1))
             vh = adam_v / (1 - b2 ** (rnd + 1))
             params -= srv.learning_rate * mh / (np.sqrt(vh) + srv.eps)
-        loss_trace.append(float(np.mean(losses)))
-        acc_trace.append(evaluate(replace(layout, parameters=params), fed)[1])
-    pred = replace(layout, parameters=params)
-    per_node, avg = evaluate(pred, fed)
-    return FederationResult(
-        predictor=pred,
-        per_node_accuracy=per_node,
-        avg_accuracy=avg,
-        node_weights=w_all,
-        loss_trace=tuple(loss_trace),
-        accuracy_trace=tuple(acc_trace),
+        traces[:, 0, rnd] = np.stack(losses, axis=-1).mean(axis=-1)
+        traces[:, 1, rnd] = evaluate(replace(layout, parameters=params), fed)[1]
+    per_node, avg = evaluate(replace(layout, parameters=params), fed)
+    return tuple(
+        FederationResult(
+            predictor=replace(layout, parameters=params[s]),
+            per_node_accuracy=tuple(per_node[s]),
+            avg_accuracy=avg[s],
+            node_weights=w_all[s],
+            loss_trace=tuple(traces[s, 0].tolist()),
+            accuracy_trace=tuple(traces[s, 1].tolist()),
+        )
+        for s in range(len(w_all))
     )
 
 
-def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple[float, ...], float]:
-    """Top-1 accuracy on every node's test split, plus the unweighted mean.
+def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple, float | list[float]]:
+    """Top-1 accuracy on every node's test split, plus the unweighted mean;
+    a stack of S models (parameters (S, P)) gets S rows and S means.
 
-    Each split gets its own forward pass: a product over the stacked splits
-    can round differently from the per-node products (an MLP, or a linear
-    model with d >= 16, on OpenBLAS) and so flip a near-tie argmax.
+    Each split gets its own forward pass over the stack: a product over the
+    stacked splits can round differently from the per-node products (an MLP,
+    or a linear model with d >= 16, on OpenBLAS) and so flip a near-tie argmax.
     """
-    accs = []
-    for node in fed.nodes:
-        accs.append(float((predict_labels(pred, node.test.features) == node.test.labels).mean()))
-    return tuple(accs), float(np.mean(accs))
+    accs = np.stack([(predict_labels(pred, node.test.features) == node.test.labels).mean(axis=-1)
+                     for node in fed.nodes], axis=-1)
+    return tuple(accs.tolist()), accs.mean(axis=-1).tolist()
 
 
 def weight_vectors(fed: Federation, weighting: str) -> np.ndarray:

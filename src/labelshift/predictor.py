@@ -62,8 +62,8 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class Predictor:
-    """Trained (or freshly initialized) model: flat parameter vector plus the
-    shape metadata needed to unpack it."""
+    """Trained (or freshly initialized) model: flat parameter vector (or a
+    stack (S, P) of S models) plus the shape metadata needed to unpack it."""
 
     parameters: np.ndarray
     architecture: str
@@ -77,8 +77,8 @@ class Predictor:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         layers = _layers(self.architecture, self.hidden_units, self.m, self.d)
         expected = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
-        if p.ndim != 1 or p.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {p.size}")
+        if p.ndim not in (1, 2) or p.shape[-1] != expected:
+            raise ValueError(f"expected {expected} parameters per model, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("parameters contain non-finite values")
         p.setflags(write=False)
@@ -93,12 +93,13 @@ def _layers(architecture: str, hidden_units: int, m: int, d: int) -> list[tuple[
 
 
 def _unpack(layout, params: np.ndarray):
-    """(w, b) views into the flat parameters for each layer, first layer first:
-    each layer's fan_in x fan_out weights (row-major), then its bias."""
-    parts, o = [], 0
+    """(w, b) views into the flat parameters (or each row of a stack) for each
+    layer, first layer first: fan_in x fan_out weights (row-major), then bias."""
+    lead, parts, o = params.shape[:-1], [], 0
     for fan_in, fan_out in _layers(layout.architecture, layout.hidden_units, layout.m, layout.d):
         e = o + fan_in * fan_out
-        parts.append((params[o:e].reshape(fan_in, fan_out), params[e : e + fan_out]))
+        w = params[..., o:e].reshape(*lead, fan_in, fan_out)
+        parts.append((w, params[..., None, e : e + fan_out]))
         o = e + fan_out
     return parts
 
@@ -120,7 +121,7 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
 def _forward(parts, x):
     """Logits and each layer's input from the unpacked parameters. Each layer
     is built in one buffer, and ReLU runs in place on it before the next
-    layer reads it."""
+    layer reads it. A stack's slices are each model's own products."""
     inputs = []
     for w, b in parts:
         if inputs:
@@ -132,10 +133,17 @@ def _forward(parts, x):
 
 
 def _log_softmax(z):
-    """Row-wise log-softmax of the logits z, computed in z's own buffer."""
-    z -= z.max(axis=1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Log-softmax along the last axis of the logits z, in z's own buffer."""
+    z -= z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
+
+
+def _relu_grad(a, g):
+    """np.where(a <= 0, 0.0, g) bit for bit, by a branch-free mask on g's bits built in a."""
+    keep = np.subtract(a <= 0, 1, dtype=np.int64, out=a.view(np.int64))  # a <= 0: 0, else ~0
+    np.bitwise_and(g.view(np.int64), keep, out=g.view(np.int64))
+    return g
 
 
 def entropy_penalty(p) -> float:
@@ -144,79 +152,109 @@ def entropy_penalty(p) -> float:
     return float(np.sum(p * np.log(np.maximum(p, PROB_FLOOR))))
 
 
-def loss_and_grad(layout: Predictor, params, x, y, zeta: float = 0.0, weights=None):
+def loss_and_grad(layout: Predictor, params, x, y, zeta=0.0, weights=None):
     """Penalized loss and its gradient in the flat parameter layout.
 
     layout supplies only the architecture and shapes; params is the flat
-    parameter vector to evaluate, so training loops pass their working copy.
+    parameter vector to evaluate (training loops pass their working copy),
+    or a stack (S, P) of them, with x, y, zeta and weights shared or per model.
     The loss is mean cross-entropy plus zeta times the mean confidence
     penalty, with per-sample losses scaled by weights (default all ones).
-    Returns (total loss, mean weighted cross-entropy, gradient).
+    Returns (total loss, mean weighted cross-entropy, gradient) per model.
     """
-    if x.shape[1] != layout.d:
+    if x.shape[-1] != layout.d:
         raise ValueError("feature dimension does not match the predictor")
-    n = x.shape[0]
-    rows = np.arange(n)
+    n, zeta = x.shape[-2], np.asarray(zeta, dtype=np.float64)
     parts = _unpack(layout, params)
     z, inputs = _forward(parts, x)
     logp = _log_softmax(z)
     p = np.exp(logp)
-    picked = logp[rows, y]
-    pen_rows = np.sum(p * logp, axis=1)
+    hit = np.arange(0, logp.size, layout.m).reshape(logp.shape[:-1]) + y  # flat label index
+    picked = logp.ravel()[hit]
+    pen_rows = np.add.reduce(p * logp, axis=-1)
     if weights is None:
         ce_terms, pen_terms, scale = picked, pen_rows, 1.0 / n
     else:
         w = np.asarray(weights, dtype=np.float64)
-        ce_terms, pen_terms, scale = w * picked, w * pen_rows, (w / n)[:, None]
+        ce_terms, pen_terms, scale = w * picked, w * pen_rows, (w / n)[..., None]
     # np.add.reduce(a) / n is the same float as a.mean(), without its overhead.
-    ce = float(-(np.add.reduce(ce_terms) / n))
-    total = float(ce + zeta * (np.add.reduce(pen_terms) / n))
+    ce = -(np.add.reduce(ce_terms, axis=-1) / n)
+    total = ce + zeta * (np.add.reduce(pen_terms, axis=-1) / n)
 
     # d/dz of the cross-entropy is p - onehot; of the penalty, p*(logp - pen).
     dz = p.copy()
-    dz[rows, y] -= 1.0
-    if zeta:
-        dz += zeta * p * (logp - pen_rows[:, None])
+    dz.ravel()[hit] -= 1.0
+    if zeta.any():
+        dz += zeta[..., None, None] * p * (logp - pen_rows[..., None])
     dz *= scale
 
-    grads = []
+    grad = np.empty(dz.shape[:-2] + params.shape[-1:])  # written through its layer views
+    grad_parts = _unpack(layout, grad)
     for i in range(len(parts) - 1, -1, -1):
-        a = inputs[i]
-        grads += (np.add.reduce(dz), (a.T @ dz).ravel())
+        a, (gw, gb) = inputs[i], grad_parts[i]
+        np.add.reduce(dz, axis=-2, out=gb[..., 0, :])
+        np.matmul(a.swapaxes(-1, -2), dz, out=gw)
         if i:
             # a <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
-            dz = np.where(a <= 0, 0.0, dz @ parts[i][0].T)
-    grads.reverse()
-    return total, ce, np.concatenate(grads)
+            dz = _relu_grad(a, dz @ parts[i][0].swapaxes(-1, -2))
+    return total, ce, grad
 
 
 def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
-    """Minibatch SGD on the penalized loss.
+    """One model: train_predictors([(train, cfg)])[0]."""
+    return train_predictors([(train, cfg)])[0]
 
-    Epochs stop early once the running mean of the cross-entropy term drops
-    below cfg.loss_threshold. max_epochs = 0 returns the seeded
-    initialization untouched. Non-finite loss raises with the epoch number.
+
+def train_predictors(jobs) -> tuple[Predictor, ...]:
+    """Minibatch SGD on the penalized loss, one Predictor per (train, cfg) job.
+
+    Jobs that differ only in seed, zeta, loss_threshold and same-shape data
+    train in lockstep, each with the bits it gets alone; each stops once the
+    running mean of its cross-entropy term drops below its loss_threshold.
+    max_epochs = 0 gives the seeded start. Non-finite loss raises with the epoch.
     """
-    layout = init_predictor(cfg, train.m, train.d)
-    params = layout.parameters.copy()
-    x, y = train.features, train.labels
-    n = train.n
-    order_rng = stream(cfg.seed, 0x2)
+    jobs, groups, out = list(jobs), {}, {}
+    for j, (train, cfg) in enumerate(jobs):
+        key = (replace(cfg, seed=0, zeta=0.0, loss_threshold=0.0), train.n, train.m, train.d)
+        groups.setdefault(key, []).append(j)
+    for members in groups.values():
+        out.update(zip(members, _train_stack([jobs[j] for j in members])))
+    return tuple(out[j] for j in range(len(jobs)))
+
+
+def _train_stack(jobs) -> list[Predictor]:
+    (first, cfg), n = jobs[0], jobs[0][0].n
+    layout = init_predictor(cfg, first.m, first.d)  # shapes only; params holds every start
+    params = np.stack([init_predictor(c, t.m, t.d).parameters for t, c in jobs])
+    shared = all(t.features is first.features and t.labels is first.labels for t, _ in jobs)
+    x = first.features if shared else np.concatenate([t.features for t, _ in jobs])
+    y = first.labels if shared else np.concatenate([t.labels for t, _ in jobs])
+    offset = (0 if shared else n) * np.arange(len(jobs))  # a shared set is never copied
+    zeta, threshold = np.array([(c.zeta, c.loss_threshold) for _, c in jobs]).T
+    order_rngs = [stream(c.seed, 0x2) for _, c in jobs]
+    live, done = np.arange(len(jobs)), {}  # live[s]: the job behind row s of params
     for epoch in range(cfg.max_epochs):
-        order = order_rng.permutation(n)
+        order = np.stack([order_rngs[j].permutation(n) for j in live]) + offset[live, None]
+        order = order[:1] if (order == order[0]).all() else order  # same draws: one batch
         ce_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            total, ce, grad = loss_and_grad(layout, params, x[idx], y[idx], cfg.zeta)
-            if not np.isfinite(total):
+            idx = order[:, start : start + cfg.batch_size]
+            total, ce, grad = loss_and_grad(layout, params, x[idx], y[idx], zeta)
+            if not np.isfinite(total).all():
                 raise RuntimeError(f"diverged at epoch {epoch}")
             if cfg.weight_decay:
-                grad = grad + cfg.weight_decay * params
-            params -= cfg.learning_rate * grad
-            ce_sum += ce * idx.size
-        if ce_sum / n < cfg.loss_threshold:
+                grad += cfg.weight_decay * params
+            grad *= cfg.learning_rate
+            params -= grad
+            del grad  # so the next step's gradient is the only one alive
+            ce_sum += ce * idx.shape[1]
+        stop = ce_sum / n < threshold
+        done.update(zip(live[stop], params[stop]))
+        live, params, zeta, threshold = (a[~stop] for a in (live, params, zeta, threshold))
+        if not live.size:
             break
-    return replace(layout, parameters=params)
+    done.update(zip(live, params))
+    return [replace(layout, parameters=done[j]) for j in range(len(jobs))]
 
 
 def _logits(pred: Predictor, features) -> np.ndarray:
@@ -234,8 +272,8 @@ def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
 def predict_labels(pred: Predictor, features) -> np.ndarray:
     """Most likely class per row: the argmax of the logits, so a tie goes to
     the lowest index and the strictly larger logit wins even where rounding
-    makes two probabilities equal."""
-    return _logits(pred, features).argmax(axis=1)
+    makes two probabilities equal. A stack of models gives one row per model."""
+    return _logits(pred, features).argmax(axis=-1)
 
 
 def save_predictor(pred: Predictor, path) -> None:

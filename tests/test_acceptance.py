@@ -193,8 +193,9 @@ def test_ac5_weighted_training_closes_the_gap():
             seed=seed,
         )
         fed = build_federation(cfg, mix)
-        accs = {w: train_global(fed, weight_vectors(fed, w), cfg).avg_accuracy
-                for w in ("none", "true_ratios", "estimated_ratios")}
+        names = ("none", "true_ratios", "estimated_ratios")
+        results = train_global(fed, [weight_vectors(fed, w) for w in names], cfg)
+        accs = {w: result.avg_accuracy for w, result in zip(names, results)}
         gaps.append(accs["true_ratios"] - accs["none"])
         offs.append(abs(accs["estimated_ratios"] - accs["true_ratios"]))
     med_gap = statistics.median(gaps)
@@ -243,9 +244,9 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     base = FederationConfig(nodes=nodes, global_model=PredictorConfig(),
                             scenario="no_ls", rounds=40, seed=3)
     fed = build_federation(base, mix6)
-    plain = train_global(fed, weight_vectors(fed, "none"), base)
-    trued = train_global(fed, weight_vectors(fed, "true_ratios"),
-                         replace(base, normalize_weights=True))
+    (plain,) = train_global(fed, [weight_vectors(fed, "none")], base)
+    (trued,) = train_global(fed, [weight_vectors(fed, "true_ratios")],
+                            replace(base, normalize_weights=True))
     weights_const = bool(np.all(true_weight_vectors(base) == 3.0))
     bitwise = (
         np.array_equal(plain.predictor.parameters, trued.predictor.parameters)

@@ -378,6 +378,18 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def _count_jobs(monkeypatch, module, jobs):
+    """Records each (train, cfg) job that module passes to train_predictors."""
+    original = module.train_predictors
+
+    def counted(batch):
+        batch = list(batch)
+        jobs.extend(batch)
+        return original(batch)
+
+    monkeypatch.setattr(module, "train_predictors", counted)
+
+
 @pytest.mark.parametrize(
     "names, zeta, predictors",
     [(["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2), (["mlls_em", "mlls_gd", "bbse"], 0.25, 1),
@@ -388,7 +400,7 @@ def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names,
                                                    predictors):
     calls, trained = [], []
     _count_calls(monkeypatch, cli, "predict_proba", calls)
-    _count_calls(monkeypatch, cli, "train_predictor", trained)
+    _count_jobs(monkeypatch, cli, trained)
     raw = sweep_raw(estimators=names, trials=2)
     raw["predictor"]["zeta"] = zeta
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
@@ -415,19 +427,21 @@ def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):
 
 def test_scoring_failure_is_charged_to_each_estimator_needing_it(tmp_path, monkeypatch):
     trained = {}
-    original_train, original_predict = cli.train_predictor, cli.predict_proba
+    original_train, original_predict = cli.train_predictors, cli.predict_proba
 
-    def train(data, pcfg):
-        pred = original_train(data, pcfg)
-        trained[pcfg.zeta] = pred
-        return pred
+    def train(jobs):
+        jobs = list(jobs)
+        preds = original_train(jobs)
+        for (_, pcfg), pred in zip(jobs, preds):
+            trained[pcfg.zeta] = pred
+        return preds
 
     def predict(pred, features):
         if pred is trained[0.0] and len(features) == BASE_SWEEP["n_te"]:
             raise RuntimeError("scoring failed")
         return original_predict(pred, features)
 
-    monkeypatch.setattr(cli, "train_predictor", train)
+    monkeypatch.setattr(cli, "train_predictors", train)
     monkeypatch.setattr(cli, "predict_proba", predict)
     cfg = cli.resolve_config(sweep_raw(), "sweep_alpha", out=str(tmp_path / "s"), seed=3)
     cli.run_sweep_alpha(cfg)
@@ -560,8 +574,9 @@ def test_federate_emits_all_weighting_variants(tmp_path):
 def test_federate_builds_once_and_trains_one_ratio_predictor_per_node(tmp_path, monkeypatch):
     builds, trainings = [], []
     _count_calls(monkeypatch, cli, "build_federation", builds)
-    for module in (cli, federated, estimators):
-        _count_calls(monkeypatch, module, "train_predictor", trainings)
+    for module in (cli, federated):
+        _count_jobs(monkeypatch, module, trainings)
+    _count_calls(monkeypatch, estimators, "train_predictor", trainings)
     cfg = cli.resolve_config(json.loads(json.dumps(FED_RAW)), "federate",
                              out=str(tmp_path), seed=2)
     assert "estimated_ratios" in cfg.weightings and cfg.crossnode_listing
@@ -588,7 +603,7 @@ def test_federate_matches_train_global_per_weighting(tmp_path):
         equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma)
     for weighting in cfg.weightings:
         fed = build_federation(cfg.federation, mix)  # a fresh build for each weighting
-        direct = train_global(fed, weight_vectors(fed, weighting), cfg.federation)
+        (direct,) = train_global(fed, [weight_vectors(fed, weighting)], cfg.federation)
         variant = summary["weightings"][weighting]
         assert variant["per_node_accuracy"] == list(direct.per_node_accuracy)
         assert variant["avg_accuracy"] == direct.avg_accuracy

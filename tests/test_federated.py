@@ -257,7 +257,8 @@ def test_weight_vectors_per_weighting():
 
 def train_under(cfg, mix, weighting="none"):
     fed = build_federation(cfg, mix)
-    return train_global(fed, weight_vectors(fed, weighting), cfg)
+    (result,) = train_global(fed, [weight_vectors(fed, weighting)], cfg)
+    return result
 
 
 def small_no_shift_cfg(rounds=6, **kw):
@@ -271,7 +272,7 @@ def test_weighting_none_equals_explicit_ones():
     cfg = small_no_shift_cfg()
     via_mode = train_under(cfg, MIX2)
     fed = build_federation(cfg, MIX2)
-    via_ones = train_global(fed, np.ones((2, 2)), cfg)
+    (via_ones,) = train_global(fed, [np.ones((2, 2))], cfg)
     assert np.array_equal(via_mode.predictor.parameters, via_ones.predictor.parameters)
     assert via_mode.loss_trace == via_ones.loss_trace
 
@@ -310,9 +311,9 @@ def test_train_global_rejects_bad_weights():
     cfg = small_no_shift_cfg(rounds=2)
     fed = build_federation(cfg, MIX2)
     with pytest.raises(ValueError, match=r"weights must have shape \(2, 2\)"):
-        train_global(fed, np.ones((3, 2)), cfg)
+        train_global(fed, [np.ones((2, 2)), np.ones((3, 2))], cfg)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        train_global(fed, -np.ones((2, 2)), cfg)
+        train_global(fed, [np.ones((2, 2)), -np.ones((2, 2))], cfg)
 
 
 def test_divergence_reports_round():

@@ -1,0 +1,77 @@
+"""Microseconds per SGD step of lockstep training, by model shape and stack size.
+
+Run from the root of a checkout:
+
+    python3 tools/steptime.py [--steps 640] [--repeats 5]
+
+For each shipped shape (linear 2->3, MLP 2->32->3, 8->128->3 and 784->128->10)
+and each stack size S in 1, 2 and 3, trains S models with distinct seeds in
+lockstep (labelshift.train_predictors, batch 64, zeta 1) on seeded Gaussian
+data and prints the median over repeats of the time per stacked step and per
+model step. Every member draws its own batch order each epoch, so each step
+gathers fresh rows: on a fixed batch the branch predictor learns the ReLU
+pattern, and branching code (np.where) then times several times too fast.
+The BLAS and OpenMP thread variables are set to 1 before numpy is imported,
+as in tools/reprocheck.py and the benchmark.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+THREAD_VARS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS",
+)
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # before numpy is first imported
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from labelshift import LabeledDataset, PredictorConfig, train_predictors  # noqa: E402
+
+SHAPES = (  # name, architecture, d, hidden units, m
+    ("linear 2->3", "linear", 2, 0, 3),
+    ("mlp 2->32->3", "mlp", 2, 32, 3),
+    ("mlp 8->128->3", "mlp", 8, 128, 3),
+    ("mlp 784->128->10", "mlp", 784, 128, 10),
+)
+BATCH = 64
+ROWS = 8 * BATCH  # eight steps per epoch
+
+
+def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, steps: int) -> float:
+    rng = np.random.default_rng(d * 1000 + m)
+    train = LabeledDataset(rng.normal(size=(ROWS, d)), rng.integers(0, m, ROWS), m)
+    cfg = PredictorConfig(architecture=architecture, hidden_units=max(hidden, 1),
+                          batch_size=BATCH, max_epochs=steps * BATCH // ROWS,
+                          loss_threshold=0.0, zeta=1.0)
+    jobs = [(train, replace(cfg, seed=s)) for s in range(stack)]
+    t = time.perf_counter()
+    train_predictors(jobs)
+    return (time.perf_counter() - t) / (cfg.max_epochs * ROWS // BATCH)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--steps", type=int, default=640, help="stacked steps per timing")
+    parser.add_argument("--repeats", type=int, default=5, help="timings per cell; median kept")
+    args = parser.parse_args()
+    print(f"{'shape':<18} {'S':>2} {'us/step':>9} {'us/model-step':>14}")
+    for name, architecture, d, hidden, m in SHAPES:
+        for stack in (1, 2, 3):
+            secs = statistics.median(
+                step_seconds(architecture, d, hidden, m, stack, args.steps)
+                for _ in range(args.repeats)
+            )
+            print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
