@@ -1,5 +1,11 @@
 """Label-shift density-ratio estimation and importance-weighted training."""
 
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads: bits change with BLAS threads
+
 from .data import (
     GaussianMixtureSpec,
     IdxPool,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .predictor import PredictorConfig, predict_proba, train_predictor
 from .types import LabeledDataset, LabelMarginal, PROB_FLOOR, ProbabilityMatrix, RatioVector
+from .types import argmax_last
 
 COND_LIMIT = 1e12
 
@@ -300,8 +301,8 @@ def _confusion_system(preds_val, labels_val, preds_te, tr):
         raise ValueError("labels_val must be one per validation row")
     if labels_val.size and (labels_val.min() < 0 or labels_val.max() >= m):
         raise ValueError(f"labels must lie in [0, {m})")
-    zv = preds_val.rows.argmax(axis=1)
-    zt = preds_te.rows.argmax(axis=1)
+    zv = argmax_last(preds_val.rows)
+    zt = argmax_last(preds_te.rows)
     a = np.zeros((m, m))
     np.add.at(a, (zv, labels_val), 1.0)
     a /= labels_val.size

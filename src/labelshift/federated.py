@@ -381,9 +381,9 @@ def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple, float | list[floa
     """Top-1 accuracy on every node's test split, plus the unweighted mean;
     a stack of S models (parameters (S, P)) gets S rows and S means.
 
-    Each split gets its own forward pass over the stack: a product over the
-    stacked splits can round differently from the per-node products (an MLP,
-    or a linear model with d >= 16, on OpenBLAS) and so flip a near-tie argmax.
+    Each split gets its own forward pass over the stack, for speed only:
+    scoring is row-invariant, so one pass over all splits would give the same
+    labels, but it ran slower inside a federate run.
     """
     accs = np.stack([(predict_labels(pred, node.test.features) == node.test.labels).mean(axis=-1)
                      for node in fed.nodes], axis=-1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import stream
-from .types import LabeledDataset, PROB_FLOOR, ProbabilityMatrix
+from .types import LabeledDataset, PROB_FLOOR, ProbabilityMatrix, argmax_last
 
 ARCHITECTURES = ("linear", "mlp")
 
@@ -257,23 +257,44 @@ def _train_stack(jobs) -> list[Predictor]:
     return [replace(layout, parameters=done[j]) for j in range(len(jobs))]
 
 
-def _logits(pred: Predictor, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+def _block_rows(pred: Predictor) -> int:
+    """Rows per scoring block: a power of two in [256, 1024] that keeps the
+    widest activation near 32k floats. It depends on the layer widths only."""
+    widest = max(w for _, w in _layers(pred.architecture, pred.hidden_units, pred.m, pred.d))
+    return 1 << min(10, max(8, (32768 // widest).bit_length() - 1))
+
+
+def _logits(pred: Predictor, features, padded=False) -> np.ndarray:
+    """(..., n, m) logits in a class-major (..., m, n) buffer, scored in blocks of one
+    fixed shape so that no row's bits depend on its neighbours. The last block is the
+    last B rows; an input shorter than B is zero-padded, and padded keeps those rows."""
+    x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
-    return _forward(_unpack(pred, pred.parameters), x)[0]
+    n, rows, parts = x.shape[0], _block_rows(pred), _unpack(pred, pred.parameters)
+    if n < rows:
+        x = np.concatenate([x, np.zeros((rows - n, pred.d))])
+    out = np.empty(pred.parameters.shape[:-1] + (pred.m, len(x)))
+    for start in range(0, len(x), rows):
+        start = min(start, len(x) - rows)
+        z = _forward(parts, x[start : start + rows])[0]
+        out[..., start : start + rows] = z.swapaxes(-1, -2)
+    return (out if padded else out[..., :n]).swapaxes(-1, -2)
 
 
 def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
-    """Class probabilities for a feature matrix, floored and renormalized."""
-    return ProbabilityMatrix.from_rows(np.exp(_log_softmax(_logits(pred, features))))
+    """Class probabilities for a feature matrix, floored and renormalized. A
+    short input keeps its padding rows until the end: numpy sums the classes
+    of a lone row pairwise, but of many rows in class order."""
+    probs = ProbabilityMatrix.from_rows(np.exp(_log_softmax(_logits(pred, features, True))))
+    return probs if probs.n == len(features) else ProbabilityMatrix(probs.rows[: len(features)])
 
 
 def predict_labels(pred: Predictor, features) -> np.ndarray:
-    """Most likely class per row: the argmax of the logits, so a tie goes to
-    the lowest index and the strictly larger logit wins even where rounding
-    makes two probabilities equal. A stack of models gives one row per model."""
-    return _logits(pred, features).argmax(axis=-1)
+    """Most likely class per row: the argmax of the logits (a tie or a NaN goes to
+    the first index), so the strictly larger logit wins even where rounding makes
+    two probabilities equal. A stack of models gives one row per model."""
+    return argmax_last(_logits(pred, features))
 
 
 def save_predictor(pred: Predictor, path) -> None:

@@ -172,6 +172,17 @@ class ProbabilityMatrix:
         return int(self.rows.shape[1])
 
 
+def argmax_last(z) -> np.ndarray:
+    """np.argmax(z, axis=-1) exactly, so a tie or a NaN goes to the first index,
+    by a branch-free select per class: fast where each class is contiguous."""
+    best, label = z[..., 0].copy(), np.zeros(z.shape[:-1], dtype=np.intp)
+    for c in range(1, z.shape[-1]):
+        better = ~(z[..., c] <= best) & (best == best)  # larger, or the first NaN
+        label += better * (c - label)
+        np.maximum(best, z[..., c], out=best)  # NaN sticks
+    return label
+
+
 def make_marginal(counts) -> LabelMarginal:
     """Normalize nonnegative class counts into a LabelMarginal."""
     c = np.asarray(counts, dtype=np.float64)

@@ -1,4 +1,5 @@
-"""Microseconds per SGD step of lockstep training, by model shape and stack size.
+"""Microseconds per SGD step of lockstep training, by model shape and stack size,
+and milliseconds per predict_proba call on 5,000 rows, by model shape.
 
 Run from the root of a checkout:
 
@@ -11,6 +12,8 @@ data and prints the median over repeats of the time per stacked step and per
 model step. Every member draws its own batch order each epoch, so each step
 gathers fresh rows: on a fixed batch the branch predictor learns the ReLU
 pattern, and branching code (np.where) then times several times too fast.
+Then it prints the median time of one predict_proba call on 5,000 seeded
+rows for one freshly initialized model of each shape.
 The BLAS and OpenMP thread variables are set to 1 before numpy is imported,
 as in tools/reprocheck.py and the benchmark.
 """
@@ -33,7 +36,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from labelshift import LabeledDataset, PredictorConfig, train_predictors  # noqa: E402
+from labelshift import (  # noqa: E402
+    LabeledDataset, PredictorConfig, init_predictor, predict_proba, train_predictors,
+)
 
 SHAPES = (  # name, architecture, d, hidden units, m
     ("linear 2->3", "linear", 2, 0, 3),
@@ -43,6 +48,7 @@ SHAPES = (  # name, architecture, d, hidden units, m
 )
 BATCH = 64
 ROWS = 8 * BATCH  # eight steps per epoch
+SCORED_ROWS = 5000
 
 
 def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, steps: int) -> float:
@@ -55,6 +61,16 @@ def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, ste
     t = time.perf_counter()
     train_predictors(jobs)
     return (time.perf_counter() - t) / (cfg.max_epochs * ROWS // BATCH)
+
+
+def proba_seconds(architecture: str, d: int, hidden: int, m: int, calls: int) -> float:
+    cfg = PredictorConfig(architecture=architecture, hidden_units=max(hidden, 1))
+    pred = init_predictor(cfg, m, d)
+    x = np.random.default_rng(d * 1000 + m).normal(size=(SCORED_ROWS, d))
+    t = time.perf_counter()
+    for _ in range(calls):
+        predict_proba(pred, x)
+    return (time.perf_counter() - t) / calls
 
 
 def main() -> int:
@@ -70,6 +86,11 @@ def main() -> int:
                 for _ in range(args.repeats)
             )
             print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
+    print(f"\n{'shape':<18} {'predict_proba ms per ' + str(SCORED_ROWS) + ' rows':>32}")
+    for name, architecture, d, hidden, m in SHAPES:
+        secs = statistics.median(proba_seconds(architecture, d, hidden, m, 20)
+                                 for _ in range(args.repeats))
+        print(f"{name:<18} {secs * 1e3:>32.3f}")
     return 0
 
 
