@@ -25,8 +25,8 @@ from .estimators import EstimateReport, EstimatorOptions, estimate_mlls_em
 from .predictor import (
     Predictor,
     PredictorConfig,
+    StepWorkspace,
     init_predictor,
-    loss_and_grad,
     predict_labels,
     predict_proba,
     train_predictors,
@@ -282,8 +282,9 @@ def true_weight_vectors(cfg: FederationConfig) -> np.ndarray:
     return np.stack([aggregate_ratios(marginals, node.train_marginal) for node in cfg.nodes])
 
 
-def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
-    """One sampled node's contribution this round to each stacked model (its row of w_vec).
+def _local_pseudograd(step, params, node, w_vec, cfg: FederationConfig, rng):
+    """One sampled node's contribution this round to each stacked model (its row of w_vec),
+    from the StepWorkspace step. Its gradient is step's buffer, read before the next call.
 
     With one local step this is exactly the weighted minibatch gradient;
     with more, the node takes SGD steps at the model learning rate and
@@ -295,7 +296,8 @@ def _local_pseudograd(layout, params, node, w_vec, cfg: FederationConfig, rng):
 
     def batch_grad(theta):
         idx = rng.choice(node.train.n, size=b, replace=False)
-        total, _, grad = loss_and_grad(layout, theta, x[idx], y[idx], weights=w_vec[:, y[idx]])
+        labels = y[idx]
+        total, _, grad = step(theta, x.take(idx, 0), labels, weights=w_vec.take(labels, 1))
         if gm.weight_decay:
             grad = grad + gm.weight_decay * theta
         return total, grad
@@ -338,6 +340,7 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
     sample_rng = stream(cfg.seed, 0x5A)
     rngs = [stream(cfg.seed, 0x5B, i) for i in range(k)]
     srv = cfg.server_optimizer
+    step = StepWorkspace(layout)
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
     traces = np.zeros((len(w_all), 2, cfg.rounds))  # per model: loss, then accuracy
@@ -346,7 +349,7 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
         grads = np.zeros_like(params)
         losses = []
         for i in chosen:
-            g, loss = _local_pseudograd(layout, params, fed.nodes[i], w_all[:, i], cfg, rngs[i])
+            g, loss = _local_pseudograd(step, params, fed.nodes[i], w_all[:, i], cfg, rngs[i])
             grads += g
             losses.append(loss)
         grads /= chosen.size

@@ -118,24 +118,36 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
     return Predictor(np.concatenate(parts), cfg.architecture, hidden, m, d)
 
 
-def _forward(parts, x):
+def _forward(parts, x, outs=None):
     """Logits and each layer's input from the unpacked parameters. Each layer
-    is built in one buffer, and ReLU runs in place on it before the next
-    layer reads it. A stack's slices are each model's own products."""
+    is built in one buffer (outs[i] when given), and ReLU runs in place on it
+    before the next layer reads it. A stack's slices are each model's own products."""
     inputs = []
-    for w, b in parts:
+    for i, (w, b) in enumerate(parts):
         if inputs:
             np.maximum(x, 0.0, out=x)
         inputs.append(x)
-        x = x @ w
+        x = np.matmul(x, w, out=None if outs is None else outs[i])
         x += b
     return x, inputs
 
 
+def _class_reduce(ufunc, z):
+    """ufunc.reduce over the last (class) axis of z, keeping it. Below 8 classes it is
+    a left fold over the class columns, which numpy's reduction matches bit for bit
+    there and runs as a slow loop over short rows; from 8 classes numpy sums pairwise."""
+    if z.shape[-1] >= 8:
+        return ufunc.reduce(z, axis=-1, keepdims=True)
+    out = ufunc(z[..., 0:1], z[..., 1:2])
+    for c in range(2, z.shape[-1]):
+        ufunc(out, z[..., c : c + 1], out=out)
+    return out
+
+
 def _log_softmax(z):
     """Log-softmax along the last axis of the logits z, in z's own buffer."""
-    z -= z.max(axis=-1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= _class_reduce(np.maximum, z)
+    z -= np.log(_class_reduce(np.add, np.exp(z)))
     return z
 
 
@@ -161,43 +173,86 @@ def loss_and_grad(layout: Predictor, params, x, y, zeta=0.0, weights=None):
     The loss is mean cross-entropy plus zeta times the mean confidence
     penalty, with per-sample losses scaled by weights (default all ones).
     Returns (total loss, mean weighted cross-entropy, gradient) per model.
+    The gradient is fresh: a later call never overwrites it.
     """
-    if x.shape[-1] != layout.d:
-        raise ValueError("feature dimension does not match the predictor")
-    n, zeta = x.shape[-2], np.asarray(zeta, dtype=np.float64)
-    parts = _unpack(layout, params)
-    z, inputs = _forward(parts, x)
-    logp = _log_softmax(z)
-    p = np.exp(logp)
-    hit = np.arange(0, logp.size, layout.m).reshape(logp.shape[:-1]) + y  # flat label index
-    picked = logp.ravel()[hit]
-    pen_rows = np.add.reduce(p * logp, axis=-1)
-    if weights is None:
-        ce_terms, pen_terms, scale = picked, pen_rows, 1.0 / n
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        ce_terms, pen_terms, scale = w * picked, w * pen_rows, (w / n)[..., None]
-    # np.add.reduce(a) / n is the same float as a.mean(), without its overhead.
-    ce = -(np.add.reduce(ce_terms, axis=-1) / n)
-    total = ce + zeta * (np.add.reduce(pen_terms, axis=-1) / n)
+    return StepWorkspace(layout)(params, x, y, zeta, weights)
 
-    # d/dz of the cross-entropy is p - onehot; of the penalty, p*(logp - pen).
-    dz = p.copy()
-    dz.ravel()[hit] -= 1.0
-    if zeta.any():
-        dz += zeta[..., None, None] * p * (logp - pen_rows[..., None])
-    dz *= scale
 
-    grad = np.empty(dz.shape[:-2] + params.shape[-1:])  # written through its layer views
-    grad_parts = _unpack(layout, grad)
-    for i in range(len(parts) - 1, -1, -1):
-        a, (gw, gb) = inputs[i], grad_parts[i]
-        np.add.reduce(dz, axis=-2, out=gb[..., 0, :])
-        np.matmul(a.swapaxes(-1, -2), dz, out=gw)
-        if i:
-            # a <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
-            dz = _relu_grad(a, dz @ parts[i][0].swapaxes(-1, -2))
-    return total, ce, grad
+class StepWorkspace:
+    """loss_and_grad for a training loop, in buffers kept from step to step.
+
+    It holds the parameter views, rebound only when a call passes another
+    params array; one gradient buffer, which the next call overwrites; and per
+    batch shape the layer outputs, the logit-sized temporaries, the hidden
+    gradients and the base of the flat label index. A call runs the same
+    arithmetic as loss_and_grad and returns (total, ce, gradient buffer).
+    """
+
+    def __init__(self, layout: Predictor):
+        self.layout, self.params, self.grad, self.batches = layout, None, None, {}
+
+    def _batch(self, key, x, params):
+        lead = np.broadcast_shapes(x.shape[:-2], params.shape[:-1])
+        if self.grad is None or self.grad.shape[:-1] != lead:  # the stack changed
+            self.grad, self.batches = np.empty(lead + params.shape[-1:]), {}
+            self.grad_parts = _unpack(self.layout, self.grad)
+        rows, m = x.shape[-2], self.layout.m
+        widths = [w for _, w in _layers(self.layout.architecture, self.layout.hidden_units,
+                                        m, self.layout.d)]
+        outs = [np.empty(lead + (rows, w)) for w in widths]
+        self.batches[key] = (
+            outs,
+            [np.empty(lead + (rows, w)) for w in widths[:-1]],  # hidden gradients
+            np.empty_like(outs[-1]),  # p * logp, then zeta * p * (logp - pen)
+            np.empty_like(outs[-1]),  # p, then dz
+            np.arange(0, outs[-1].size, m).reshape(lead + (rows,)),  # flat label index base
+        )
+        return self.batches[key]
+
+    def __call__(self, params, x, y, zeta=0.0, weights=None):
+        layout = self.layout
+        if x.shape[-1] != layout.d:
+            raise ValueError("feature dimension does not match the predictor")
+        if params is not self.params:
+            self.params, self.parts = params, _unpack(layout, params)
+        key = (x.shape, params.shape)
+        outs, dhs, t, dz, base = self.batches.get(key) or self._batch(key, x, params)
+        n, zeta = x.shape[-2], np.asarray(zeta, dtype=np.float64)
+        z, inputs = _forward(self.parts, x, outs)
+        logp = _log_softmax(z)
+        p = np.exp(logp, out=dz)  # dz starts as p
+        hit = base + y  # flat label index
+        picked = logp.ravel()[hit]
+        pen_rows = _class_reduce(np.add, np.multiply(p, logp, out=t))[..., 0]
+        if weights is None:
+            ce_terms, pen_terms, scale = picked, pen_rows, 1.0 / n
+        else:
+            w = np.asarray(weights, dtype=np.float64)
+            ce_terms, pen_terms, scale = w * picked, w * pen_rows, (w / n)[..., None]
+        # np.add.reduce(a) / n is the same float as a.mean(), without its overhead.
+        ce = -(np.add.reduce(ce_terms, axis=-1) / n)
+        total = ce + zeta * (np.add.reduce(pen_terms, axis=-1) / n)
+
+        # d/dz of the cross-entropy is p - onehot; of the penalty, p*(logp - pen),
+        # formed while dz still holds p.
+        penalized = np.count_nonzero(zeta)
+        if penalized:
+            zp = np.multiply(zeta[..., None, None], p, out=t)
+            zp *= np.subtract(logp, pen_rows[..., None], out=logp)
+        dz.ravel()[hit] -= 1.0
+        if penalized:
+            dz += zp
+        dz *= scale
+
+        g = dz
+        for i in range(len(self.parts) - 1, -1, -1):
+            a, (gw, gb) = inputs[i], self.grad_parts[i]
+            np.add.reduce(g, axis=-2, out=gb[..., 0, :])
+            np.matmul(a.swapaxes(-1, -2), g, out=gw)
+            if i:
+                # a <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
+                g = _relu_grad(a, np.matmul(g, self.parts[i][0].swapaxes(-1, -2), out=dhs[i - 1]))
+        return total, ce, self.grad
 
 
 def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
@@ -232,27 +287,29 @@ def _train_stack(jobs) -> list[Predictor]:
     offset = (0 if shared else n) * np.arange(len(jobs))  # a shared set is never copied
     zeta, threshold = np.array([(c.zeta, c.loss_threshold) for _, c in jobs]).T
     order_rngs = [stream(c.seed, 0x2) for _, c in jobs]
+    step = StepWorkspace(layout)
     live, done = np.arange(len(jobs)), {}  # live[s]: the job behind row s of params
     for epoch in range(cfg.max_epochs):
         order = np.stack([order_rngs[j].permutation(n) for j in live]) + offset[live, None]
         order = order[:1] if (order == order[0]).all() else order  # same draws: one batch
-        ce_sum = 0.0
+        ce_sum, drift = 0.0, 0.0  # drift += total - total: 0 until a total is inf or NaN
         for start in range(0, n, cfg.batch_size):
             idx = order[:, start : start + cfg.batch_size]
-            total, ce, grad = loss_and_grad(layout, params, x[idx], y[idx], zeta)
-            if not np.isfinite(total).all():
-                raise RuntimeError(f"diverged at epoch {epoch}")
+            total, ce, grad = step(params, x.take(idx, 0), y[idx], zeta)  # take: faster than x[idx]
+            drift += total - total
             if cfg.weight_decay:
                 grad += cfg.weight_decay * params
             grad *= cfg.learning_rate
             params -= grad
-            del grad  # so the next step's gradient is the only one alive
             ce_sum += ce * idx.shape[1]
+        if not np.isfinite(drift).all():
+            raise RuntimeError(f"diverged at epoch {epoch}")
         stop = ce_sum / n < threshold
-        done.update(zip(live[stop], params[stop]))
-        live, params, zeta, threshold = (a[~stop] for a in (live, params, zeta, threshold))
-        if not live.size:
-            break
+        if stop.any():
+            done.update(zip(live[stop], params[stop]))
+            live, params, zeta, threshold = (a[~stop] for a in (live, params, zeta, threshold))
+            if not live.size:
+                break
     done.update(zip(live, params))
     return [replace(layout, parameters=done[j]) for j in range(len(jobs))]
 

@@ -56,10 +56,11 @@ def assert_lockstep_matches_one_by_one(jobs):
 def epochs_run(monkeypatch, train, cfg):
     """Epochs that train_predictor runs for one job, from its SGD steps."""
     steps = []
-    original = predictor.loss_and_grad
-    monkeypatch.setattr(predictor, "loss_and_grad", lambda *a: steps.append(1) or original(*a))
+    original = predictor.StepWorkspace.__call__
+    monkeypatch.setattr(predictor.StepWorkspace, "__call__",
+                        lambda *a: steps.append(1) or original(*a))
     train_predictor(train, cfg)
-    monkeypatch.setattr(predictor, "loss_and_grad", original)
+    monkeypatch.setattr(predictor.StepWorkspace, "__call__", original)
     return len(steps) / -(-train.n // cfg.batch_size)
 
 

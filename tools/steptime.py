@@ -12,6 +12,12 @@ data and prints the median over repeats of the time per stacked step and per
 model step. Every member draws its own batch order each epoch, so each step
 gathers fresh rows: on a fixed batch the branch predictor learns the ReLU
 pattern, and branching code (np.where) then times several times too fast.
+Two more rows time the stacks the shipped runs step:
+  - "twin": a sweep's zeta 1 predictor and its zeta 0 twin on one seed, so
+    both members share one gathered batch (8->128->3, S = 2);
+  - "weighted": train_global's step, three weightings of the linear 2->3
+    model on one shared batch of 64 rows drawn afresh each step, with (3, 64)
+    per-row weights, through one predictor.StepWorkspace and the SGD update.
 Then it prints the median time of one predict_proba call on 5,000 seeded
 rows for one freshly initialized model of each shape.
 The BLAS and OpenMP thread variables are set to 1 before numpy is imported,
@@ -39,6 +45,7 @@ import numpy as np  # noqa: E402
 from labelshift import (  # noqa: E402
     LabeledDataset, PredictorConfig, init_predictor, predict_proba, train_predictors,
 )
+from labelshift.predictor import StepWorkspace  # noqa: E402
 
 SHAPES = (  # name, architecture, d, hidden units, m
     ("linear 2->3", "linear", 2, 0, 3),
@@ -51,16 +58,37 @@ ROWS = 8 * BATCH  # eight steps per epoch
 SCORED_ROWS = 5000
 
 
-def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, steps: int) -> float:
+def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, steps: int,
+                 twin: bool = False) -> float:
     rng = np.random.default_rng(d * 1000 + m)
     train = LabeledDataset(rng.normal(size=(ROWS, d)), rng.integers(0, m, ROWS), m)
     cfg = PredictorConfig(architecture=architecture, hidden_units=max(hidden, 1),
                           batch_size=BATCH, max_epochs=steps * BATCH // ROWS,
                           loss_threshold=0.0, zeta=1.0)
-    jobs = [(train, replace(cfg, seed=s)) for s in range(stack)]
+    if twin:
+        jobs = [(train, cfg), (train, replace(cfg, zeta=0.0))]
+    else:
+        jobs = [(train, replace(cfg, seed=s)) for s in range(stack)]
     t = time.perf_counter()
     train_predictors(jobs)
     return (time.perf_counter() - t) / (cfg.max_epochs * ROWS // BATCH)
+
+
+def weighted_step_seconds(steps: int, stack: int = 3) -> float:
+    """train_global's step: a stack of weightings on one shared batch per step."""
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=(ROWS, 2)), rng.integers(0, 3, ROWS)
+    w_vec = rng.uniform(0.0, 3.0, size=(stack, 3))
+    layout = init_predictor(PredictorConfig(architecture="linear"), 3, 2)
+    params = np.tile(layout.parameters, (stack, 1))
+    step = StepWorkspace(layout)
+    t = time.perf_counter()
+    for _ in range(steps):
+        idx = rng.choice(ROWS, size=BATCH, replace=False)
+        labels = y[idx]
+        grad = step(params, x.take(idx, 0), labels, weights=w_vec.take(labels, 1))[2]
+        params -= 0.1 * grad
+    return (time.perf_counter() - t) / steps
 
 
 def proba_seconds(architecture: str, d: int, hidden: int, m: int, calls: int) -> float:
@@ -86,6 +114,13 @@ def main() -> int:
                 for _ in range(args.repeats)
             )
             print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
+    extra = (
+        ("twin 8->128->3", 2, lambda: step_seconds("mlp", 8, 128, 3, 2, args.steps, twin=True)),
+        ("weighted 2->3", 3, lambda: weighted_step_seconds(args.steps)),
+    )
+    for name, stack, timed in extra:
+        secs = statistics.median(timed() for _ in range(args.repeats))
+        print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
     print(f"\n{'shape':<18} {'predict_proba ms per ' + str(SCORED_ROWS) + ' rows':>32}")
     for name, architecture, d, hidden, m in SHAPES:
         secs = statistics.median(proba_seconds(architecture, d, hidden, m, 20)
