@@ -55,11 +55,9 @@ from .predictor import (
     PredictorConfig,
     entropy_penalty,
     init_predictor,
-    load_predictor,
     loss_and_grad,
     predict_labels,
     predict_proba,
-    save_predictor,
     train_predictor,
     train_predictors,
 )

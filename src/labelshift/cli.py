@@ -57,7 +57,7 @@ from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix, ratio_from_
 
 SCHEMA_VERSION = 1
 
-KINDS = ("sweep_alpha", "sweep_size", "rate_check", "estimate_once", "federate", "relaxed_sweep")
+KINDS = ("sweep_alpha", "sweep_size", "estimate_once", "federate")
 ESTIMATOR_NAMES = ("vrls_em", "vrls_gd", "mlls_em", "mlls_gd", "bbse", "rlls")
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
@@ -156,8 +156,12 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
         if self.kind == "federate" and self.federation is None:
             raise ValueError("federate runs need a federation section")
-        if self.kind == "relaxed_sweep" and self.perturbation is None:
-            raise ValueError("relaxed_sweep runs need a perturbation section")
+        if self.kind != "federate" and self.federation is not None:
+            raise ValueError(f"{self.kind} runs take no federation section")
+        if self.kind == "federate" and self.perturbation is not None:
+            raise ValueError("federate runs take no perturbation section")
+        if self.kind == "federate" and self.data.source != "synthetic":
+            raise ValueError("federate runs need data.source synthetic")
 
 
 def _jsonable(x):
@@ -263,22 +267,13 @@ def resolve_config(
     seed: int | None = None,
     threads: int | None = None,
 ) -> ExperimentConfig:
-    """Merge a raw JSON config with command-line overrides.
-
-    A federation runs on the experiment seed: federation.seed follows seed
-    (or the seed override), and a file whose federation.seed differs from
-    its seed is rejected.
-    """
+    """Merge a raw JSON config with command-line overrides."""
     file_kind = raw.get("kind")
     if file_kind is not None and file_kind != kind:
         raise ValueError(f"config is for kind {file_kind!r}, not {kind!r}")
     cfg = _decode(ExperimentConfig, {**raw, "kind": kind}, "experiment")
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    if cfg.federation is not None:
-        if seed is None and "seed" in raw["federation"] and cfg.federation.seed != cfg.seed:
-            raise ValueError(f"federation.seed {cfg.federation.seed} differs from seed {cfg.seed}")
-        cfg = replace(cfg, federation=replace(cfg.federation, seed=cfg.seed))
     if out is None:
         out = os.environ.get("LABELSHIFT_OUT")
     if out is not None:
@@ -297,8 +292,8 @@ class _SweepEnv:
 
     def __init__(self, cfg: ExperimentConfig):
         data = cfg.data
-        self.tr = uniform_marginal(data.m if data.source == "synthetic" else 10)
         if data.source == "synthetic":
+            self.tr = uniform_marginal(data.m)
             self.mix = GaussianMixtureSpec(
                 equidistant_means(data.m, data.d, data.separation), data.sigma
             )
@@ -479,8 +474,6 @@ def _sweep(cfg: ExperimentConfig, cells: list[tuple[float, int]], cell_key: str)
         out / f"{cfg.kind}_results.csv", cfg, (cell_key, "estimator", "trial", "mse", "error"), rows
     )
     summary = _base_summary(cfg)
-    if cell_key == "n_te":  # every size cell shares one alpha
-        summary["alpha"] = cfg.alpha
     summary["cells"] = cell_summaries
     return summary
 
@@ -491,22 +484,13 @@ def run_sweep_alpha(cfg: ExperimentConfig) -> dict:
 
 
 def run_sweep_size(cfg: ExperimentConfig) -> dict:
-    """Ratio-estimation error across test-set sizes at one shift intensity."""
-    return _write_summary(cfg, _sweep(cfg, [(cfg.alpha, n) for n in cfg.size_grid], "n_te"))
-
-
-def run_rate_check(cfg: ExperimentConfig) -> dict:
-    """Size sweep plus the log-log slope of mean error against size."""
+    """Ratio-estimation error across test-set sizes at one shift intensity, with
+    the log-log slope of mean error against size per estimator (None below 3 cells)."""
     summary = _sweep(cfg, [(cfg.alpha, n) for n in cfg.size_grid], "n_te")
-    slopes = {}
-    for est in cfg.estimators:
-        points = [
-            (c["n_te"], c["mean"])
-            for c in summary["cells"]
-            if c["estimator"] == est and c["mean"] is not None
-        ]
-        slopes[est] = loglog_slope(points) if len(points) >= 3 else None
-    summary["slopes"] = slopes
+    summary["alpha"] = cfg.alpha
+    points = {est: [(c["n_te"], c["mean"]) for c in summary["cells"]
+                    if c["estimator"] == est and c["mean"] is not None] for est in cfg.estimators}
+    summary["slopes"] = {est: loglog_slope(p) if len(p) >= 3 else None for est, p in points.items()}
     return _write_summary(cfg, summary)
 
 
@@ -528,14 +512,12 @@ def run_estimate_once(cfg: ExperimentConfig) -> dict:
 
 def run_federate(cfg: ExperimentConfig) -> dict:
     """Train the shared model under each requested weighting on one seed."""
-    if cfg.data.source != "synthetic":
-        raise ValueError("federate runs use the synthetic source")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mix = GaussianMixtureSpec(
         equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma
     )
-    fed = build_federation(cfg.federation, mix)
+    fed = build_federation(cfg.federation, mix, cfg.seed)
     acc_rows = []
     trace_rows = []
     variants = {}
@@ -566,12 +548,9 @@ def run_federate(cfg: ExperimentConfig) -> dict:
 RUNNERS = {
     "sweep_alpha": run_sweep_alpha,
     "sweep_size": run_sweep_size,
-    "rate_check": run_rate_check,
     "estimate_once": run_estimate_once,
     "federate": run_federate,
-    "relaxed_sweep": run_sweep_alpha,
 }
-HELP = {"relaxed_sweep": "sweep_alpha with per-sample feature corruption applied to test draws."}
 
 
 def main(argv=None) -> int:
@@ -581,7 +560,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
-        p = sub.add_parser(kind, help=HELP.get(kind, RUNNERS[kind].__doc__))
+        p = sub.add_parser(kind, help=RUNNERS[kind].__doc__)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config and env)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")

@@ -93,7 +93,6 @@ class FederationConfig:
     )
     ratio_solver: EstimatorOptions = EstimatorOptions()
     normalize_weights: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not self.nodes:
@@ -133,6 +132,7 @@ class Federation:
     cfg: FederationConfig
     mix: GaussianMixtureSpec
     nodes: tuple[FederationNode, ...]
+    seed: int
 
     @property
     def m(self) -> int:
@@ -144,9 +144,9 @@ class Federation:
         node's train split and then shared by every estimate that needs it.
 
         Node i trains cfg.ratio_predictor with its seed replaced by
-        child_seed(ratio_predictor.seed, cfg.seed, i, node seed).
+        child_seed(ratio_predictor.seed, seed, i, node seed).
         """
-        base, seed = self.cfg.ratio_predictor, self.cfg.seed
+        base, seed = self.cfg.ratio_predictor, self.seed
         return train_predictors(
             (node.train, replace(base, seed=child_seed(base.seed, seed, i, node.spec.seed)))
             for i, node in enumerate(self.nodes)
@@ -210,21 +210,22 @@ def _validate_scenario(cfg: FederationConfig) -> None:
             )
 
 
-def build_federation(cfg: FederationConfig, mix: GaussianMixtureSpec) -> Federation:
-    """Materialize every node's train and test split from the shared mixture."""
+def build_federation(cfg: FederationConfig, mix: GaussianMixtureSpec, seed: int = 0) -> Federation:
+    """Materialize every node's train and test split from the shared mixture;
+    seed keys every draw of the federation, training included."""
     _validate_scenario(cfg)
     if cfg.nodes[0].train_marginal.m != mix.m:
         raise ValueError("node marginals do not match the mixture class count")
     nodes = []
     for i, spec in enumerate(cfg.nodes):
         train = gen_gaussian_mixture(
-            mix, spec.train_marginal, spec.n_tr, seed=child_seed(cfg.seed, i, spec.seed, 0)
+            mix, spec.train_marginal, spec.n_tr, seed=child_seed(seed, i, spec.seed, 0)
         )
         test = gen_gaussian_mixture(
-            mix, spec.test_marginal, spec.n_te, seed=child_seed(cfg.seed, i, spec.seed, 1)
+            mix, spec.test_marginal, spec.n_te, seed=child_seed(seed, i, spec.seed, 1)
         )
         nodes.append(FederationNode(spec, train, test))
-    return Federation(cfg, mix, tuple(nodes))
+    return Federation(cfg, mix, tuple(nodes), seed)
 
 
 def _estimate(node: FederationNode, preds: ProbabilityMatrix, opts: EstimatorOptions):
@@ -337,8 +338,8 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
 
     layout = init_predictor(cfg.global_model, m, d)
     params = np.tile(layout.parameters, (len(w_all), 1))
-    sample_rng = stream(cfg.seed, 0x5A)
-    rngs = [stream(cfg.seed, 0x5B, i) for i in range(k)]
+    sample_rng = stream(fed.seed, 0x5A)
+    rngs = [stream(fed.seed, 0x5B, i) for i in range(k)]
     srv = cfg.server_optimizer
     step = StepWorkspace(layout)
     adam_m = np.zeros_like(params)

@@ -7,7 +7,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TrialSummary:
-    values: tuple[float, ...]
     mean: float
     std: float
     count: int
@@ -45,4 +44,4 @@ def summarize(values) -> TrialSummary:
         raise ValueError("values must be finite")
     arr = np.asarray(vals)
     std = 0.0 if arr.size == 1 else float(arr.std(ddof=1))
-    return TrialSummary(values=vals, mean=float(arr.mean()), std=std, count=arr.size)
+    return TrialSummary(mean=float(arr.mean()), std=std, count=arr.size)

@@ -9,7 +9,6 @@ cross-entropy term alone; the penalized total can reach zero at a uniform
 predictor and would otherwise stop training immediately.
 """
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,9 +17,6 @@ from ._rng import stream
 from .types import LabeledDataset, PROB_FLOOR, ProbabilityMatrix, argmax_last
 
 ARCHITECTURES = ("linear", "mlp")
-
-SAVE_FORMAT = "labelshift-predictor"
-SAVE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -352,34 +348,3 @@ def predict_labels(pred: Predictor, features) -> np.ndarray:
     the first index), so the strictly larger logit wins even where rounding makes
     two probabilities equal. A stack of models gives one row per model."""
     return argmax_last(_logits(pred, features))
-
-
-def save_predictor(pred: Predictor, path) -> None:
-    """Write the predictor as JSON; float values round-trip bit-exactly."""
-    payload = {
-        "format": SAVE_FORMAT,
-        "version": SAVE_VERSION,
-        "architecture": pred.architecture,
-        "hidden_units": pred.hidden_units,
-        "m": pred.m,
-        "d": pred.d,
-        "parameters": pred.parameters.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-
-
-def load_predictor(path) -> Predictor:
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format") != SAVE_FORMAT:
-        raise ValueError(f"not a saved predictor: {path}")
-    if payload.get("version") != SAVE_VERSION:
-        raise ValueError(f"unsupported save version {payload.get('version')!r}")
-    return Predictor(
-        np.array(payload["parameters"], dtype=np.float64),
-        payload["architecture"],
-        int(payload["hidden_units"]),
-        int(payload["m"]),
-        int(payload["d"]),
-    )

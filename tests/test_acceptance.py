@@ -190,9 +190,8 @@ def test_ac5_weighted_training_closes_the_gap():
             ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
                                             learning_rate=0.1, max_epochs=120,
                                             loss_threshold=0.05, zeta=0.25, seed=0),
-            seed=seed,
         )
-        fed = build_federation(cfg, mix)
+        fed = build_federation(cfg, mix, seed)
         names = ("none", "true_ratios", "estimated_ratios")
         results = train_global(fed, [weight_vectors(fed, w) for w in names], cfg)
         accs = {w: result.avg_accuracy for w, result in zip(names, results)}
@@ -242,8 +241,8 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     mix6 = GaussianMixtureSpec(equidistant_means(3, 2, 2.5), 1.0)
     nodes = tuple(NodeSpec(p, p, 1000, 500, seed=i) for i in range(3))
     base = FederationConfig(nodes=nodes, global_model=PredictorConfig(),
-                            scenario="no_ls", rounds=40, seed=3)
-    fed = build_federation(base, mix6)
+                            scenario="no_ls", rounds=40)
+    fed = build_federation(base, mix6, 3)
     (plain,) = train_global(fed, [weight_vectors(fed, "none")], base)
     (trued,) = train_global(fed, [weight_vectors(fed, "true_ratios")],
                             replace(base, normalize_weights=True))

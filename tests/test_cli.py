@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -52,7 +53,8 @@ def parent_of(raw, path):
     return raw
 
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 # ----------------------------------------------------------- configuration
@@ -89,9 +91,10 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         (["federation", "global_model"], None, "lr", r"federation\.global_model"),
         (["federation", "ratio_predictor"], None, "lr", r"federation\.ratio_predictor"),
         (["federation", "ratio_solver"], {"max_iters": 50}, "tl", r"federation\.ratio_solver"),
+        (["federation"], None, "seed", "federation"),  # the experiment seed is the only one
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
-         "federation", "global_model", "ratio_predictor", "ratio_solver"],
+         "federation", "global_model", "ratio_predictor", "ratio_solver", "federation_seed"],
 )
 def test_resolve_rejects_unknown_keys_in_every_section(path, section, key, where):
     raw = json.loads(json.dumps(FED_RAW))
@@ -253,11 +256,6 @@ def test_federate_requires_federation_section():
         cli.resolve_config({"data": {"m": 3, "d": 2}}, "federate")
 
 
-def test_relaxed_requires_perturbation_section():
-    with pytest.raises(ValueError, match="need a perturbation section"):
-        cli.resolve_config(sweep_raw(), "relaxed_sweep")
-
-
 def test_out_dir_precedence(monkeypatch, tmp_path):
     raw = sweep_raw(out_dir="from-config")
     assert cli.resolve_config(raw, "sweep_alpha").out_dir == "from-config"
@@ -266,8 +264,9 @@ def test_out_dir_precedence(monkeypatch, tmp_path):
     assert cli.resolve_config(raw, "sweep_alpha", out="from-flag").out_dir == "from-flag"
 
 
-def test_seed_override_reaches_federation():
+def test_seed_override_reaches_federation(tmp_path, monkeypatch):
     raw = {
+        "seed": 5,
         "data": {"m": 2, "d": 2, "separation": 2.5},
         "federation": {
             "nodes": [{"train_marginal": [0.5, 0.5], "test_marginal": [0.5, 0.5],
@@ -276,33 +275,20 @@ def test_seed_override_reaches_federation():
             "rounds": 2,
         },
     }
-    cfg = cli.resolve_config(raw, "federate", seed=42)
+    cfg = cli.resolve_config(raw, "federate", out=str(tmp_path), seed=42)
     assert cfg.seed == 42
-    assert cfg.federation.seed == 42
-    raw["federation"]["seed"] = 0
-    cfg = cli.resolve_config({**raw, "seed": 5}, "federate", seed=42)
-    assert cfg.seed == cfg.federation.seed == 42
-
-
-def test_federation_runs_on_the_experiment_seed():
-    raw = json.loads(json.dumps(FED_RAW))
-    assert "seed" not in raw["federation"]
-    assert cli.resolve_config({**raw, "seed": 5}, "federate").federation.seed == 5
-    raw["federation"]["seed"] = 5
-    assert cli.resolve_config({**raw, "seed": 5}, "federate").federation.seed == 5
-    raw["federation"]["seed"] = 0
-    with pytest.raises(ValueError, match=r"^federation\.seed 0 differs from seed 5$"):
-        cli.resolve_config({**raw, "seed": 5}, "federate")
-    with pytest.raises(ValueError, match=r"^federation\.seed 7 differs from seed 0$"):
-        cli.resolve_config({**raw, "federation": {**raw["federation"], "seed": 7}}, "federate")
+    builds = []
+    _count_calls(monkeypatch, cli, "build_federation", builds)
+    cli.run_federate(cfg)
+    assert [args[2] for args in builds] == [42]
 
 
 def test_perturbation_presets_resolve():
     raw = sweep_raw(perturbation={"preset": "relax_m"})
-    cfg = cli.resolve_config(raw, "relaxed_sweep")
+    cfg = cli.resolve_config(raw, "sweep_alpha")
     assert cfg.perturbation.apply_prob == 0.5
     with pytest.raises(ValueError, match="unknown perturbation preset"):
-        cli.resolve_config(sweep_raw(perturbation={"preset": "blur"}), "relaxed_sweep")
+        cli.resolve_config(sweep_raw(perturbation={"preset": "blur"}), "sweep_alpha")
 
 
 # ----------------------------------------------------------------- sweeps
@@ -465,9 +451,9 @@ def test_relaxed_with_zero_apply_prob_reproduces_sweep(tmp_path):
     cli.run_sweep_alpha(plain)
     raw = sweep_raw(perturbation={"apply_prob": 0.0, "noise_sigma_range": [0.1, 0.5],
                                   "brightness_delta": 0.1, "seed": 0})
-    relaxed = cli.resolve_config(raw, "relaxed_sweep", out=str(tmp_path / "r"), seed=3)
+    relaxed = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / "r"), seed=3)
     cli.run_sweep_alpha(relaxed)
-    assert body_lines(tmp_path / "r" / "relaxed_sweep_results.csv") == body_lines(
+    assert body_lines(tmp_path / "r" / "sweep_alpha_results.csv") == body_lines(
         tmp_path / "p" / "sweep_alpha_results.csv")
 
 
@@ -479,9 +465,9 @@ def test_heavier_corruption_degrades_estimates(tmp_path):
                         predictor={"architecture": "linear", "max_epochs": 15,
                                    "loss_threshold": 0.0},
                         perturbation={"preset": preset})
-        cfg = cli.resolve_config(raw, "relaxed_sweep", out=str(tmp_path / preset), seed=11)
+        cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / preset), seed=11)
         cli.run_sweep_alpha(cfg)
-        rows = read_rows(tmp_path / preset / "relaxed_sweep_results.csv")
+        rows = read_rows(tmp_path / preset / "sweep_alpha_results.csv")
         medians[preset] = float(np.median([float(r["mse"]) for r in rows]))
     assert medians["relax_m"] >= medians["relaxed"]
 
@@ -509,13 +495,20 @@ def test_sweep_size_error_shrinks_with_samples(tmp_path):
 
 
 def test_rate_check_reports_negative_slopes(tmp_path):
+    # sweep_size reports the log-log slope per estimator; it needs 3 cells with a mean
     raw = json.loads(json.dumps(SIZE_RAW))
-    raw["size_grid"] = [250, 1000, 4000]
     raw["trials"] = 6
-    cfg = cli.resolve_config(raw, "rate_check", out=str(tmp_path), seed=9)
-    summary = cli.run_rate_check(cfg)
-    assert set(summary["slopes"]) == {"vrls_em", "mlls_em"}
-    assert all(s < 0 for s in summary["slopes"].values())
+    for grid in ([250, 1000, 4000], [250, 4000]):
+        raw["size_grid"] = grid
+        out = tmp_path / str(len(grid))
+        summary = cli.run_sweep_size(cli.resolve_config(raw, "sweep_size", out=str(out), seed=9))
+        written = json.loads((out / "sweep_size_summary.json").read_text())
+        assert written["slopes"] == summary["slopes"]
+        assert set(summary["slopes"]) == {"vrls_em", "mlls_em"}
+        if len(grid) >= 3:
+            assert all(s < 0 for s in summary["slopes"].values())
+        else:
+            assert all(s is None for s in summary["slopes"].values())
 
 
 def test_estimate_once_summary_fields(tmp_path):
@@ -602,7 +595,7 @@ def test_federate_matches_train_global_per_weighting(tmp_path):
     mix = GaussianMixtureSpec(
         equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma)
     for weighting in cfg.weightings:
-        fed = build_federation(cfg.federation, mix)  # a fresh build for each weighting
+        fed = build_federation(cfg.federation, mix, cfg.seed)  # a fresh build per weighting
         (direct,) = train_global(fed, [weight_vectors(fed, weighting)], cfg.federation)
         variant = summary["weightings"][weighting]
         assert variant["per_node_accuracy"] == list(direct.per_node_accuracy)
@@ -624,13 +617,40 @@ def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, c
     assert builds == [] and not out.exists()
 
 
-def test_federate_rejects_idx_source(tmp_path):
-    raw = json.loads(json.dumps(FED_RAW))
-    raw["data"] = {"source": "idx", "train_images": "x", "train_labels": "x",
-                   "test_images": "x", "test_labels": "x"}
-    cfg = cli.resolve_config(raw, "federate", out=str(tmp_path), seed=2)
-    with pytest.raises(ValueError, match="synthetic source"):
-        cli.run_federate(cfg)
+IDX_DATA = {"source": "idx", "train_images": "x", "train_labels": "x", "test_images": "x",
+            "test_labels": "x"}
+
+
+@pytest.mark.parametrize(
+    "kind, section, value, message",
+    [
+        ("sweep_alpha", "federation", FED_RAW["federation"],
+         "sweep_alpha runs take no federation section"),
+        ("estimate_once", "federation", FED_RAW["federation"],
+         "estimate_once runs take no federation section"),
+        ("federate", "perturbation", {"preset": "relaxed"},
+         "federate runs take no perturbation section"),
+        ("federate", "data", IDX_DATA, r"federate runs need data\.source synthetic"),
+    ],
+    ids=["sweep_federation", "estimate_once_federation", "federate_perturbation", "federate_idx"],
+)
+def test_resolve_rejects_a_section_the_kind_ignores(kind, section, value, message):
+    raw = json.loads(json.dumps(FED_RAW if kind == "federate" else BASE_SWEEP))
+    raw[section] = json.loads(json.dumps(value))
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        cli.resolve_config(raw, kind)
+
+
+def test_federate_rejects_idx_source(tmp_path, monkeypatch, capsys):
+    raw = {**json.loads(json.dumps(FED_RAW)), "data": IDX_DATA}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    builds = []
+    _count_calls(monkeypatch, cli, "build_federation", builds)
+    out = tmp_path / "out"
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: federate runs need data.source synthetic" in capsys.readouterr().err
+    assert builds == [] and not out.exists()
 
 
 # ---------------------------------------------------------------- main()
@@ -691,3 +711,16 @@ def test_main_honors_env_output_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LABELSHIFT_OUT", str(target))
     assert cli.main(["sweep_alpha", "--config", str(cfg_path), "--seed", "1"]) == 0
     assert (target / "sweep_alpha_results.csv").exists()
+
+
+def test_readme_lists_exactly_the_cli_kinds():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## CLI\n"):readme.index("\n### Config anatomy\n")]
+    commands = re.findall(r"^labelshift (\w+) +--config (configs/\w+\.json)$", section, re.M)
+    table = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert [kind for kind, _ in commands] == list(cli.KINDS)
+    assert table == list(cli.KINDS)
+    count = ("One", "Two", "Three", "Four", "Five", "Six")[len(cli.KINDS) - 1]
+    assert f"{count} subcommands" in section
+    for kind, path in commands:
+        assert json.loads((ROOT / path).read_text())["kind"] == kind

@@ -113,11 +113,12 @@ def test_ls_single_shape_checks():
 
 def test_build_is_deterministic_and_seed_sensitive():
     nodes = (NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 50, 30, seed=4),)
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls", seed=9)
-    a = build_federation(cfg, MIX2)
-    b = build_federation(cfg, MIX2)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
+    a = build_federation(cfg, MIX2, 9)
+    b = build_federation(cfg, MIX2, 9)
     assert np.array_equal(a.nodes[0].train.features, b.nodes[0].train.features)
-    c = build_federation(replace(cfg, seed=10), MIX2)
+    c = build_federation(cfg, MIX2, 10)
+    assert (a.seed, c.seed) == (9, 10)
     assert not np.array_equal(a.nodes[0].train.features, c.nodes[0].train.features)
 
 
@@ -172,11 +173,11 @@ def test_local_marginal_without_intra_node_shift():
     node = NodeSpec(marginal(0.5, 0.3, 0.2), marginal(0.5, 0.3, 0.2), 4000, 5000, seed=2)
     fed = build_federation(
         FederationConfig(
-            nodes=(node,), global_model=LINEAR, scenario="no_ls", seed=7,
+            nodes=(node,), global_model=LINEAR, scenario="no_ls",
             ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
                                             learning_rate=0.1, max_epochs=120, zeta=0.25,
                                             seed=8)),
-        MIX3)
+        MIX3, 7)
     (est,) = exchange_marginals(fed)
     assert float(est.probs.sum()) == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(est.probs - node.train_marginal.probs)) < 0.05
@@ -185,7 +186,7 @@ def test_local_marginal_without_intra_node_shift():
 def test_local_marginal_with_oracle_posterior():
     node = NodeSpec(marginal(0.6, 0.3, 0.1), marginal(0.2, 0.2, 0.6), 2000, 5000, seed=9)
     fed = build_federation(
-        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_multi", seed=4), MIX3)
+        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_multi"), MIX3, 4)
     tr_emp = fed.nodes[0].train.empirical_marginal()
     (est,) = exchange_marginals(
         fed, posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp, feats))
@@ -195,8 +196,8 @@ def test_local_marginal_with_oracle_posterior():
 def test_exchange_publishes_one_marginal_per_node():
     # the entire pre-training communication: K length-m marginals, nothing else
     nodes = tuple(skew_node(i % 3, 2, n_tr=200, n_te=150, seed=i) for i in range(3))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1)
-    fed = build_federation(cfg, MIX3)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi")
+    fed = build_federation(cfg, MIX3, 1)
     tr_emp = [n.train.empirical_marginal() for n in fed.nodes]
     published = exchange_marginals(
         fed, posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp[0], feats))
@@ -210,9 +211,9 @@ SMALL_RATIO = PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25, max
 
 def test_estimated_weights_recombine_exchanged_marginals():
     nodes = tuple(skew_node(i % 3, 2, n_tr=300, n_te=200, seed=i) for i in range(3))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=5,
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
                            ratio_predictor=SMALL_RATIO)
-    fed = build_federation(cfg, MIX3)
+    fed = build_federation(cfg, MIX3, 5)
     w = weight_vectors(fed, "estimated_ratios")
     published = exchange_marginals(fed)
     assert w.shape == (3, 3)
@@ -223,14 +224,14 @@ def test_estimated_weights_recombine_exchanged_marginals():
 
 def test_ratio_predictors_train_once_and_reproduce_local_estimates():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1,
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
                            ratio_predictor=SMALL_RATIO)
-    fed = build_federation(cfg, MIX3)
+    fed = build_federation(cfg, MIX3, 1)
     assert fed.ratio_predictors is fed.ratio_predictors
     published = exchange_marginals(fed)
     base = cfg.ratio_predictor
     for i, node in enumerate(fed.nodes):
-        pcfg = replace(base, seed=child_seed(base.seed, cfg.seed, i, node.spec.seed))
+        pcfg = replace(base, seed=child_seed(base.seed, 1, i, node.spec.seed))
         alone = estimate_mlls_em(
             predict_proba(train_predictor(node.train, pcfg), node.test.features),
             node.train.empirical_marginal(), cfg.ratio_solver).ratio.implied_test_marginal()
@@ -239,9 +240,9 @@ def test_ratio_predictors_train_once_and_reproduce_local_estimates():
 
 def test_weight_vectors_per_weighting():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=1,
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
                            ratio_predictor=SMALL_RATIO)
-    fed = build_federation(cfg, MIX3)
+    fed = build_federation(cfg, MIX3, 1)
     assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
     assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
     published = exchange_marginals(fed)
@@ -255,8 +256,8 @@ def test_weight_vectors_per_weighting():
 # ------------------------------------------------------------ training loop
 
 
-def train_under(cfg, mix, weighting="none"):
-    fed = build_federation(cfg, mix)
+def train_under(cfg, mix, seed, weighting="none"):
+    fed = build_federation(cfg, mix, seed)
     (result,) = train_global(fed, [weight_vectors(fed, weighting)], cfg)
     return result
 
@@ -265,13 +266,13 @@ def small_no_shift_cfg(rounds=6, **kw):
     u = uniform_marginal(2)
     nodes = (NodeSpec(u, u, 120, 80, seed=1), NodeSpec(u, u, 120, 80, seed=2))
     return FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls",
-                            rounds=rounds, seed=3, **kw)
+                            rounds=rounds, **kw)
 
 
 def test_weighting_none_equals_explicit_ones():
     cfg = small_no_shift_cfg()
-    via_mode = train_under(cfg, MIX2)
-    fed = build_federation(cfg, MIX2)
+    via_mode = train_under(cfg, MIX2, 3)
+    fed = build_federation(cfg, MIX2, 3)
     (via_ones,) = train_global(fed, [np.ones((2, 2))], cfg)
     assert np.array_equal(via_mode.predictor.parameters, via_ones.predictor.parameters)
     assert via_mode.loss_trace == via_ones.loss_trace
@@ -281,15 +282,15 @@ def test_single_node_true_ratios_equals_plain_erm():
     u = uniform_marginal(2)
     nodes = (NodeSpec(u, u, 150, 100, seed=4),)
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls",
-                           rounds=8, seed=6)
-    plain = train_under(cfg, MIX2)
-    weighted = train_under(cfg, MIX2, "true_ratios")
+                           rounds=8)
+    plain = train_under(cfg, MIX2, 6)
+    weighted = train_under(cfg, MIX2, 6, "true_ratios")
     assert np.array_equal(plain.predictor.parameters, weighted.predictor.parameters)
 
 
 def test_result_invariants():
     cfg = small_no_shift_cfg(rounds=5)
-    result = train_under(cfg, MIX2)
+    result = train_under(cfg, MIX2, 3)
     assert len(result.loss_trace) == 5
     assert len(result.accuracy_trace) == 5
     assert all(0.0 <= a <= 1.0 for a in result.per_node_accuracy)
@@ -299,17 +300,20 @@ def test_result_invariants():
 
 def test_training_deterministic_with_node_sampling():
     cfg = small_no_shift_cfg(rounds=10, sample_nodes_per_round=1)
-    a = train_under(cfg, MIX2)
-    b = train_under(cfg, MIX2)
+    a = train_under(cfg, MIX2, 3)
+    b = train_under(cfg, MIX2, 3)
     assert np.array_equal(a.predictor.parameters, b.predictor.parameters)
     assert a.loss_trace == b.loss_trace
-    c = train_under(replace(cfg, seed=99), MIX2)
+    c = train_under(cfg, MIX2, 99)
     assert not np.array_equal(a.predictor.parameters, c.predictor.parameters)
+    # the federation's seed also keys the node and batch draws on the same splits
+    (d,) = train_global(replace(build_federation(cfg, MIX2, 3), seed=99), [np.ones((2, 2))], cfg)
+    assert not np.array_equal(a.predictor.parameters, d.predictor.parameters)
 
 
 def test_train_global_rejects_bad_weights():
     cfg = small_no_shift_cfg(rounds=2)
-    fed = build_federation(cfg, MIX2)
+    fed = build_federation(cfg, MIX2, 3)
     with pytest.raises(ValueError, match=r"weights must have shape \(2, 2\)"):
         train_global(fed, [np.ones((2, 2)), np.ones((3, 2))], cfg)
     with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -325,13 +329,13 @@ def test_divergence_reports_round():
         server_optimizer=ServerOptimizer(kind="sgd", learning_rate=1e160))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged at round 1"):
-            train_under(cfg, MIX2)
+            train_under(cfg, MIX2, 0)
 
 
 def test_local_steps_change_the_trajectory():
     cfg = small_no_shift_cfg(rounds=4)
-    one = train_under(cfg, MIX2)
-    several = train_under(replace(cfg, local_steps=3), MIX2)
+    one = train_under(cfg, MIX2, 3)
+    several = train_under(replace(cfg, local_steps=3), MIX2, 3)
     assert not np.array_equal(one.predictor.parameters, several.predictor.parameters)
 
 
@@ -343,7 +347,7 @@ def test_evaluate_random_model_near_chance():
     u = uniform_marginal(10)
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(u, u, 10, 2000),), global_model=LINEAR,
-                         scenario="no_ls", seed=0), mix10)
+                         scenario="no_ls"), mix10, 0)
     _, acc = evaluate(init_predictor(PredictorConfig(architecture="linear", seed=5), 10, 9), fed)
     assert abs(acc - 0.1) <= 0.03
 
@@ -352,7 +356,7 @@ def test_evaluate_constant_model_matches_class_share():
     skew = marginal(0.977, 0.023)
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(skew, skew, 10, 5000),), global_model=LINEAR,
-                         scenario="no_ls", seed=1), MIX2)
+                         scenario="no_ls"), MIX2, 1)
     # zero weights, bias forces class 0 on every input
     const = Predictor(np.array([0.0, 0.0, 0.0, 0.0, 50.0, -50.0]), "linear", 0, 2, 2)
     per_node, acc = evaluate(const, fed)
@@ -366,7 +370,7 @@ def test_evaluate_separable_mixture_near_perfect():
     u = uniform_marginal(3)
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(u, u, 4000, 3000),), global_model=LINEAR,
-                         scenario="no_ls", seed=2), mix)
+                         scenario="no_ls"), mix, 2)
     pred = train_predictor(
         fed.nodes[0].train,
         PredictorConfig(architecture="linear", max_epochs=30, loss_threshold=0.0,
@@ -382,7 +386,7 @@ def test_evaluate_scores_each_node_split_on_its_own(monkeypatch, model):
     # products, so each split keeps its own forward pass
     nodes = tuple(skew_node(i, 2, n_tr=20, n_te=n_te, seed=i) for i, n_te in enumerate((50, 7, 31)))
     fed = build_federation(
-        FederationConfig(nodes=nodes, global_model=model, scenario="ls_multi", seed=3), MIX3)
+        FederationConfig(nodes=nodes, global_model=model, scenario="ls_multi"), MIX3, 3)
     pred = init_predictor(replace(model, seed=2), 3, 2)
     one_by_one = [float((predict_labels(pred, node.test.features) == node.test.labels).mean())
                   for node in fed.nodes]
@@ -410,8 +414,8 @@ def prop_nodes(n_tr):
 
 def weighted_risk_gap(mix, fixed, n_tr, seed):
     cfg = FederationConfig(nodes=prop_nodes(n_tr), global_model=LINEAR,
-                           scenario="ls_multi", seed=seed)
-    fed = build_federation(cfg, mix)
+                           scenario="ls_multi")
+    fed = build_federation(cfg, mix, seed)
     w = true_weight_vectors(cfg) / cfg.k
     emp = float(np.mean([
         loss_and_grad(fixed, fixed.parameters, nd.train.features, nd.train.labels,
@@ -445,10 +449,10 @@ def test_crossnode_listing_shape_and_flagged_nature():
     nodes = tuple(skew_node(i, (i + 1) % 3, n_tr=300, n_te=200, seed=i, m=3)
                   for i in range(2))
     cfg = FederationConfig(
-        nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=8,
+        nodes=nodes, global_model=LINEAR, scenario="ls_multi",
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=16,
                                         zeta=0.25, max_epochs=20))
-    fed = build_federation(cfg, MIX3)
+    fed = build_federation(cfg, MIX3, 8)
     listing = crossnode_listing_ratios(fed)
     assert listing.shape == (2, 3)
     assert np.all(listing >= 0)
@@ -457,10 +461,10 @@ def test_crossnode_listing_shape_and_flagged_nature():
 def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
     nodes = tuple(skew_node(i, (i + 1) % 3, n_tr=200, n_te=150, seed=i) for i in range(3))
     cfg = FederationConfig(
-        nodes=nodes, global_model=LINEAR, scenario="ls_multi", seed=8,
+        nodes=nodes, global_model=LINEAR, scenario="ls_multi",
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
                                         max_epochs=5))
-    fed = build_federation(cfg, MIX3)
+    fed = build_federation(cfg, MIX3, 8)
     fed.ratio_predictors  # trained before counting
     scored, solved = [], []
     for name, calls in (("predict_proba", scored), ("estimate_mlls_em", solved)):
@@ -481,7 +485,7 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
 def test_crossnode_listing_needs_full_class_support():
     nodes = (NodeSpec(marginal(1.0, 0.0), marginal(1.0, 0.0), 50, 50, seed=0),
              NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 50, 50, seed=1))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls", seed=2)
-    fed = build_federation(cfg, MIX2)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
+    fed = build_federation(cfg, MIX2, 2)
     with pytest.raises(ValueError, match="every class on every node"):
         crossnode_listing_ratios(fed)

@@ -83,7 +83,7 @@ def test_summarize_hand_values():
     s = summarize([1.0, 3.0])
     assert s.mean == pytest.approx(2.0)
     assert s.std == pytest.approx(math.sqrt(2.0))
-    assert s.values == (1.0, 3.0)
+    assert s.count == 2
 
 
 def test_summarize_order_invariant():

@@ -13,12 +13,10 @@ from labelshift import (
     equidistant_means,
     gen_gaussian_mixture,
     init_predictor,
-    load_predictor,
     loss_and_grad,
     posterior_matrix,
     predict_labels,
     predict_proba,
-    save_predictor,
     train_predictor,
     uniform_marginal,
 )
@@ -264,37 +262,3 @@ def test_trained_predictor_tracks_true_posterior():
     mean_l1 = float(np.abs(learned - oracle).sum(axis=1).mean())
     assert mean_l1 < 0.1
 
-
-# ------------------------------------------------------------- persistence
-
-
-def test_save_load_round_trip_bit_exact(tmp_path):
-    data = tiny_dataset(seed=25, n=128)
-    pred = train_predictor(data, replace(LINEAR, max_epochs=8, seed=26))
-    path = tmp_path / "model.json"
-    save_predictor(pred, path)
-    back = load_predictor(path)
-    assert np.array_equal(back.parameters, pred.parameters)
-    assert (back.architecture, back.hidden_units, back.m, back.d) == (
-        pred.architecture, pred.hidden_units, pred.m, pred.d)
-
-
-def test_load_rejects_foreign_json(tmp_path):
-    path = tmp_path / "other.json"
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ValueError, match="not a saved predictor"):
-        load_predictor(path)
-
-
-def test_load_rejects_future_version(tmp_path):
-    data = tiny_dataset(seed=27, n=64)
-    pred = train_predictor(data, replace(LINEAR, max_epochs=2, seed=28))
-    path = tmp_path / "model.json"
-    save_predictor(pred, path)
-    import json
-
-    payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="unsupported save version"):
-        load_predictor(path)
