@@ -8,7 +8,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 
 from .data import (
     GaussianMixtureSpec,
-    IdxPool,
     RelaxedShiftSpec,
     equidistant_means,
     gen_gaussian_mixture,
@@ -69,6 +68,7 @@ from .types import (
     RatioVector,
     make_marginal,
     ratio_from_marginals,
+    read_features,
 )
 
 __version__ = "0.1.0"

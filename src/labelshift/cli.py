@@ -63,6 +63,12 @@ DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 _PRESETS = {RelaxedShiftSpec: {"relaxed": relaxed_preset, "relax_m": relax_m_preset}}
 
+# Fields that only the sweeps and estimate_once read, and fields that only federate
+# reads. A kind that does not read a field needs it at its default.
+_SWEEP_FIELDS = ("predictor", "solver", "estimators", "alpha_grid", "size_grid", "trials",
+                 "n_te", "split_fraction")
+_FEDERATE_FIELDS = ("weightings", "crossnode_listing")
+
 # The JSON types each scalar field accepts. Matched by exact type, not
 # isinstance, so JSON true/false never pass as numbers.
 _SCALARS = {
@@ -162,6 +168,10 @@ class ExperimentConfig:
             raise ValueError("federate runs take no perturbation section")
         if self.kind == "federate" and self.data.source != "synthetic":
             raise ValueError("federate runs need data.source synthetic")
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for key in _SWEEP_FIELDS if self.kind == "federate" else _FEDERATE_FIELDS:
+            if getattr(self, key) != defaults[key]:
+                raise ValueError(f"{self.kind} runs take no {key} key")
 
 
 def _jsonable(x):
@@ -303,12 +313,11 @@ class _SweepEnv:
             self._test_pool = None
         else:
             self.mix = None
-            pool_tr = load_idx(data.train_images, data.train_labels)
+            pool = load_idx(data.train_images, data.train_labels)
+            self.tr = uniform_marginal(pool.m)
+            train = resample_by_marginal(pool, self.tr, data.n_train, child_seed(cfg.seed, 0xD0))
+            del pool  # released before the test split loads, so the two never coexist
             self._test_pool = load_idx(data.test_images, data.test_labels)
-            self.tr = uniform_marginal(pool_tr.m)
-            train = resample_by_marginal(
-                pool_tr, self.tr, data.n_train, seed=child_seed(cfg.seed, 0xD0)
-            )
         self.m = self.tr.m
 
         if cfg.split_fraction > 0:

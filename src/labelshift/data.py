@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import stream
-from .types import LabeledDataset, LabelMarginal, make_marginal
+from .types import LabeledDataset, LabelMarginal, make_marginal, read_features
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
@@ -148,14 +148,12 @@ def sample_dirichlet_marginal(alpha: float, m: int, seed: int) -> LabelMarginal:
 
 
 def resample_by_marginal(
-    pool: "LabeledDataset | IdxPool", marginal: LabelMarginal, n: int, seed: int
+    pool: LabeledDataset, marginal: LabelMarginal, n: int, seed: int
 ) -> LabeledDataset:
     """Label-conditional bootstrap: draw labels from the marginal, then
     features uniformly (with replacement) from the pool rows of that class.
-    Class conditionals are preserved exactly.
-
-    An IdxPool's pixels are scaled to [0, 1] after the rows are drawn, which
-    gives the same floats as scaling the whole pool first.
+    Class conditionals are preserved exactly. The draw keeps the pool's
+    feature dtype, so a uint8 pool gives uint8 rows.
     """
     if marginal.m != pool.m:
         raise ValueError("marginal class count does not match the pool")
@@ -176,17 +174,16 @@ def resample_by_marginal(
         members = np.nonzero(pool.labels == c)[0]
         rows[here] = rng.choice(members, size=here.size, replace=True)
     feats = pool.features[rows]
-    if isinstance(pool, IdxPool):
-        feats = feats / 255.0
     feats.setflags(write=False)
     return LabeledDataset(feats, labels, pool.m)
 
 
 def perturb_relaxed(data: LabeledDataset, spec: RelaxedShiftSpec) -> LabeledDataset:
-    """Apply the corruption in spec to a copy of the dataset's features.
+    """Apply the corruption in spec to a float64 copy of the dataset's features
+    (read_features: uint8 pixels scale to [0, 1]).
 
     Rows that the coin flip skips are carried over bit for bit, so
-    apply_prob = 0 returns an identical dataset.
+    apply_prob = 0 returns the same floats.
     """
     rng = stream(spec.seed)
     n, d = data.n, data.d
@@ -195,7 +192,7 @@ def perturb_relaxed(data: LabeledDataset, spec: RelaxedShiftSpec) -> LabeledData
     sigmas = rng.uniform(lo, hi, size=n)
     offsets = rng.uniform(-spec.brightness_delta, spec.brightness_delta, size=n)
     noise = rng.standard_normal((n, d))
-    feats = data.features.copy()
+    feats = read_features(data.features)
     idx = np.nonzero(hit)[0]
     if idx.size:
         feats[idx] += noise[idx] * sigmas[idx, None] + offsets[idx, None]
@@ -216,39 +213,14 @@ def _check_header(path, **fields):
             raise ValueError(f"bad IDX header in {path}: {name} is {value}, expected >= 1")
 
 
-@dataclass(frozen=True)
-class IdxPool:
-    """The images of an IDX file pair, kept as the file's bytes.
+def load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
+    """Read an IDX image/label file pair into a dataset of raw uint8 pixels.
 
-    features: read-only (n, rows * cols) uint8 pixels, a view of the bytes.
-    labels: read-only (n,) int64 labels in [0, m).
-    resample_by_marginal draws from it and scales only the drawn rows, so a
-    pool costs about its file size in memory.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    m: int
-
-    @property
-    def n(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
-    def d(self) -> int:
-        return int(self.features.shape[1])
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.m)
-
-
-def load_idx(images_path, labels_path, num_classes: int = 10) -> IdxPool:
-    """Read an IDX image/label file pair into a pool of raw pixels.
-
-    Images are flattened to one row of bytes each; resample_by_marginal
-    scales the rows it draws to [0, 1]. Big-endian headers per the classic
-    format: magic 2051 for images (then n, rows, cols), magic 2049 for
-    labels (then n). A count, row or column number below 1 is rejected
+    Images are flattened to one row of bytes each, read straight into the
+    dataset's own array, so a split costs about its file size in memory; the
+    code that reads rows scales them to [0, 1]. Big-endian headers per the
+    classic format: magic 2051 for images (then n, rows, cols), magic 2049
+    for labels (then n). A count, row or column number below 1 is rejected
     before any pixel is read.
     """
     if num_classes < 2:
@@ -258,7 +230,9 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> IdxPool:
         if magic != IDX_IMAGE_MAGIC:
             raise ValueError(f"bad IDX image magic {magic} in {images_path}")
         _check_header(images_path, count=n, rows=rows, cols=cols)
-        raw = _read_exact(f, n * rows * cols, str(images_path))
+        pixels = np.empty((n, rows * cols), dtype=np.uint8)
+        if f.readinto(memoryview(pixels).cast("B")) != pixels.nbytes:
+            raise ValueError(f"truncated IDX file: {images_path}")
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(">ii", _read_exact(f, 8, str(labels_path)))
         if magic != IDX_LABEL_MAGIC:
@@ -273,8 +247,8 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> IdxPool:
             f"label {int(labels.max())} out of range for {num_classes} classes"
         )
     labels.setflags(write=False)
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)  # read-only view
-    return IdxPool(pixels, labels, num_classes)
+    pixels.setflags(write=False)  # handed over to the dataset without a copy
+    return LabeledDataset(pixels, labels, num_classes)
 
 
 def uniform_marginal(m: int) -> LabelMarginal:

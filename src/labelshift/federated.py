@@ -321,9 +321,12 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
     One FederationResult per (k, m) matrix in weights, whose models step in
     lockstep: the node and batch draws never see the weights. Each round
     samples nodes without replacement, collects their (pseudo) gradients in
-    node-index order, averages, and applies the server optimizer.
+    node-index order, averages, and applies the server optimizer. cfg must
+    list as many nodes as the federation has.
     """
     k = len(fed.nodes)
+    if cfg.k != k:
+        raise ValueError(f"cfg lists {cfg.k} nodes but the federation has {k}")
     m, d = fed.nodes[0].train.m, fed.nodes[0].train.d
     w_all = [np.array(w, dtype=np.float64) for w in weights]
     if any(w.shape != (k, m) for w in w_all):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import stream
-from .types import LabeledDataset, PROB_FLOOR, ProbabilityMatrix, argmax_last
+from .types import LabeledDataset, PROB_FLOOR, ProbabilityMatrix, argmax_last, read_features
 
 ARCHITECTURES = ("linear", "mlp")
 
@@ -166,6 +166,7 @@ def loss_and_grad(layout: Predictor, params, x, y, zeta=0.0, weights=None):
     layout supplies only the architecture and shapes; params is the flat
     parameter vector to evaluate (training loops pass their working copy),
     or a stack (S, P) of them, with x, y, zeta and weights shared or per model.
+    x must be float64 (read_features turns uint8 pixels into it).
     The loss is mean cross-entropy plus zeta times the mean confidence
     penalty, with per-sample losses scaled by weights (default all ones).
     Returns (total loss, mean weighted cross-entropy, gradient) per model.
@@ -207,6 +208,8 @@ class StepWorkspace:
 
     def __call__(self, params, x, y, zeta=0.0, weights=None):
         layout = self.layout
+        if x.dtype != np.float64:
+            raise TypeError(f"features must be float64, got {x.dtype} (see read_features)")
         if x.shape[-1] != layout.d:
             raise ValueError("feature dimension does not match the predictor")
         if params is not self.params:
@@ -266,7 +269,8 @@ def train_predictors(jobs) -> tuple[Predictor, ...]:
     """
     jobs, groups, out = list(jobs), {}, {}
     for j, (train, cfg) in enumerate(jobs):
-        key = (replace(cfg, seed=0, zeta=0.0, loss_threshold=0.0), train.n, train.m, train.d)
+        key = (replace(cfg, seed=0, zeta=0.0, loss_threshold=0.0), train.n, train.m, train.d,
+               train.features.dtype)
         groups.setdefault(key, []).append(j)
     for members in groups.values():
         out.update(zip(members, _train_stack([jobs[j] for j in members])))
@@ -283,7 +287,7 @@ def _train_stack(jobs) -> list[Predictor]:
     offset = (0 if shared else n) * np.arange(len(jobs))  # a shared set is never copied
     zeta, threshold = np.array([(c.zeta, c.loss_threshold) for _, c in jobs]).T
     order_rngs = [stream(c.seed, 0x2) for _, c in jobs]
-    step = StepWorkspace(layout)
+    step, scaled = StepWorkspace(layout), {}  # scaled: a uint8 batch's floats, per batch shape
     live, done = np.arange(len(jobs)), {}  # live[s]: the job behind row s of params
     for epoch in range(cfg.max_epochs):
         order = np.stack([order_rngs[j].permutation(n) for j in live]) + offset[live, None]
@@ -291,7 +295,13 @@ def _train_stack(jobs) -> list[Predictor]:
         ce_sum, drift = 0.0, 0.0  # drift += total - total: 0 until a total is inf or NaN
         for start in range(0, n, cfg.batch_size):
             idx = order[:, start : start + cfg.batch_size]
-            total, ce, grad = step(params, x.take(idx, 0), y[idx], zeta)  # take: faster than x[idx]
+            xb = x.take(idx, 0)  # take: faster than x[idx]
+            if xb.dtype == np.uint8:
+                buf = scaled.get(idx.shape)
+                if buf is None:  # kept: past the mmap threshold a fresh one can refault each step
+                    buf = scaled[idx.shape] = np.empty(xb.shape)
+                xb = read_features(xb, buf)
+            total, ce, grad = step(params, xb, y[idx], zeta)
             drift += total - total
             if cfg.weight_decay:
                 grad += cfg.weight_decay * params
@@ -320,17 +330,24 @@ def _block_rows(pred: Predictor) -> int:
 def _logits(pred: Predictor, features, padded=False) -> np.ndarray:
     """(..., n, m) logits in a class-major (..., m, n) buffer, scored in blocks of one
     fixed shape so that no row's bits depend on its neighbours. The last block is the
-    last B rows; an input shorter than B is zero-padded, and padded keeps those rows."""
-    x = np.ascontiguousarray(features, dtype=np.float64)
+    last B rows; an input shorter than B is zero-padded, and padded keeps those rows.
+    uint8 pixels are scaled (read_features) one block at a time."""
+    x = np.asarray(features)
+    if x.dtype != np.uint8:
+        x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
     n, rows, parts = x.shape[0], _block_rows(pred), _unpack(pred, pred.parameters)
-    if n < rows:
-        x = np.concatenate([x, np.zeros((rows - n, pred.d))])
-    out = np.empty(pred.parameters.shape[:-1] + (pred.m, len(x)))
-    for start in range(0, len(x), rows):
-        start = min(start, len(x) - rows)
-        z = _forward(parts, x[start : start + rows])[0]
+    total = max(n, rows)
+    block = np.zeros((rows, pred.d)) if x.dtype == np.uint8 or n < rows else None
+    out = np.empty(pred.parameters.shape[:-1] + (pred.m, total))
+    for start in range(0, total, rows):
+        start = min(start, total - rows)
+        xb = x[start : start + rows]
+        if block is not None:
+            read_features(xb, block[: len(xb)])
+            xb = block
+        z = _forward(parts, xb)[0]
         out[..., start : start + rows] = z.swapaxes(-1, -2)
     return (out if padded else out[..., :n]).swapaxes(-1, -2)
 

@@ -88,18 +88,25 @@ class RatioVector:
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix plus integer labels; the class count m is explicit so
-    datasets with absent classes stay representable."""
+    datasets with absent classes stay representable.
+
+    features is float64, or uint8 for images: a uint8 feature matrix holds
+    0-255 pixels and reads as value / 255.0 (read_features), so a corpus
+    costs one byte per pixel and only the rows a consumer reads become floats.
+    Any other input converts to float64.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     m: int
 
     def __post_init__(self):
-        x = _frozen_array(self.features, np.float64)
+        pixels = isinstance(self.features, np.ndarray) and self.features.dtype == np.uint8
+        x = _frozen_array(self.features, np.uint8 if pixels else np.float64)
         y = _frozen_array(self.labels, np.int64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
-        if not np.all(np.isfinite(x)):
+        if not pixels and not np.all(np.isfinite(x)):
             raise ValueError("features contain non-finite values")
         if y.ndim != 1 or y.size != x.shape[0]:
             raise ValueError("labels must be one per row of features")
@@ -170,6 +177,17 @@ class ProbabilityMatrix:
     @property
     def m(self) -> int:
         return int(self.rows.shape[1])
+
+
+def read_features(x, out=None) -> np.ndarray:
+    """Feature rows x as float64: a uint8 pixel reads as value / 255.0, a float64
+    value as itself. The result is written to out when given, else to a fresh array."""
+    if x.dtype == np.uint8:
+        return np.divide(x, 255.0, out=out)
+    if out is None:
+        return np.array(x, dtype=np.float64)
+    out[...] = x
+    return out
 
 
 def argmax_last(z) -> np.ndarray:

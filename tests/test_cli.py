@@ -47,6 +47,11 @@ def body_lines(path):
     return Path(path).read_text().splitlines()[1:]  # drop the config line
 
 
+def raw_for(kind, **over):
+    """A fresh config that resolves for kind: FED_RAW for federate, else BASE_SWEEP."""
+    return json.loads(json.dumps({**(FED_RAW if kind == "federate" else BASE_SWEEP), **over}))
+
+
 def parent_of(raw, path):
     for step in path[:-1]:
         raw = raw[step]
@@ -78,91 +83,99 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
 
 
 @pytest.mark.parametrize(
-    "path, section, key, where",
+    "kind, path, section, key, where",
     [
-        (["data"], None, "mm", "data"),
-        (["federation", "nodes", 1], None, "n_trr", r"federation\.nodes\[1\]"),
-        (["federation", "server_optimizer"], None, "lr", r"federation\.server_optimizer"),
-        (["solver"], {"tol": 1e-5}, "tl", "solver"),
-        (["predictor"], {"zeta": 0.5}, "lr", "predictor"),
-        (["perturbation"], EXPLICIT_PERTURBATION, "p", "perturbation"),
-        (["perturbation"], {"preset": "relaxed", "apply_prob": 0.2}, "p", "perturbation"),
-        (["federation"], None, "round", "federation"),
-        (["federation", "global_model"], None, "lr", r"federation\.global_model"),
-        (["federation", "ratio_predictor"], None, "lr", r"federation\.ratio_predictor"),
-        (["federation", "ratio_solver"], {"max_iters": 50}, "tl", r"federation\.ratio_solver"),
-        (["federation"], None, "seed", "federation"),  # the experiment seed is the only one
+        ("federate", ["data"], None, "mm", "data"),
+        ("federate", ["federation", "nodes", 1], None, "n_trr", r"federation\.nodes\[1\]"),
+        ("federate", ["federation", "server_optimizer"], None, "lr",
+         r"federation\.server_optimizer"),
+        ("sweep_alpha", ["solver"], {"tol": 1e-5}, "tl", "solver"),
+        ("sweep_alpha", ["predictor"], {"zeta": 0.5}, "lr", "predictor"),
+        ("sweep_alpha", ["perturbation"], EXPLICIT_PERTURBATION, "p", "perturbation"),
+        ("sweep_alpha", ["perturbation"], {"preset": "relaxed", "apply_prob": 0.2}, "p",
+         "perturbation"),
+        ("federate", ["federation"], None, "round", "federation"),
+        ("federate", ["federation", "global_model"], None, "lr", r"federation\.global_model"),
+        ("federate", ["federation", "ratio_predictor"], None, "lr",
+         r"federation\.ratio_predictor"),
+        ("federate", ["federation", "ratio_solver"], {"max_iters": 50}, "tl",
+         r"federation\.ratio_solver"),
+        # The experiment seed is the only one.
+        ("federate", ["federation"], None, "seed", "federation"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
          "federation", "global_model", "ratio_predictor", "ratio_solver", "federation_seed"],
 )
-def test_resolve_rejects_unknown_keys_in_every_section(path, section, key, where):
-    raw = json.loads(json.dumps(FED_RAW))
+def test_resolve_rejects_unknown_keys_in_every_section(kind, path, section, key, where):
+    raw = raw_for(kind)
     parent = parent_of(raw, path)
     if section is not None:
         parent[path[-1]] = json.loads(json.dumps(section))
     parent[path[-1]][key] = 1
     with pytest.raises(ValueError, match=rf"unknown {where} keys: \['{key}'\]"):
-        cli.resolve_config(raw, "federate")
+        cli.resolve_config(raw, kind)
 
 
 @pytest.mark.parametrize(
-    "path, value, where",
+    "kind, path, value, where",
     [
-        (["federation", "nodes", 0, "n_tr"], 2.5, r"federation\.nodes\[0\]\.n_tr"),
-        (["size_grid"], [500, 2.5], r"size_grid\[1\]"),
-        (["trials"], "3", "trials"),
-        (["seed"], True, "seed"),
-        (["federation", "rounds"], 8.0, r"federation\.rounds"),
-        (["federation", "global_model", "batch_size"], 32.0,
+        ("federate", ["federation", "nodes", 0, "n_tr"], 2.5, r"federation\.nodes\[0\]\.n_tr"),
+        ("sweep_size", ["size_grid"], [500, 2.5], r"size_grid\[1\]"),
+        ("sweep_alpha", ["trials"], "3", "trials"),
+        ("federate", ["seed"], True, "seed"),
+        ("federate", ["federation", "rounds"], 8.0, r"federation\.rounds"),
+        ("federate", ["federation", "global_model", "batch_size"], 32.0,
          r"federation\.global_model\.batch_size"),
     ],
     ids=["node_n_tr", "size_grid", "trials", "seed", "rounds", "batch_size"],
 )
-def test_resolve_accepts_only_json_integers_for_int_fields(path, value, where):
-    raw = json.loads(json.dumps(FED_RAW))
+def test_resolve_accepts_only_json_integers_for_int_fields(kind, path, value, where):
+    raw = raw_for(kind)
     parent_of(raw, path)[path[-1]] = value
     with pytest.raises(ValueError, match=rf"^{where} must be an integer, got "):
-        cli.resolve_config(raw, "federate")
+        cli.resolve_config(raw, kind)
 
 
 @pytest.mark.parametrize(
-    "path, value, where, expected",
+    "kind, path, value, where, expected",
     [
-        (["alpha"], "1", "alpha", "a number"),
-        (["predictor", "zeta"], True, r"predictor\.zeta", "a number"),
-        (["alpha_grid"], [0.5, "2"], r"alpha_grid\[1\]", "a number"),
-        (["crossnode_listing"], "yes", "crossnode_listing", "a boolean"),
-        (["federation", "normalize_weights"], "no", r"federation\.normalize_weights",
-         "a boolean"),
-        (["out_dir"], 5, "out_dir", "a string"),
-        (["estimators"], ["vrls_em", 3], r"estimators\[1\]", "a string"),
-        (["federation", "server_optimizer", "kind"], 1, r"federation\.server_optimizer\.kind",
-         "a string"),
+        ("sweep_size", ["alpha"], "1", "alpha", "a number"),
+        ("sweep_alpha", ["predictor", "zeta"], True, r"predictor\.zeta", "a number"),
+        ("sweep_alpha", ["alpha_grid"], [0.5, "2"], r"alpha_grid\[1\]", "a number"),
+        ("federate", ["crossnode_listing"], "yes", "crossnode_listing", "a boolean"),
+        ("federate", ["federation", "normalize_weights"], "no",
+         r"federation\.normalize_weights", "a boolean"),
+        ("federate", ["out_dir"], 5, "out_dir", "a string"),
+        ("sweep_alpha", ["estimators"], ["vrls_em", 3], r"estimators\[1\]", "a string"),
+        ("federate", ["federation", "server_optimizer", "kind"], 1,
+         r"federation\.server_optimizer\.kind", "a string"),
     ],
     ids=["alpha", "zeta", "alpha_grid", "crossnode_listing", "normalize_weights", "out_dir",
          "estimators", "server_kind"],
 )
-def test_resolve_type_checks_scalar_fields(path, value, where, expected):
-    raw = json.loads(json.dumps({**FED_RAW, "predictor": {"zeta": 0.5}}))
+def test_resolve_type_checks_scalar_fields(kind, path, value, where, expected):
+    raw = raw_for(kind)
     parent_of(raw, path)[path[-1]] = value
     with pytest.raises(ValueError, match=rf"^{where} must be {expected}, got "):
-        cli.resolve_config(raw, "federate")
+        cli.resolve_config(raw, kind)
 
 
 @pytest.mark.parametrize(
-    "path, where",
+    "kind, path, where",
     [
-        (["federation", "server_optimizer", "betas"], r"federation\.server_optimizer\.betas"),
-        (["perturbation", "noise_sigma_range"], r"perturbation\.noise_sigma_range"),
+        ("federate", ["federation", "server_optimizer", "betas"],
+         r"federation\.server_optimizer\.betas"),
+        ("sweep_alpha", ["perturbation", "noise_sigma_range"], r"perturbation\.noise_sigma_range"),
     ],
     ids=["betas", "noise_sigma_range"],
 )
-def test_resolve_checks_the_length_of_fixed_pairs(path, where):
-    raw = json.loads(json.dumps({**FED_RAW, "perturbation": EXPLICIT_PERTURBATION}))
+def test_resolve_checks_the_length_of_fixed_pairs(kind, path, where):
+    raw = raw_for(kind)
+    if kind != "federate":
+        raw["perturbation"] = json.loads(json.dumps(EXPLICIT_PERTURBATION))
     parent_of(raw, path)[path[-1]] = [0.1, 0.2, 0.3]
     with pytest.raises(ValueError, match=rf"^{where} must have 2 entries, got 3$"):
-        cli.resolve_config(raw, "federate")
+        cli.resolve_config(raw, kind)
 
 
 @pytest.mark.parametrize(
@@ -619,6 +632,10 @@ def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, c
 
 IDX_DATA = {"source": "idx", "train_images": "x", "train_labels": "x", "test_images": "x",
             "test_labels": "x"}
+# A value other than the default for every field that only the sweeps and estimate_once read.
+FED_IGNORES = {"predictor": {"zeta": 0.5}, "solver": {"tol": 1e-5}, "estimators": ["bbse"],
+               "alpha_grid": [0.5], "size_grid": [100], "trials": 3, "n_te": 300,
+               "split_fraction": 0.1}
 
 
 @pytest.mark.parametrize(
@@ -631,11 +648,19 @@ IDX_DATA = {"source": "idx", "train_images": "x", "train_labels": "x", "test_ima
         ("federate", "perturbation", {"preset": "relaxed"},
          "federate runs take no perturbation section"),
         ("federate", "data", IDX_DATA, r"federate runs need data\.source synthetic"),
+        *[("federate", key, value, f"federate runs take no {key} key")
+          for key, value in FED_IGNORES.items()],
+        ("sweep_alpha", "weightings", ["none"], "sweep_alpha runs take no weightings key"),
+        ("sweep_size", "crossnode_listing", True, "sweep_size runs take no crossnode_listing key"),
+        ("estimate_once", "crossnode_listing", True,
+         "estimate_once runs take no crossnode_listing key"),
     ],
-    ids=["sweep_federation", "estimate_once_federation", "federate_perturbation", "federate_idx"],
+    ids=["sweep_federation", "estimate_once_federation", "federate_perturbation", "federate_idx",
+         *[f"federate_{key}" for key in FED_IGNORES], "sweep_weightings",
+         "sweep_size_crossnode_listing", "estimate_once_crossnode_listing"],
 )
 def test_resolve_rejects_a_section_the_kind_ignores(kind, section, value, message):
-    raw = json.loads(json.dumps(FED_RAW if kind == "federate" else BASE_SWEEP))
+    raw = raw_for(kind)
     raw[section] = json.loads(json.dumps(value))
     with pytest.raises(ValueError, match=rf"^{message}$"):
         cli.resolve_config(raw, kind)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from labelshift import (
     GaussianMixtureSpec,
+    LabeledDataset,
     RelaxedShiftSpec,
     equidistant_means,
     gen_gaussian_mixture,
@@ -21,6 +22,7 @@ from labelshift import (
     relaxed_preset,
     resample_by_marginal,
     sample_dirichlet_marginal,
+    read_features,
     uniform_marginal,
 )
 
@@ -263,9 +265,9 @@ def test_load_idx_round_trip(tmp_path):
     assert pool.labels.tolist() == [0, 5, 9]
     assert pool.class_counts().tolist() == [1, 0, 0, 0, 0, 1, 0, 0, 0, 1]
     ds = resample_by_marginal(pool, make_marginal([1] + [0] * 9), 2, seed=0)
-    assert ds.features.dtype == np.float64
-    assert ds.features[0, 0] == 0.0
-    assert ds.features[0, 1] == 1.0
+    assert ds.features.dtype == np.uint8
+    assert read_features(ds.features)[0, 0] == 0.0
+    assert read_features(ds.features)[0, 1] == 1.0
 
 
 def test_load_idx_pool_is_read_only(tmp_path):
@@ -317,6 +319,21 @@ def test_load_idx_peak_memory_is_about_the_pixel_bytes(tmp_path):
         tracemalloc.stop()
     assert pool.features.nbytes == n * side * side
     assert peak < 1.5 * pool.features.nbytes
+
+
+def test_resample_from_a_uint8_pool_allocates_about_the_drawn_pixel_bytes():
+    rng = np.random.default_rng(0)
+    n_pool, n, d = 5_000, 10_000, 784
+    pool = LabeledDataset(rng.integers(0, 256, size=(n_pool, d), dtype=np.uint8),
+                          np.arange(n_pool) % 10, 10)
+    tracemalloc.start()
+    try:
+        ds = resample_by_marginal(pool, uniform_marginal(10), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.dtype == np.uint8 and ds.features.nbytes == n * d
+    assert peak < 1.2 * n * d  # a float64 draw would be 8 * n * d
 
 
 def test_load_idx_rejects_bad_image_magic(tmp_path):

@@ -320,6 +320,15 @@ def test_train_global_rejects_bad_weights():
         train_global(fed, [np.ones((2, 2)), -np.ones((2, 2))], cfg)
 
 
+def test_train_global_rejects_a_cfg_for_another_node_count():
+    cfg = small_no_shift_cfg(rounds=2)
+    fed = build_federation(cfg, MIX2, 3)
+    u = uniform_marginal(2)
+    three = replace(cfg, nodes=cfg.nodes + (NodeSpec(u, u, 120, 80, seed=3),))
+    with pytest.raises(ValueError, match="cfg lists 3 nodes but the federation has 2"):
+        train_global(fed, [np.ones((2, 2))], three)
+
+
 def test_divergence_reports_round():
     u = uniform_marginal(2)
     cfg = FederationConfig(

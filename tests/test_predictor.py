@@ -127,6 +127,14 @@ def test_loss_rejects_feature_dimension_mismatch():
         loss_and_grad(pred, pred.parameters, np.zeros((4, 3)), np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32])
+def test_loss_rejects_features_that_are_not_float64(dtype):
+    pred = init_predictor(LINEAR, 3, 2)
+    x = np.full((4, 2), 200).astype(dtype)  # 0-255 pixels must be read as value / 255.0 first
+    with pytest.raises(TypeError, match=f"features must be float64, got {np.dtype(dtype)}"):
+        loss_and_grad(pred, pred.parameters, x, np.zeros(4, dtype=int))
+
+
 def test_weighted_mean_loss_all_ones_identity():
     data = tiny_dataset(seed=7, n=40)
     pred = init_predictor(replace(LINEAR, seed=8), 3, 2)

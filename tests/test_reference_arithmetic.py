@@ -1,5 +1,5 @@
 """The layer-list initialization, lean forward pass, SGD step, EM map and
-uint8 IDX pool give the same bits as the original arithmetic kept in
+uint8 IDX pixels give the same bits as the original arithmetic kept in
 helpers.py."""
 
 import struct
@@ -18,9 +18,15 @@ from labelshift import (
     load_idx,
     loss_and_grad,
     make_marginal,
+    perturb_relaxed,
+    predict_labels,
     predict_proba,
+    read_features,
+    relaxed_preset,
     resample_by_marginal,
     train_predictor,
+    train_predictors,
+    uniform_marginal,
 )
 from labelshift.estimators import _em_map
 
@@ -154,20 +160,57 @@ def test_em_at_the_iteration_cap_reports_honestly(seed, m, n, conc, max_iters):
     assert np.all(np.diff(report.objective_trace) >= -1e-12)
 
 
-def test_resample_from_uint8_pool_matches_reference(tmp_path):
-    rows, cols, n = 4, 8, 96  # every byte value 0-255 appears, spread over 3 classes
-    pixels = np.random.default_rng(5).permutation(np.tile(np.arange(256, dtype=np.uint8), 12))
+def write_idx_pool(tmp_path, rows=4, cols=8, n=96):
+    """An IDX pair in which every byte value 0-255 appears, spread over 3 classes;
+    returned as the uint8 pool and its float64 twin."""
+    rng = np.random.default_rng(5)
+    pixels = rng.permutation(np.tile(np.arange(256, dtype=np.uint8), -(-n * rows * cols // 256)))
     labels = np.arange(n, dtype=np.uint8) % 3
     img, lab = tmp_path / "images.idx", tmp_path / "labels.idx"
-    img.write_bytes(struct.pack(">iiii", 2051, n, rows, cols) + pixels.tobytes())
+    img.write_bytes(struct.pack(">iiii", 2051, n, rows, cols) + pixels[: n * rows * cols].tobytes())
     lab.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
-    pool, reference = load_idx(img, lab, 3), reference_load_idx(img, lab, 3)
-    assert np.array_equal(pool.features / 255.0, reference.features)
+    return load_idx(img, lab, 3), reference_load_idx(img, lab, 3)
+
+
+def test_resample_from_uint8_pool_matches_reference(tmp_path):
+    pool, reference = write_idx_pool(tmp_path)
+    assert pool.features.dtype == np.uint8
+    assert np.array_equal(read_features(pool.features), reference.features)
     for counts in ([1, 1, 1], [8, 1, 1], [0, 3, 1]):
         for seed in (0, 1, 29):
             q = make_marginal(counts)
             got = resample_by_marginal(pool, q, 500, seed)
             want = resample_by_marginal(reference, q, 500, seed)
-            assert got.features.dtype == np.float64
-            assert np.array_equal(got.features, want.features)
+            assert got.features.dtype == np.uint8
+            assert np.array_equal(read_features(got.features), want.features)
             assert np.array_equal(got.labels, want.labels)
+
+
+def test_uint8_draws_train_score_and_perturb_to_the_bits_of_float_draws(tmp_path):
+    pool, reference = write_idx_pool(tmp_path, n=480)
+    u = uniform_marginal(3)
+    train_u8, train_f = (resample_by_marginal(p, u, 300, 7) for p in (pool, reference))
+    assert train_u8.features.dtype == np.uint8 and train_f.features.dtype == np.float64
+    # One model, and a stack of a zeta 1/0 pair on one order plus a model on its own order.
+    jobs = [config("mlp", 1.0), config("mlp", 1.0), config("mlp", 0.0),
+            config("mlp", 0.0, seed=4)]
+    got = train_predictors([(train_u8, c) for c in jobs])
+    want = train_predictors([(train_f, c) for c in jobs])
+    for g, w in zip(got, want):
+        assert np.array_equal(g.parameters, w.parameters)
+    # Same shapes but different dtypes never share a stack.
+    mixed = train_predictors([(train_u8, jobs[0]), (train_f, jobs[3])])
+    assert np.array_equal(mixed[0].parameters, got[0].parameters)
+    assert np.array_equal(mixed[1].parameters, want[3].parameters)
+    for n in (1500, 100):  # longer than the 1024-row block, and shorter (zero-padded)
+        test_u8, test_f = (resample_by_marginal(p, make_marginal([5, 1, 2]), n, 11)
+                           for p in (pool, reference))
+        for pred in got:
+            assert np.array_equal(predict_proba(pred, test_u8.features).rows,
+                                  predict_proba(pred, test_f.features).rows)
+            assert np.array_equal(predict_labels(pred, test_u8.features),
+                                  predict_labels(pred, test_f.features))
+        spec = relaxed_preset(seed=3)
+        hit_u8, hit_f = perturb_relaxed(test_u8, spec), perturb_relaxed(test_f, spec)
+        assert hit_u8.features.dtype == np.float64
+        assert np.array_equal(hit_u8.features, hit_f.features)

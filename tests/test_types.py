@@ -11,6 +11,7 @@ from labelshift import (
     RatioVector,
     make_marginal,
     ratio_from_marginals,
+    read_features,
 )
 
 from .helpers import marginal
@@ -167,6 +168,18 @@ def test_dataset_arrays_read_only():
         ds.features[0, 0] = 1.0
     with pytest.raises(ValueError):
         ds.labels[0] = 1
+
+
+def test_dataset_keeps_uint8_pixels_and_reads_them_scaled():
+    pixels = np.array([[0, 255], [128, 64]], dtype=np.uint8)
+    pixels.setflags(write=False)
+    ds = LabeledDataset(pixels, np.array([0, 1]), 2)
+    assert ds.features is pixels  # adopted, not copied
+    assert read_features(ds.features).tolist() == [[0.0, 1.0], [128 / 255.0, 64 / 255.0]]
+    ints = LabeledDataset(np.array([[0, 255]]), np.array([1]), 2)
+    assert ints.features.dtype == np.float64 and ints.features.tolist() == [[0.0, 255.0]]
+    out = np.empty((2, 2))
+    assert read_features(ints.features[[0, 0]], out) is out and out.tolist() == [[0.0, 255.0]] * 2
 
 
 # ---------------------------------------------------- probability matrices
