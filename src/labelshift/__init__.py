@@ -7,6 +7,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ.setdefault(_var, "1")  # before numpy loads: bits change with BLAS threads
 
 from .data import (
+    DataSource,
     GaussianMixtureSpec,
     RelaxedShiftSpec,
     equidistant_means,

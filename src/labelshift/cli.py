@@ -17,22 +17,21 @@ import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from types import NoneType, UnionType
+from types import NoneType, SimpleNamespace, UnionType
 
 import numpy as np
 
 from ._rng import child_seed
 from .data import (
-    GaussianMixtureSpec,
+    DataSource,
     RelaxedShiftSpec,
-    equidistant_means,
-    gen_gaussian_mixture,
-    load_idx,
+    draw,
+    open_split,
     perturb_relaxed,
     relax_m_preset,
     relaxed_preset,
-    resample_by_marginal,
     sample_dirichlet_marginal,
     uniform_marginal,
 )
@@ -63,10 +62,10 @@ DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 _PRESETS = {RelaxedShiftSpec: {"relaxed": relaxed_preset, "relax_m": relax_m_preset}}
 
-# Fields that only the sweeps and estimate_once read, and fields that only federate
-# reads. A kind that does not read a field needs it at its default.
+# Fields only the sweeps and estimate_once read, and fields only federate reads (dotted
+# for a section's field). A kind that does not read a field needs it at its default.
 _SWEEP_FIELDS = ("predictor", "solver", "estimators", "alpha_grid", "size_grid", "trials",
-                 "n_te", "split_fraction")
+                 "n_te", "split_fraction", "data.n_train")
 _FEDERATE_FIELDS = ("weightings", "crossnode_listing")
 
 # The JSON types each scalar field accepts. Matched by exact type, not
@@ -77,37 +76,6 @@ _SCALARS = {
     bool: ((bool,), "a boolean"),
     str: ((str,), "a string"),
 }
-
-
-@dataclass(frozen=True)
-class DataSource:
-    """Where sweep data comes from: a synthetic mixture or IDX file pairs."""
-
-    source: str = "synthetic"
-    m: int = 3
-    d: int = 2
-    separation: float = 3.0
-    sigma: float = 1.0
-    n_train: int = 20000
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-
-    def __post_init__(self):
-        if self.source not in ("synthetic", "idx"):
-            raise ValueError(f"unknown data source {self.source!r}")
-        if self.source == "synthetic":
-            if self.m < 2 or self.d < 1:
-                raise ValueError("synthetic source needs m >= 2 and d >= 1")
-            if not (self.separation > 0 and self.sigma > 0):
-                raise ValueError("separation and sigma must be positive")
-        else:
-            for name in ("train_images", "train_labels", "test_images", "test_labels"):
-                if not getattr(self, name):
-                    raise ValueError(f"idx source needs {name}")
-        if self.n_train < 1:
-            raise ValueError("n_train must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -166,11 +134,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} runs take no federation section")
         if self.kind == "federate" and self.perturbation is not None:
             raise ValueError("federate runs take no perturbation section")
-        if self.kind == "federate" and self.data.source != "synthetic":
-            raise ValueError("federate runs need data.source synthetic")
-        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        defaults = SimpleNamespace(**{f.name: f.default for f in dataclasses.fields(self)})
         for key in _SWEEP_FIELDS if self.kind == "federate" else _FEDERATE_FIELDS:
-            if getattr(self, key) != defaults[key]:
+            if attrgetter(key)(self) != attrgetter(key)(defaults):
                 raise ValueError(f"{self.kind} runs take no {key} key")
 
 
@@ -294,31 +260,18 @@ def resolve_config(
 
 
 class _SweepEnv:
-    """Predictors and samplers shared by every cell of one sweep.
+    """The predictors and the open test split shared by every cell of one sweep.
 
     Training happens once per sweep because the training distribution is
     fixed; only the test draws vary across cells and trials.
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        data = cfg.data
-        if data.source == "synthetic":
-            self.tr = uniform_marginal(data.m)
-            self.mix = GaussianMixtureSpec(
-                equidistant_means(data.m, data.d, data.separation), data.sigma
-            )
-            train = gen_gaussian_mixture(
-                self.mix, self.tr, data.n_train, seed=child_seed(cfg.seed, 0xD0)
-            )
-            self._test_pool = None
-        else:
-            self.mix = None
-            pool = load_idx(data.train_images, data.train_labels)
-            self.tr = uniform_marginal(pool.m)
-            train = resample_by_marginal(pool, self.tr, data.n_train, child_seed(cfg.seed, 0xD0))
-            del pool  # released before the test split loads, so the two never coexist
-            self._test_pool = load_idx(data.test_images, data.test_labels)
-        self.m = self.tr.m
+        split = open_split(cfg.data, "train")
+        self.tr = uniform_marginal(split.m)
+        train = draw(split, self.tr, cfg.data.n_train, child_seed(cfg.seed, 0xD0))
+        del split  # released before the test split opens, so two IDX pools never coexist
+        self.test_split = open_split(cfg.data, "test")
 
         if cfg.split_fraction > 0:
             n_val = max(1, int(round(cfg.split_fraction * train.n)))
@@ -334,11 +287,6 @@ class _SweepEnv:
         base = self.predictors.get(_predictor_config(cfg.predictor, "bbse"))
         self.preds_val = predict_proba(base, val.features) if needs_val else None
         self.labels_val = val.labels if needs_val else None
-
-    def sample_test(self, marginal: LabelMarginal, n: int, seed: int) -> LabeledDataset:
-        if self._test_pool is not None:
-            return resample_by_marginal(self._test_pool, marginal, n, seed)
-        return gen_gaussian_mixture(self.mix, marginal, n, seed)
 
 
 def _predictor_config(pcfg: PredictorConfig, estimator: str) -> PredictorConfig:
@@ -384,8 +332,8 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
     where a failed estimator has report and mse None and error
     "ExceptionType: message".
     """
-    marginal = sample_dirichlet_marginal(alpha, env.m, seed=child_seed(cfg.seed, 0xA0, ci, ti, 0))
-    ds = env.sample_test(marginal, n_te, seed=child_seed(cfg.seed, 0xA0, ci, ti, 1))
+    marginal = sample_dirichlet_marginal(alpha, env.tr.m, child_seed(cfg.seed, 0xA0, ci, ti, 0))
+    ds = draw(env.test_split, marginal, n_te, seed=child_seed(cfg.seed, 0xA0, ci, ti, 1))
     if cfg.perturbation is not None:
         spec = replace(cfg.perturbation, seed=child_seed(cfg.perturbation.seed, ci, ti))
         ds = perturb_relaxed(ds, spec)
@@ -523,10 +471,7 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     """Train the shared model under each requested weighting on one seed."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mix = GaussianMixtureSpec(
-        equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma
-    )
-    fed = build_federation(cfg.federation, mix, cfg.seed)
+    fed = build_federation(cfg.federation, cfg.data, cfg.seed)
     acc_rows = []
     trace_rows = []
     variants = {}

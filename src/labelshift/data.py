@@ -1,5 +1,5 @@
-"""Synthetic Gaussian-mixture data with exact posteriors, label-shift
-samplers, feature perturbations, and IDX file ingestion."""
+"""Synthetic Gaussian-mixture data with exact posteriors, label-shift samplers,
+feature perturbations, IDX file ingestion, and the data source every run draws from."""
 
 import struct
 from dataclasses import dataclass
@@ -11,6 +11,7 @@ from .types import LabeledDataset, LabelMarginal, make_marginal, read_features
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+_IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def gen_gaussian_mixture(
     """Draw n labeled samples: labels from the marginal, features from the
     matching component."""
     if marginal.m != spec.m:
-        raise ValueError("marginal class count does not match the mixture")
+        raise ValueError(f"marginal has {marginal.m} classes but the mixture has {spec.m}")
     if n < 1:
         raise ValueError("need at least one sample")
     rng = stream(seed)
@@ -156,7 +157,7 @@ def resample_by_marginal(
     feature dtype, so a uint8 pool gives uint8 rows.
     """
     if marginal.m != pool.m:
-        raise ValueError("marginal class count does not match the pool")
+        raise ValueError(f"marginal has {marginal.m} classes but the pool has {pool.m}")
     if n < 1:
         raise ValueError("need at least one sample")
     counts = pool.class_counts()
@@ -253,3 +254,54 @@ def load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
 
 def uniform_marginal(m: int) -> LabelMarginal:
     return make_marginal(np.ones(m))
+
+
+@dataclass(frozen=True)
+class DataSource:
+    """Where a run's data comes from: a synthetic mixture of m equidistant
+    classes (separation apart, sd sigma) in d dimensions, or IDX file pairs
+    with load_idx's 10 classes. A source takes only the keys it reads."""
+
+    source: str = "synthetic"
+    m: int = 3
+    d: int = 2
+    separation: float = 3.0
+    sigma: float = 1.0
+    n_train: int = 20000
+    train_images: str = ""
+    train_labels: str = ""
+    test_images: str = ""
+    test_labels: str = ""
+
+    def __post_init__(self):
+        if self.source not in ("synthetic", "idx"):
+            raise ValueError(f"unknown data source {self.source!r}")
+        idx = self.source == "idx"
+        for name in ("m", "d", "separation", "sigma") if idx else _IDX_PATHS:
+            if getattr(self, name) != getattr(DataSource, name):  # the field's default
+                raise ValueError(f"{self.source} sources take no {name} key")
+        missing = [name for name in _IDX_PATHS if idx and not getattr(self, name)]
+        if missing:
+            raise ValueError(f"idx source needs {missing[0]}")
+        if self.m < 2 or self.d < 1:
+            raise ValueError("synthetic source needs m >= 2 and d >= 1")
+        if not (self.separation > 0 and self.sigma > 0):
+            raise ValueError("separation and sigma must be positive")
+        if self.n_train < 1:
+            raise ValueError("n_train must be at least 1")
+
+
+def open_split(source: DataSource, split: str):
+    """What split ("train" or "test") draws from: a synthetic source's mixture, or the
+    load_idx pool of the split's files (drop the train pool before opening the test's)."""
+    if source.source == "synthetic":
+        return GaussianMixtureSpec(equidistant_means(source.m, source.d, source.separation),
+                                   source.sigma)
+    return load_idx(getattr(source, f"{split}_images"), getattr(source, f"{split}_labels"))
+
+
+def draw(population, marginal: LabelMarginal, n: int, seed: int) -> LabeledDataset:
+    """n rows of an open split: gen_gaussian_mixture or resample_by_marginal."""
+    if isinstance(population, GaussianMixtureSpec):
+        return gen_gaussian_mixture(population, marginal, n, seed)
+    return resample_by_marginal(population, marginal, n, seed)

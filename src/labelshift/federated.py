@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ._rng import child_seed, stream
-from .data import GaussianMixtureSpec, gen_gaussian_mixture
+from .data import DataSource, draw, open_split
 from .estimators import EstimateReport, EstimatorOptions, estimate_mlls_em
 from .predictor import (
     Predictor,
@@ -130,13 +130,12 @@ class FederationNode:
 @dataclass(frozen=True)
 class Federation:
     cfg: FederationConfig
-    mix: GaussianMixtureSpec
     nodes: tuple[FederationNode, ...]
     seed: int
 
     @property
     def m(self) -> int:
-        return self.mix.m
+        return self.cfg.nodes[0].train_marginal.m
 
     @cached_property
     def ratio_predictors(self) -> tuple[Predictor, ...]:
@@ -210,22 +209,19 @@ def _validate_scenario(cfg: FederationConfig) -> None:
             )
 
 
-def build_federation(cfg: FederationConfig, mix: GaussianMixtureSpec, seed: int = 0) -> Federation:
-    """Materialize every node's train and test split from the shared mixture;
-    seed keys every draw of the federation, training included."""
+def build_federation(cfg: FederationConfig, source: DataSource, seed: int = 0) -> Federation:
+    """Materialize every node's train and test split from the shared source;
+    seed keys every draw of the federation, training included: node i's
+    split s (0 train, 1 test) draws with child_seed(seed, i, node seed, s)."""
     _validate_scenario(cfg)
-    if cfg.nodes[0].train_marginal.m != mix.m:
-        raise ValueError("node marginals do not match the mixture class count")
-    nodes = []
-    for i, spec in enumerate(cfg.nodes):
-        train = gen_gaussian_mixture(
-            mix, spec.train_marginal, spec.n_tr, seed=child_seed(seed, i, spec.seed, 0)
-        )
-        test = gen_gaussian_mixture(
-            mix, spec.test_marginal, spec.n_te, seed=child_seed(seed, i, spec.seed, 1)
-        )
-        nodes.append(FederationNode(spec, train, test))
-    return Federation(cfg, mix, tuple(nodes), seed)
+    splits = []
+    for s, split in enumerate(("train", "test")):
+        population = open_split(source, split)
+        splits.append([draw(population, (spec.train_marginal, spec.test_marginal)[s],
+                            (spec.n_tr, spec.n_te)[s], child_seed(seed, i, spec.seed, s))
+                       for i, spec in enumerate(cfg.nodes)])
+        del population  # before the test split opens, so two IDX pools never coexist
+    return Federation(cfg, tuple(map(FederationNode, cfg.nodes, *splits)), seed)
 
 
 def _estimate(node: FederationNode, preds: ProbabilityMatrix, opts: EstimatorOptions):
@@ -298,7 +294,7 @@ def _local_pseudograd(step, params, node, w_vec, cfg: FederationConfig, rng):
     def batch_grad(theta):
         idx = rng.choice(node.train.n, size=b, replace=False)
         labels = y[idx]
-        total, _, grad = step(theta, x.take(idx, 0), labels, weights=w_vec.take(labels, 1))
+        total, _, grad = step(theta, step.gather(x, idx), labels, weights=w_vec.take(labels, 1))
         if gm.weight_decay:
             grad = grad + gm.weight_decay * theta
         return total, grad

@@ -183,10 +183,21 @@ class StepWorkspace:
     batch shape the layer outputs, the logit-sized temporaries, the hidden
     gradients and the base of the flat label index. A call runs the same
     arithmetic as loss_and_grad and returns (total, ce, gradient buffer).
+    gather reads a training batch for it.
     """
 
     def __init__(self, layout: Predictor):
-        self.layout, self.params, self.grad, self.batches = layout, None, None, {}
+        self.layout, self.params, self.grad, self.batches, self.scaled = layout, None, None, {}, {}
+
+    def gather(self, x, idx) -> np.ndarray:
+        """Rows idx of x as float64: x.take(idx, 0), a uint8 batch scaled into a buffer that the
+        next gather of its shape overwrites (a fresh one can refault past the mmap threshold)."""
+        xb = x.take(idx, 0)  # take: faster than x[idx]
+        if xb.dtype != np.uint8:
+            return xb
+        if idx.shape not in self.scaled:
+            self.scaled[idx.shape] = np.empty(xb.shape)
+        return read_features(xb, self.scaled[idx.shape])
 
     def _batch(self, key, x, params):
         lead = np.broadcast_shapes(x.shape[:-2], params.shape[:-1])
@@ -287,7 +298,7 @@ def _train_stack(jobs) -> list[Predictor]:
     offset = (0 if shared else n) * np.arange(len(jobs))  # a shared set is never copied
     zeta, threshold = np.array([(c.zeta, c.loss_threshold) for _, c in jobs]).T
     order_rngs = [stream(c.seed, 0x2) for _, c in jobs]
-    step, scaled = StepWorkspace(layout), {}  # scaled: a uint8 batch's floats, per batch shape
+    step = StepWorkspace(layout)
     live, done = np.arange(len(jobs)), {}  # live[s]: the job behind row s of params
     for epoch in range(cfg.max_epochs):
         order = np.stack([order_rngs[j].permutation(n) for j in live]) + offset[live, None]
@@ -295,13 +306,7 @@ def _train_stack(jobs) -> list[Predictor]:
         ce_sum, drift = 0.0, 0.0  # drift += total - total: 0 until a total is inf or NaN
         for start in range(0, n, cfg.batch_size):
             idx = order[:, start : start + cfg.batch_size]
-            xb = x.take(idx, 0)  # take: faster than x[idx]
-            if xb.dtype == np.uint8:
-                buf = scaled.get(idx.shape)
-                if buf is None:  # kept: past the mmap threshold a fresh one can refault each step
-                    buf = scaled[idx.shape] = np.empty(xb.shape)
-                xb = read_features(xb, buf)
-            total, ce, grad = step(params, xb, y[idx], zeta)
+            total, ce, grad = step(params, step.gather(x, idx), y[idx], zeta)
             drift += total - total
             if cfg.weight_decay:
                 grad += cfg.weight_decay * params

@@ -1,10 +1,15 @@
 """Shared fixtures: grid-search oracle for two-class MLE instances,
 finite-difference gradient checks used across the estimator and predictor
-suites, and reference copies of the original parameter layout and seeded
-initialization, (allocating) forward pass, SGD step, EM step and float64 IDX
-loader that the lean versions must match bit for bit."""
+suites, a seeded IDX image corpus, and reference copies of the original
+parameter layout and seeded initialization, (allocating) forward pass, SGD
+step, EM step and float64 IDX loader that the lean versions must match bit
+for bit."""
 
+import gc
+import json
 import struct
+import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +26,7 @@ from labelshift import (
     make_marginal,
     uniform_marginal,
 )
+from labelshift import data
 from labelshift._rng import stream
 from labelshift.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, _read_exact
 from labelshift.estimators import empirical_objective, empirical_objective_gradient
@@ -121,6 +127,65 @@ def tiny_mixture(m=3, d=2, separation=3.0) -> GaussianMixtureSpec:
 
 def tiny_dataset(seed=0, n=64, m=3, d=2, separation=3.0) -> LabeledDataset:
     return gen_gaussian_mixture(tiny_mixture(m, d, separation), uniform_marginal(m), n, seed=seed)
+
+
+def write_ink_corpus(dirpath, seed, n=3000) -> dict:
+    """A seeded IDX corpus of 8x8 images with labels in classes 0-2 only, one
+    file pair per split, returned as the four DataSource path keys.
+
+    Each class template is a shared ink template (200 on a fifth of the
+    pixels, 0 elsewhere) plus U(-60, 60) per pixel; each image adds N(0, 80)
+    pixel noise to its class template, clipped to bytes.
+    """
+    rng = np.random.default_rng(seed)
+    base = 200.0 * (rng.random(64) < 0.2)
+    templates = base + rng.uniform(-60.0, 60.0, (3, 64))
+    paths = {}
+    for split in ("train", "test"):
+        labels = rng.integers(0, 3, n).astype(np.uint8)
+        noisy = templates[labels] + rng.normal(0.0, 80.0, (n, 64))
+        img, lab = Path(dirpath) / f"{split}-images.idx", Path(dirpath) / f"{split}-labels.idx"
+        img.write_bytes(struct.pack(">iiii", 2051, n, 8, 8)
+                        + np.clip(noisy, 0, 255).astype(np.uint8).tobytes())
+        lab.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
+        paths.update({f"{split}_images": str(img), f"{split}_labels": str(lab)})
+    return paths
+
+
+def three_class_marginal(hot) -> list[float]:
+    """10 entries: 0.8 on class hot, 0.1 on the other two of classes 0-2, 0 on 3-9."""
+    return [0.8 if c == hot else 0.1 if c < 3 else 0.0 for c in range(10)]
+
+
+def idx_federate_raw(paths) -> dict:
+    """configs/federate.json on an IDX source with 60 ratio-predictor epochs: three nodes
+    trained hot on classes 0, 0 and 1 and tested hot on 2; classes 3-9 have no mass."""
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "federate.json")
+                     .read_text(encoding="utf-8"))
+    raw["data"] = {"source": "idx", **paths}
+    raw["crossnode_listing"] = False  # it needs every class on every node
+    raw["federation"]["ratio_predictor"]["max_epochs"] = 60
+    for node, hot in zip(raw["federation"]["nodes"], (0, 0, 1)):
+        node["train_marginal"], node["test_marginal"] = (three_class_marginal(hot),
+                                                         three_class_marginal(2))
+    return raw
+
+
+def record_pool_loads(monkeypatch) -> list:
+    """Wraps data.load_idx; returns a list that gets, at each load, the image
+    file's path and how many pools loaded before are still alive (after
+    gc.collect())."""
+    loads, pools, original = [], [], data.load_idx
+
+    def load(images_path, labels_path, *args, **kwargs):
+        gc.collect()
+        loads.append((str(images_path), sum(ref() is not None for ref in pools)))
+        pool = original(images_path, labels_path, *args, **kwargs)
+        pools.append(weakref.ref(pool))
+        return pool
+
+    monkeypatch.setattr(data, "load_idx", load)
+    return loads
 
 
 def marginal(*probs) -> LabelMarginal:

@@ -2,8 +2,9 @@
 verdict line. Everything here is seeded, so verdicts are reproducible
 bit-for-bit; run with -s (or read captured output) to see the lines.
 
-AC-8 exercises a real IDX image corpus and only runs when
-LABELSHIFT_MNIST_DIR points at a directory holding the four standard files.
+AC-8, and the federated run on an image corpus, exercise a real IDX corpus
+and only run when LABELSHIFT_MNIST_DIR points at a directory holding the four
+standard files.
 """
 
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from labelshift import (
+    DataSource,
     EstimatorOptions,
     FederationConfig,
     GaussianMixtureSpec,
@@ -46,10 +48,19 @@ from labelshift import (
     uniform_marginal,
     weight_vectors,
 )
+from labelshift import cli
 from labelshift._rng import child_seed, stream
 from labelshift.estimators import empirical_objective, empirical_objective_gradient
 
-from .helpers import grid_oracle_m2, central_diff, random_marginal, random_preds, rel_err, tiny_dataset
+from .helpers import (
+    central_diff,
+    grid_oracle_m2,
+    idx_federate_raw,
+    rel_err,
+    random_marginal,
+    random_preds,
+    tiny_dataset,
+)
 
 
 def _verdict(tag, ok, detail):
@@ -169,7 +180,7 @@ def test_ac4_confusion_matrix_baselines():
 
 def test_ac5_weighted_training_closes_the_gap():
     m = 3
-    mix = GaussianMixtureSpec(equidistant_means(m, 2, 2.5), 1.0)
+    source = DataSource(m=m, d=2, separation=2.5)
 
     def node(hot_train, hot_test, seed):
         tr = [0.1] * m
@@ -191,7 +202,7 @@ def test_ac5_weighted_training_closes_the_gap():
                                             learning_rate=0.1, max_epochs=120,
                                             loss_threshold=0.05, zeta=0.25, seed=0),
         )
-        fed = build_federation(cfg, mix, seed)
+        fed = build_federation(cfg, source, seed)
         names = ("none", "true_ratios", "estimated_ratios")
         results = train_global(fed, [weight_vectors(fed, w) for w in names], cfg)
         accs = {w: result.avg_accuracy for w, result in zip(names, results)}
@@ -238,11 +249,10 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     # (b) true weights on an unshifted federation are a constant, and once
     # normalized they reproduce the unweighted run bit for bit
     p = make_marginal([0.25, 0.25, 0.5])  # dyadic, so ratios are exactly 1.0
-    mix6 = GaussianMixtureSpec(equidistant_means(3, 2, 2.5), 1.0)
     nodes = tuple(NodeSpec(p, p, 1000, 500, seed=i) for i in range(3))
     base = FederationConfig(nodes=nodes, global_model=PredictorConfig(),
                             scenario="no_ls", rounds=40)
-    fed = build_federation(base, mix6, 3)
+    fed = build_federation(base, DataSource(m=3, d=2, separation=2.5), 3)
     (plain,) = train_global(fed, [weight_vectors(fed, "none")], base)
     (trued,) = train_global(fed, [weight_vectors(fed, "true_ratios")],
                             replace(base, normalize_weights=True))
@@ -309,13 +319,14 @@ IDX_FILES = (
     ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 )
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(
+needs_corpus = pytest.mark.skipif(
     not os.environ.get("LABELSHIFT_MNIST_DIR"),
     reason="set LABELSHIFT_MNIST_DIR to a directory with the four IDX files",
 )
+
+
+@pytest.mark.slow
+@needs_corpus
 def test_ac8_idx_corpus_sweep():
     root = Path(os.environ["LABELSHIFT_MNIST_DIR"])
     train_pool = load_idx(root / IDX_FILES[0][0], root / IDX_FILES[0][1])
@@ -339,3 +350,19 @@ def test_ac8_idx_corpus_sweep():
     reg, base = float(np.mean(reg_mses)), float(np.mean(base_mses))
     ok = reg <= base
     _verdict("AC-8 image corpus sweep", ok, f"regularized {reg:.4f} vs plain {base:.4f} at a=0.1")
+
+
+@pytest.mark.slow
+@needs_corpus
+def test_federate_on_an_idx_corpus(tmp_path):
+    """The end-to-end IDX federate config (helpers.idx_federate_raw) on the real
+    corpus: classes 0-2 carry all the mass."""
+    root = Path(os.environ["LABELSHIFT_MNIST_DIR"])
+    paths = {}
+    for split, (images, labels) in zip(("train", "test"), IDX_FILES):
+        paths.update({f"{split}_images": str(root / images), f"{split}_labels": str(root / labels)})
+    cfg = cli.resolve_config(idx_federate_raw(paths), "federate", out=str(tmp_path))
+    acc = {w: v["avg_accuracy"] for w, v in cli.run_federate(cfg)["weightings"].items()}
+    ok = min(acc.values()) > 0.9
+    _verdict("IDX federate", ok, ", ".join(f"{w} {a:.4f}" for w, a in acc.items())
+             + "; each needs > 0.9")

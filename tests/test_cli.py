@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from labelshift import (
-    GaussianMixtureSpec,
     build_federation,
     cli,
-    equidistant_means,
     estimators,
     federated,
     train_global,
     weight_vectors,
 )
+
+from .helpers import idx_federate_raw, record_pool_loads, write_ink_corpus
 
 BASE_SWEEP = {
     "trials": 3,
@@ -605,10 +605,8 @@ def test_federate_matches_train_global_per_weighting(tmp_path):
     cfg = cli.resolve_config(json.loads(json.dumps(FED_RAW)), "federate",
                              out=str(tmp_path), seed=2)
     summary = cli.run_federate(cfg)
-    mix = GaussianMixtureSpec(
-        equidistant_means(cfg.data.m, cfg.data.d, cfg.data.separation), cfg.data.sigma)
     for weighting in cfg.weightings:
-        fed = build_federation(cfg.federation, mix, cfg.seed)  # a fresh build per weighting
+        fed = build_federation(cfg.federation, cfg.data, cfg.seed)  # a fresh build per weighting
         (direct,) = train_global(fed, [weight_vectors(fed, weighting)], cfg.federation)
         variant = summary["weightings"][weighting]
         assert variant["per_node_accuracy"] == list(direct.per_node_accuracy)
@@ -632,6 +630,8 @@ def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, c
 
 IDX_DATA = {"source": "idx", "train_images": "x", "train_labels": "x", "test_images": "x",
             "test_labels": "x"}
+# A value other than the default for every data field that an IDX source does not read.
+IDX_IGNORES = {"m": 10, "d": 784, "separation": 2.5, "sigma": 0.5}
 # A value other than the default for every field that only the sweeps and estimate_once read.
 FED_IGNORES = {"predictor": {"zeta": 0.5}, "solver": {"tol": 1e-5}, "estimators": ["bbse"],
                "alpha_grid": [0.5], "size_grid": [100], "trials": 3, "n_te": 300,
@@ -647,7 +647,11 @@ FED_IGNORES = {"predictor": {"zeta": 0.5}, "solver": {"tol": 1e-5}, "estimators"
          "estimate_once runs take no federation section"),
         ("federate", "perturbation", {"preset": "relaxed"},
          "federate runs take no perturbation section"),
-        ("federate", "data", IDX_DATA, r"federate runs need data\.source synthetic"),
+        *[("sweep_alpha", "data", {**IDX_DATA, key: value}, f"data: idx sources take no {key} key")
+          for key, value in IDX_IGNORES.items()],
+        ("sweep_alpha", "data", {"test_labels": "x"},
+         "data: synthetic sources take no test_labels key"),
+        ("federate", "data", {"n_train": 500}, r"federate runs take no data\.n_train key"),
         *[("federate", key, value, f"federate runs take no {key} key")
           for key, value in FED_IGNORES.items()],
         ("sweep_alpha", "weightings", ["none"], "sweep_alpha runs take no weightings key"),
@@ -655,7 +659,8 @@ FED_IGNORES = {"predictor": {"zeta": 0.5}, "solver": {"tol": 1e-5}, "estimators"
         ("estimate_once", "crossnode_listing", True,
          "estimate_once runs take no crossnode_listing key"),
     ],
-    ids=["sweep_federation", "estimate_once_federation", "federate_perturbation", "federate_idx",
+    ids=["sweep_federation", "estimate_once_federation", "federate_perturbation",
+         *[f"idx_{key}" for key in IDX_IGNORES], "synthetic_path", "federate_n_train",
          *[f"federate_{key}" for key in FED_IGNORES], "sweep_weightings",
          "sweep_size_crossnode_listing", "estimate_once_crossnode_listing"],
 )
@@ -666,16 +671,36 @@ def test_resolve_rejects_a_section_the_kind_ignores(kind, section, value, messag
         cli.resolve_config(raw, kind)
 
 
-def test_federate_rejects_idx_source(tmp_path, monkeypatch, capsys):
-    raw = {**json.loads(json.dumps(FED_RAW)), "data": IDX_DATA}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    builds = []
-    _count_calls(monkeypatch, cli, "build_federation", builds)
-    out = tmp_path / "out"
-    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert "error: federate runs need data.source synthetic" in capsys.readouterr().err
-    assert builds == [] and not out.exists()
+# Under ls_multi on the ink corpus, estimated_ratios must beat none on avg_accuracy by this
+# much. Fixed before the test first ran.
+IDX_FEDERATE_MARGIN = 0.01
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_federate_runs_end_to_end_on_an_idx_corpus(tmp_path, seed):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(idx_federate_raw(write_ink_corpus(tmp_path, 0))))
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+    summary = json.loads((out / "federate_summary.json").read_text())
+    variants = summary["weightings"]
+    assert np.array(variants["estimated_ratios"]["node_weights"]).shape == (3, 10)
+    acc = {w: v["avg_accuracy"] for w, v in variants.items()}
+    assert acc["estimated_ratios"] >= acc["none"] + IDX_FEDERATE_MARGIN, acc
+
+
+def test_sweep_frees_the_train_pool_before_the_test_split_loads(tmp_path, monkeypatch):
+    paths = {}
+    for split in ("train", "test"):
+        (tmp_path / split).mkdir()
+        img, lab = write_idx_dataset(tmp_path / split)
+        paths.update({f"{split}_images": str(img), f"{split}_labels": str(lab)})
+    raw = {"trials": 1, "n_te": 60, "alpha_grid": [1.0], "estimators": ["mlls_em"],
+           "data": {"source": "idx", "n_train": 100, **paths},
+           "predictor": {"architecture": "linear", "max_epochs": 1}}
+    loads = record_pool_loads(monkeypatch)
+    cli.run_sweep_alpha(cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / "out")))
+    assert loads == [(paths["train_images"], 0), (paths["test_images"], 0)]
 
 
 # ---------------------------------------------------------------- main()

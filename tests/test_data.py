@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelshift import (
+    DataSource,
     GaussianMixtureSpec,
     LabeledDataset,
     RelaxedShiftSpec,
@@ -26,7 +27,9 @@ from labelshift import (
     uniform_marginal,
 )
 
-from .helpers import marginal, tiny_mixture
+from labelshift.data import draw, open_split
+
+from .helpers import marginal, three_class_marginal, tiny_mixture, write_ink_corpus
 
 MIX2 = GaussianMixtureSpec(np.array([[-1.0], [1.0]]), 1.0)
 UNIFORM2 = marginal(0.5, 0.5)
@@ -365,3 +368,32 @@ def test_load_idx_rejects_out_of_range_label(tmp_path):
     img, lab = write_idx_pair(tmp_path, [0] * 4, [10])
     with pytest.raises(ValueError, match="label 10 out of range"):
         load_idx(img, lab)
+
+
+# ------------------------------------------------------------- data source
+
+
+def test_synthetic_source_opens_its_mixture_and_draws_through_it():
+    source = DataSource(m=4, d=3, separation=2.0, sigma=0.5)
+    mix = GaussianMixtureSpec(equidistant_means(4, 3, 2.0), 0.5)
+    q = marginal(0.1, 0.2, 0.3, 0.4)
+    for split in ("train", "test"):
+        population = open_split(source, split)
+        assert np.array_equal(population.means, mix.means) and population.sigma == 0.5
+        got, want = draw(population, q, 300, 7), gen_gaussian_mixture(mix, q, 300, 7)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+
+
+def test_idx_source_opens_each_split_from_its_own_files(tmp_path):
+    paths = write_ink_corpus(tmp_path, 2, n=120)
+    source = DataSource(source="idx", **paths)
+    q = make_marginal(three_class_marginal(1))
+    for split in ("train", "test"):
+        pool = open_split(source, split)
+        want = load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
+        assert pool.m == 10 and np.array_equal(pool.features, want.features)
+        got, ref = draw(pool, q, 80, 3), resample_by_marginal(want, q, 80, 3)
+        assert got.features.dtype == np.uint8
+        assert np.array_equal(got.features, ref.features)
+        assert np.array_equal(got.labels, ref.labels)

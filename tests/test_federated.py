@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from labelshift import (
+    DataSource,
     FederationConfig,
-    GaussianMixtureSpec,
     NodeSpec,
     Predictor,
     PredictorConfig,
     ServerOptimizer,
     aggregate_ratios,
     build_federation,
-    equidistant_means,
     evaluate,
     exchange_marginals,
     crossnode_listing_ratios,
@@ -32,13 +31,21 @@ from labelshift import (
     weight_vectors,
 )
 from labelshift import federated
+from labelshift.data import open_split
 from labelshift._rng import child_seed
 from labelshift.types import LabelMarginal
 
-from .helpers import marginal, tiny_mixture
+from .helpers import (
+    marginal,
+    record_pool_loads,
+    three_class_marginal,
+    tiny_mixture,
+    write_ink_corpus,
+)
 
-MIX3 = tiny_mixture(m=3, d=2, separation=3.0)
-MIX2 = GaussianMixtureSpec(equidistant_means(2, 2, 3.0), 1.0)
+SRC3 = DataSource(m=3, d=2, separation=3.0)
+SRC2 = DataSource(m=2, d=2, separation=3.0)
+MIX3 = tiny_mixture(m=3, d=2, separation=3.0)  # SRC3's mixture, for posterior oracles
 LINEAR = PredictorConfig(architecture="linear")
 
 
@@ -90,7 +97,7 @@ def test_no_ls_accepts_matching_marginals_per_node():
         NodeSpec(marginal(0.1, 0.9), marginal(0.1, 0.9), 20, 20),
     )
     fed = build_federation(
-        FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls"), MIX2)
+        FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls"), SRC2)
     assert fed.m == 2
     assert [n.train.n for n in fed.nodes] == [20, 20]
     assert [n.test.n for n in fed.nodes] == [20, 20]
@@ -100,7 +107,7 @@ def test_no_ls_rejects_intra_node_shift():
     nodes = (NodeSpec(marginal(0.9, 0.1), marginal(0.1, 0.9), 20, 20),)
     with pytest.raises(ValueError, match="node 0"):
         build_federation(
-            FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls"), MIX2)
+            FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls"), SRC2)
 
 
 def test_ls_single_shape_checks():
@@ -108,18 +115,42 @@ def test_ls_single_shape_checks():
     with pytest.raises(ValueError, match="at least two nodes"):
         build_federation(
             FederationConfig(nodes=(shifted,), global_model=LINEAR, scenario="ls_single"),
-            MIX2)
+            SRC2)
 
 
 def test_build_is_deterministic_and_seed_sensitive():
     nodes = (NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 50, 30, seed=4),)
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
-    a = build_federation(cfg, MIX2, 9)
-    b = build_federation(cfg, MIX2, 9)
+    a = build_federation(cfg, SRC2, 9)
+    b = build_federation(cfg, SRC2, 9)
     assert np.array_equal(a.nodes[0].train.features, b.nodes[0].train.features)
-    c = build_federation(cfg, MIX2, 10)
+    c = build_federation(cfg, SRC2, 10)
     assert (a.seed, c.seed) == (9, 10)
     assert not np.array_equal(a.nodes[0].train.features, c.nodes[0].train.features)
+
+
+def test_build_rejects_marginals_of_another_class_count(tmp_path):
+    u = uniform_marginal(3)
+    cfg = FederationConfig(nodes=(NodeSpec(u, u, 20, 20),), global_model=LINEAR, scenario="no_ls")
+    with pytest.raises(ValueError, match="marginal has 3 classes but the mixture has 2"):
+        build_federation(cfg, SRC2)
+    idx = DataSource(source="idx", **write_ink_corpus(tmp_path, 1, n=50))
+    with pytest.raises(ValueError, match="marginal has 3 classes but the pool has 10"):
+        build_federation(cfg, idx)
+
+
+def test_build_draws_every_node_from_an_idx_source_one_split_at_a_time(tmp_path, monkeypatch):
+    paths = write_ink_corpus(tmp_path, 1, n=200)
+    nodes = tuple(NodeSpec(marginal(*three_class_marginal(hot)), marginal(*three_class_marginal(2)),
+                           40 + i, 30, seed=i) for i, hot in enumerate((0, 0, 1)))
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi")
+    loads = record_pool_loads(monkeypatch)
+    fed = build_federation(cfg, DataSource(source="idx", **paths), 2)
+    assert loads == [(paths["train_images"], 0), (paths["test_images"], 0)]
+    assert fed.m == 10
+    assert [(n.train.n, n.test.n) for n in fed.nodes] == [(40, 30), (41, 30), (42, 30)]
+    assert all(n.train.features.dtype == np.uint8 and n.train.d == 64 for n in fed.nodes)
+    assert all(set(n.test.labels.tolist()) <= {0, 1, 2} for n in fed.nodes)
 
 
 # -------------------------------------------------------------- aggregation
@@ -177,7 +208,7 @@ def test_local_marginal_without_intra_node_shift():
             ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
                                             learning_rate=0.1, max_epochs=120, zeta=0.25,
                                             seed=8)),
-        MIX3, 7)
+        SRC3, 7)
     (est,) = exchange_marginals(fed)
     assert float(est.probs.sum()) == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(est.probs - node.train_marginal.probs)) < 0.05
@@ -186,7 +217,7 @@ def test_local_marginal_without_intra_node_shift():
 def test_local_marginal_with_oracle_posterior():
     node = NodeSpec(marginal(0.6, 0.3, 0.1), marginal(0.2, 0.2, 0.6), 2000, 5000, seed=9)
     fed = build_federation(
-        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_multi"), MIX3, 4)
+        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_multi"), SRC3, 4)
     tr_emp = fed.nodes[0].train.empirical_marginal()
     (est,) = exchange_marginals(
         fed, posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp, feats))
@@ -197,7 +228,7 @@ def test_exchange_publishes_one_marginal_per_node():
     # the entire pre-training communication: K length-m marginals, nothing else
     nodes = tuple(skew_node(i % 3, 2, n_tr=200, n_te=150, seed=i) for i in range(3))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi")
-    fed = build_federation(cfg, MIX3, 1)
+    fed = build_federation(cfg, SRC3, 1)
     tr_emp = [n.train.empirical_marginal() for n in fed.nodes]
     published = exchange_marginals(
         fed, posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp[0], feats))
@@ -213,7 +244,7 @@ def test_estimated_weights_recombine_exchanged_marginals():
     nodes = tuple(skew_node(i % 3, 2, n_tr=300, n_te=200, seed=i) for i in range(3))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
                            ratio_predictor=SMALL_RATIO)
-    fed = build_federation(cfg, MIX3, 5)
+    fed = build_federation(cfg, SRC3, 5)
     w = weight_vectors(fed, "estimated_ratios")
     published = exchange_marginals(fed)
     assert w.shape == (3, 3)
@@ -226,7 +257,7 @@ def test_ratio_predictors_train_once_and_reproduce_local_estimates():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
                            ratio_predictor=SMALL_RATIO)
-    fed = build_federation(cfg, MIX3, 1)
+    fed = build_federation(cfg, SRC3, 1)
     assert fed.ratio_predictors is fed.ratio_predictors
     published = exchange_marginals(fed)
     base = cfg.ratio_predictor
@@ -242,7 +273,7 @@ def test_weight_vectors_per_weighting():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
                            ratio_predictor=SMALL_RATIO)
-    fed = build_federation(cfg, MIX3, 1)
+    fed = build_federation(cfg, SRC3, 1)
     assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
     assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
     published = exchange_marginals(fed)
@@ -256,8 +287,8 @@ def test_weight_vectors_per_weighting():
 # ------------------------------------------------------------ training loop
 
 
-def train_under(cfg, mix, seed, weighting="none"):
-    fed = build_federation(cfg, mix, seed)
+def train_under(cfg, source, seed, weighting="none"):
+    fed = build_federation(cfg, source, seed)
     (result,) = train_global(fed, [weight_vectors(fed, weighting)], cfg)
     return result
 
@@ -271,8 +302,8 @@ def small_no_shift_cfg(rounds=6, **kw):
 
 def test_weighting_none_equals_explicit_ones():
     cfg = small_no_shift_cfg()
-    via_mode = train_under(cfg, MIX2, 3)
-    fed = build_federation(cfg, MIX2, 3)
+    via_mode = train_under(cfg, SRC2, 3)
+    fed = build_federation(cfg, SRC2, 3)
     (via_ones,) = train_global(fed, [np.ones((2, 2))], cfg)
     assert np.array_equal(via_mode.predictor.parameters, via_ones.predictor.parameters)
     assert via_mode.loss_trace == via_ones.loss_trace
@@ -283,14 +314,14 @@ def test_single_node_true_ratios_equals_plain_erm():
     nodes = (NodeSpec(u, u, 150, 100, seed=4),)
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls",
                            rounds=8)
-    plain = train_under(cfg, MIX2, 6)
-    weighted = train_under(cfg, MIX2, 6, "true_ratios")
+    plain = train_under(cfg, SRC2, 6)
+    weighted = train_under(cfg, SRC2, 6, "true_ratios")
     assert np.array_equal(plain.predictor.parameters, weighted.predictor.parameters)
 
 
 def test_result_invariants():
     cfg = small_no_shift_cfg(rounds=5)
-    result = train_under(cfg, MIX2, 3)
+    result = train_under(cfg, SRC2, 3)
     assert len(result.loss_trace) == 5
     assert len(result.accuracy_trace) == 5
     assert all(0.0 <= a <= 1.0 for a in result.per_node_accuracy)
@@ -300,20 +331,20 @@ def test_result_invariants():
 
 def test_training_deterministic_with_node_sampling():
     cfg = small_no_shift_cfg(rounds=10, sample_nodes_per_round=1)
-    a = train_under(cfg, MIX2, 3)
-    b = train_under(cfg, MIX2, 3)
+    a = train_under(cfg, SRC2, 3)
+    b = train_under(cfg, SRC2, 3)
     assert np.array_equal(a.predictor.parameters, b.predictor.parameters)
     assert a.loss_trace == b.loss_trace
-    c = train_under(cfg, MIX2, 99)
+    c = train_under(cfg, SRC2, 99)
     assert not np.array_equal(a.predictor.parameters, c.predictor.parameters)
     # the federation's seed also keys the node and batch draws on the same splits
-    (d,) = train_global(replace(build_federation(cfg, MIX2, 3), seed=99), [np.ones((2, 2))], cfg)
+    (d,) = train_global(replace(build_federation(cfg, SRC2, 3), seed=99), [np.ones((2, 2))], cfg)
     assert not np.array_equal(a.predictor.parameters, d.predictor.parameters)
 
 
 def test_train_global_rejects_bad_weights():
     cfg = small_no_shift_cfg(rounds=2)
-    fed = build_federation(cfg, MIX2, 3)
+    fed = build_federation(cfg, SRC2, 3)
     with pytest.raises(ValueError, match=r"weights must have shape \(2, 2\)"):
         train_global(fed, [np.ones((2, 2)), np.ones((3, 2))], cfg)
     with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -322,7 +353,7 @@ def test_train_global_rejects_bad_weights():
 
 def test_train_global_rejects_a_cfg_for_another_node_count():
     cfg = small_no_shift_cfg(rounds=2)
-    fed = build_federation(cfg, MIX2, 3)
+    fed = build_federation(cfg, SRC2, 3)
     u = uniform_marginal(2)
     three = replace(cfg, nodes=cfg.nodes + (NodeSpec(u, u, 120, 80, seed=3),))
     with pytest.raises(ValueError, match="cfg lists 3 nodes but the federation has 2"):
@@ -338,13 +369,13 @@ def test_divergence_reports_round():
         server_optimizer=ServerOptimizer(kind="sgd", learning_rate=1e160))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged at round 1"):
-            train_under(cfg, MIX2, 0)
+            train_under(cfg, SRC2, 0)
 
 
 def test_local_steps_change_the_trajectory():
     cfg = small_no_shift_cfg(rounds=4)
-    one = train_under(cfg, MIX2, 3)
-    several = train_under(replace(cfg, local_steps=3), MIX2, 3)
+    one = train_under(cfg, SRC2, 3)
+    several = train_under(replace(cfg, local_steps=3), SRC2, 3)
     assert not np.array_equal(one.predictor.parameters, several.predictor.parameters)
 
 
@@ -352,11 +383,10 @@ def test_local_steps_change_the_trajectory():
 
 
 def test_evaluate_random_model_near_chance():
-    mix10 = GaussianMixtureSpec(equidistant_means(10, 9, 1.0), 1.0)
     u = uniform_marginal(10)
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(u, u, 10, 2000),), global_model=LINEAR,
-                         scenario="no_ls"), mix10, 0)
+                         scenario="no_ls"), DataSource(m=10, d=9, separation=1.0), 0)
     _, acc = evaluate(init_predictor(PredictorConfig(architecture="linear", seed=5), 10, 9), fed)
     assert abs(acc - 0.1) <= 0.03
 
@@ -365,7 +395,7 @@ def test_evaluate_constant_model_matches_class_share():
     skew = marginal(0.977, 0.023)
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(skew, skew, 10, 5000),), global_model=LINEAR,
-                         scenario="no_ls"), MIX2, 1)
+                         scenario="no_ls"), SRC2, 1)
     # zero weights, bias forces class 0 on every input
     const = Predictor(np.array([0.0, 0.0, 0.0, 0.0, 50.0, -50.0]), "linear", 0, 2, 2)
     per_node, acc = evaluate(const, fed)
@@ -375,11 +405,10 @@ def test_evaluate_constant_model_matches_class_share():
 
 
 def test_evaluate_separable_mixture_near_perfect():
-    mix = GaussianMixtureSpec(equidistant_means(3, 2, 6.0), 1.0)
     u = uniform_marginal(3)
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(u, u, 4000, 3000),), global_model=LINEAR,
-                         scenario="no_ls"), mix, 2)
+                         scenario="no_ls"), DataSource(m=3, d=2, separation=6.0), 2)
     pred = train_predictor(
         fed.nodes[0].train,
         PredictorConfig(architecture="linear", max_epochs=30, loss_threshold=0.0,
@@ -395,7 +424,7 @@ def test_evaluate_scores_each_node_split_on_its_own(monkeypatch, model):
     # products, so each split keeps its own forward pass
     nodes = tuple(skew_node(i, 2, n_tr=20, n_te=n_te, seed=i) for i, n_te in enumerate((50, 7, 31)))
     fed = build_federation(
-        FederationConfig(nodes=nodes, global_model=model, scenario="ls_multi"), MIX3, 3)
+        FederationConfig(nodes=nodes, global_model=model, scenario="ls_multi"), SRC3, 3)
     pred = init_predictor(replace(model, seed=2), 3, 2)
     one_by_one = [float((predict_labels(pred, node.test.features) == node.test.labels).mean())
                   for node in fed.nodes]
@@ -421,10 +450,11 @@ def prop_nodes(n_tr):
     )
 
 
-def weighted_risk_gap(mix, fixed, n_tr, seed):
+def weighted_risk_gap(source, fixed, n_tr, seed):
     cfg = FederationConfig(nodes=prop_nodes(n_tr), global_model=LINEAR,
                            scenario="ls_multi")
-    fed = build_federation(cfg, mix, seed)
+    fed = build_federation(cfg, source, seed)
+    mix = open_split(source, "test")
     w = true_weight_vectors(cfg) / cfg.k
     emp = float(np.mean([
         loss_and_grad(fixed, fixed.parameters, nd.train.features, nd.train.labels,
@@ -442,11 +472,11 @@ def weighted_risk_gap(mix, fixed, n_tr, seed):
 def test_weighted_empirical_risk_converges_to_true_risk():
     """The importance-weighted training risk approaches the aggregate test
     risk as per-node samples grow (fixed model, exact weights)."""
-    mix = GaussianMixtureSpec(equidistant_means(3, 2, 2.5), 1.0)
+    source = DataSource(m=3, d=2, separation=2.5)
     fixed = init_predictor(PredictorConfig(architecture="linear", seed=123), 3, 2)
     medians = []
     for n_tr in (500, 2000, 8000):
-        gaps = [weighted_risk_gap(mix, fixed, n_tr, seed) for seed in range(5)]
+        gaps = [weighted_risk_gap(source, fixed, n_tr, seed) for seed in range(5)]
         medians.append(statistics.median(gaps))
     assert medians[0] > medians[1] > medians[2]
 
@@ -461,7 +491,7 @@ def test_crossnode_listing_shape_and_flagged_nature():
         nodes=nodes, global_model=LINEAR, scenario="ls_multi",
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=16,
                                         zeta=0.25, max_epochs=20))
-    fed = build_federation(cfg, MIX3, 8)
+    fed = build_federation(cfg, SRC3, 8)
     listing = crossnode_listing_ratios(fed)
     assert listing.shape == (2, 3)
     assert np.all(listing >= 0)
@@ -473,7 +503,7 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
         nodes=nodes, global_model=LINEAR, scenario="ls_multi",
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
                                         max_epochs=5))
-    fed = build_federation(cfg, MIX3, 8)
+    fed = build_federation(cfg, SRC3, 8)
     fed.ratio_predictors  # trained before counting
     scored, solved = [], []
     for name, calls in (("predict_proba", scored), ("estimate_mlls_em", solved)):
@@ -495,6 +525,6 @@ def test_crossnode_listing_needs_full_class_support():
     nodes = (NodeSpec(marginal(1.0, 0.0), marginal(1.0, 0.0), 50, 50, seed=0),
              NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 50, 50, seed=1))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
-    fed = build_federation(cfg, MIX2, 2)
+    fed = build_federation(cfg, SRC2, 2)
     with pytest.raises(ValueError, match="every class on every node"):
         crossnode_listing_ratios(fed)

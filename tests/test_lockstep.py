@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from labelshift import (
+    DataSource,
     FederationConfig,
     LabeledDataset,
     NodeSpec,
@@ -23,7 +24,7 @@ from labelshift import (
 from labelshift import predictor
 from labelshift.predictor import _relu_grad
 
-from .helpers import marginal, reference_train, tiny_dataset, tiny_mixture
+from .helpers import marginal, reference_train, tiny_dataset
 
 MLP = PredictorConfig(architecture="mlp", hidden_units=16, learning_rate=0.1, batch_size=32,
                       max_epochs=15, loss_threshold=0.0, zeta=1.0, seed=3)
@@ -155,7 +156,7 @@ def federation(**kw):
              NodeSpec(marginal(0.3, 0.3, 0.4), marginal(0.1, 0.2, 0.7), 130, 60, seed=3))
     kw = {"global_model": PredictorConfig(architecture="linear"), **kw}
     cfg = FederationConfig(nodes=nodes, scenario="ls_multi", rounds=12, **kw)
-    return build_federation(cfg, tiny_mixture(m=3, d=2, separation=2.0), 4), cfg
+    return build_federation(cfg, DataSource(m=3, d=2, separation=2.0), 4), cfg
 
 
 def assert_same_result(a, b):

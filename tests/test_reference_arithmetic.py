@@ -10,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelshift import (
+    DataSource,
     EstimatorOptions,
+    FederationConfig,
+    LabeledDataset,
+    NodeSpec,
     PredictorConfig,
     ProbabilityMatrix,
     estimate_mlls_em,
     init_predictor,
     load_idx,
     loss_and_grad,
+    build_federation,
     make_marginal,
     perturb_relaxed,
     predict_labels,
@@ -24,10 +29,13 @@ from labelshift import (
     read_features,
     relaxed_preset,
     resample_by_marginal,
+    train_global,
     train_predictor,
     train_predictors,
     uniform_marginal,
+    weight_vectors,
 )
+from labelshift import data
 from labelshift.estimators import _em_map
 
 from .helpers import (
@@ -39,7 +47,9 @@ from .helpers import (
     reference_load_idx,
     reference_loss_and_grad,
     reference_train,
+    three_class_marginal,
     tiny_dataset,
+    write_ink_corpus,
 )
 
 prop = settings(max_examples=40, derandomize=True, deadline=None)
@@ -214,3 +224,33 @@ def test_uint8_draws_train_score_and_perturb_to_the_bits_of_float_draws(tmp_path
         hit_u8, hit_f = perturb_relaxed(test_u8, spec), perturb_relaxed(test_f, spec)
         assert hit_u8.features.dtype == np.float64
         assert np.array_equal(hit_u8.features, hit_f.features)
+
+
+@pytest.mark.parametrize("local_steps", [1, 2])
+def test_pixel_federation_trains_to_the_bits_of_its_float_twin(tmp_path, monkeypatch, local_steps):
+    source = DataSource(source="idx", **write_ink_corpus(tmp_path, 3, n=400))
+    nodes = tuple(NodeSpec(make_marginal(three_class_marginal(hot)),
+                           make_marginal(three_class_marginal(2)), n_tr, 90, seed=i)
+                  for i, (hot, n_tr) in enumerate(((0, 150), (0, 130), (1, 170))))
+    cfg = FederationConfig(
+        nodes=nodes, scenario="ls_multi", rounds=6, local_steps=local_steps,
+        global_model=PredictorConfig(architecture="mlp", hidden_units=16, batch_size=32),
+        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
+                                        max_epochs=3, seed=4))
+    pixels = build_federation(cfg, source, 5)
+    load = data.load_idx
+    monkeypatch.setattr(data, "load_idx", lambda *paths: (lambda pool: LabeledDataset(
+        read_features(pool.features), pool.labels, pool.m))(load(*paths)))
+    floats = build_federation(cfg, source, 5)
+    for a, b in zip(pixels.nodes, floats.nodes):
+        assert a.train.features.dtype == np.uint8 and b.train.features.dtype == np.float64
+        assert np.array_equal(read_features(a.train.features), b.train.features)
+        assert np.array_equal(read_features(a.test.features), b.test.features)
+    weightings = ("none", "true_ratios", "estimated_ratios")
+    got, want = (train_global(fed, [weight_vectors(fed, w) for w in weightings], cfg)
+                 for fed in (pixels, floats))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.node_weights, w.node_weights)
+        assert np.array_equal(g.predictor.parameters, w.predictor.parameters)
+        assert g.loss_trace == w.loss_trace and g.accuracy_trace == w.accuracy_trace
+        assert g.per_node_accuracy == w.per_node_accuracy
