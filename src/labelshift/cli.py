@@ -472,6 +472,8 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fed = build_federation(cfg.federation, cfg.data, cfg.seed)
+    # First, so that a federation it rejects fails before any training or output.
+    crossnode = crossnode_listing_ratios(fed).tolist() if cfg.crossnode_listing else None
     acc_rows = []
     trace_rows = []
     variants = {}
@@ -495,7 +497,7 @@ def run_federate(cfg: ExperimentConfig) -> dict:
     summary = _base_summary(cfg)
     summary["weightings"] = variants
     if cfg.crossnode_listing:
-        summary["crossnode_listing_ratios"] = crossnode_listing_ratios(fed).tolist()
+        summary["crossnode_listing_ratios"] = crossnode
     return _write_summary(cfg, summary)
 
 

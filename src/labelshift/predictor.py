@@ -114,16 +114,17 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
     return Predictor(np.concatenate(parts), cfg.architecture, hidden, m, d)
 
 
-def _forward(parts, x, outs=None):
-    """Logits and each layer's input from the unpacked parameters. Each layer
-    is built in one buffer (outs[i] when given), and ReLU runs in place on it
-    before the next layer reads it. A stack's slices are each model's own products."""
+def _forward(parts, x, outs, floors):
+    """Logits and each layer's input for a training step. Each layer is built in outs[i]:
+    the matrix product, then the bias added in place, and ReLU in place against floors[i],
+    a zero block of its shape, before the next layer reads it (an array operand runs
+    faster than the scalar 0.0). A stack's slices are each model's own products."""
     inputs = []
     for i, (w, b) in enumerate(parts):
         if inputs:
-            np.maximum(x, 0.0, out=x)
+            np.maximum(x, floors[i - 1], out=x)
         inputs.append(x)
-        x = np.matmul(x, w, out=None if outs is None else outs[i])
+        x = np.matmul(x, w, out=outs[i])
         x += b
     return x, inputs
 
@@ -147,9 +148,11 @@ def _log_softmax(z):
     return z
 
 
-def _relu_grad(a, g):
-    """np.where(a <= 0, 0.0, g) bit for bit, by a branch-free mask on g's bits built in a."""
-    keep = np.subtract(a <= 0, 1, dtype=np.int64, out=a.view(np.int64))  # a <= 0: 0, else ~0
+def _relu_grad(a, g, le):
+    """np.where(a <= 0, 0.0, g) bit for bit, by a branch-free mask on g's bits built in a;
+    le is a bool buffer of a's shape that takes the comparison."""
+    np.less_equal(a, 0.0, out=le)
+    keep = np.subtract(le, 1, dtype=np.int64, out=a.view(np.int64))  # a <= 0: 0, else ~0
     np.bitwise_and(g.view(np.int64), keep, out=g.view(np.int64))
     return g
 
@@ -180,10 +183,10 @@ class StepWorkspace:
 
     It holds the parameter views, rebound only when a call passes another
     params array; one gradient buffer, which the next call overwrites; and per
-    batch shape the layer outputs, the logit-sized temporaries, the hidden
-    gradients and the base of the flat label index. A call runs the same
-    arithmetic as loss_and_grad and returns (total, ce, gradient buffer).
-    gather reads a training batch for it.
+    batch shape the layer outputs, each hidden layer's zero block (the ReLU
+    floor), bool mask and gradient, the logit-sized temporaries and the base of
+    the flat label index. A call runs the same arithmetic as loss_and_grad and
+    returns (total, ce, gradient buffer). gather reads a training batch for it.
     """
 
     def __init__(self, layout: Predictor):
@@ -208,9 +211,12 @@ class StepWorkspace:
         widths = [w for _, w in _layers(self.layout.architecture, self.layout.hidden_units,
                                         m, self.layout.d)]
         outs = [np.empty(lead + (rows, w)) for w in widths]
+        hidden = [o.shape for o in outs[:-1]]
         self.batches[key] = (
             outs,
-            [np.empty(lead + (rows, w)) for w in widths[:-1]],  # hidden gradients
+            [np.zeros(h) for h in hidden],  # ReLU floors
+            [np.empty(h, dtype=bool) for h in hidden],  # ReLU masks a <= 0
+            [np.empty(h) for h in hidden],  # hidden gradients
             np.empty_like(outs[-1]),  # p * logp, then zeta * p * (logp - pen)
             np.empty_like(outs[-1]),  # p, then dz
             np.arange(0, outs[-1].size, m).reshape(lead + (rows,)),  # flat label index base
@@ -226,9 +232,9 @@ class StepWorkspace:
         if params is not self.params:
             self.params, self.parts = params, _unpack(layout, params)
         key = (x.shape, params.shape)
-        outs, dhs, t, dz, base = self.batches.get(key) or self._batch(key, x, params)
+        outs, floors, masks, dhs, t, dz, base = self.batches.get(key) or self._batch(key, x, params)
         n, zeta = x.shape[-2], np.asarray(zeta, dtype=np.float64)
-        z, inputs = _forward(self.parts, x, outs)
+        z, inputs = _forward(self.parts, x, outs, floors)
         logp = _log_softmax(z)
         p = np.exp(logp, out=dz)  # dz starts as p
         hit = base + y  # flat label index
@@ -261,7 +267,8 @@ class StepWorkspace:
             np.matmul(a.swapaxes(-1, -2), g, out=gw)
             if i:
                 # a <= 0 exactly where the pre-activation is <= 0 (NaN passes through both).
-                g = _relu_grad(a, np.matmul(g, self.parts[i][0].swapaxes(-1, -2), out=dhs[i - 1]))
+                g = np.matmul(g, self.parts[i][0].swapaxes(-1, -2), out=dhs[i - 1])
+                g = _relu_grad(a, g, masks[i - 1])
         return total, ce, self.grad
 
 
@@ -299,23 +306,26 @@ def _train_stack(jobs) -> list[Predictor]:
     zeta, threshold = np.array([(c.zeta, c.loss_threshold) for _, c in jobs]).T
     order_rngs = [stream(c.seed, 0x2) for _, c in jobs]
     step = StepWorkspace(layout)
+    starts = range(0, n, cfg.batch_size)
+    rows = np.diff([*starts, n])[:, None]  # rows per step
     live, done = np.arange(len(jobs)), {}  # live[s]: the job behind row s of params
     for epoch in range(cfg.max_epochs):
         order = np.stack([order_rngs[j].permutation(n) for j in live]) + offset[live, None]
         order = order[:1] if (order == order[0]).all() else order  # same draws: one batch
-        ce_sum, drift = 0.0, 0.0  # drift += total - total: 0 until a total is inf or NaN
-        for start in range(0, n, cfg.batch_size):
-            idx = order[:, start : start + cfg.batch_size]
-            total, ce, grad = step(params, step.gather(x, idx), y[idx], zeta)
-            drift += total - total
+        labels = y[order]
+        totals, ces = np.empty((2, len(starts), live.size))  # per step and member
+        for k, start in enumerate(starts):
+            batch = slice(start, start + cfg.batch_size)
+            totals[k], ces[k], grad = step(params, step.gather(x, order[:, batch]),
+                                           labels[:, batch], zeta)
             if cfg.weight_decay:
                 grad += cfg.weight_decay * params
             grad *= cfg.learning_rate
             params -= grad
-            ce_sum += ce * idx.shape[1]
-        if not np.isfinite(drift).all():
+        if not np.isfinite(totals).all():
             raise RuntimeError(f"diverged at epoch {epoch}")
-        stop = ce_sum / n < threshold
+        # accumulate's last row is the running sum's left fold, step by step.
+        stop = np.add.accumulate(np.multiply(ces, rows, out=ces), axis=0)[-1] / n < threshold
         if stop.any():
             done.update(zip(live[stop], params[stop]))
             live, params, zeta, threshold = (a[~stop] for a in (live, params, zeta, threshold))
@@ -336,13 +346,16 @@ def _logits(pred: Predictor, features, padded=False) -> np.ndarray:
     """(..., n, m) logits in a class-major (..., m, n) buffer, scored in blocks of one
     fixed shape so that no row's bits depend on its neighbours. The last block is the
     last B rows; an input shorter than B is zero-padded, and padded keeps those rows.
-    uint8 pixels are scaled (read_features) one block at a time."""
+    uint8 pixels are scaled (read_features) one block at a time. The output bias is
+    added once, along the class-major buffer after the last block: added to a block's
+    (..., B, m) logits, numpy would loop once per row."""
     x = np.asarray(features)
     if x.dtype != np.uint8:
         x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pred.d:
         raise ValueError("features must be (n, d) matching the predictor")
-    n, rows, parts = x.shape[0], _block_rows(pred), _unpack(pred, pred.parameters)
+    n, rows = x.shape[0], _block_rows(pred)
+    *hidden, (w_out, b_out) = _unpack(pred, pred.parameters)
     total = max(n, rows)
     block = np.zeros((rows, pred.d)) if x.dtype == np.uint8 or n < rows else None
     out = np.empty(pred.parameters.shape[:-1] + (pred.m, total))
@@ -352,8 +365,12 @@ def _logits(pred: Predictor, features, padded=False) -> np.ndarray:
         if block is not None:
             read_features(xb, block[: len(xb)])
             xb = block
-        z = _forward(parts, xb)[0]
-        out[..., start : start + rows] = z.swapaxes(-1, -2)
+        for w, b in hidden:
+            xb = np.matmul(xb, w)
+            xb += b
+            np.maximum(xb, 0.0, out=xb)
+        out[..., start : start + rows] = np.matmul(xb, w_out).swapaxes(-1, -2)
+    out += b_out.swapaxes(-1, -2)
     return (out if padded else out[..., :n]).swapaxes(-1, -2)
 
 

@@ -194,9 +194,12 @@ def argmax_last(z) -> np.ndarray:
     """np.argmax(z, axis=-1) exactly, so a tie or a NaN goes to the first index,
     by a branch-free select per class: fast where each class is contiguous."""
     best, label = z[..., 0].copy(), np.zeros(z.shape[:-1], dtype=np.intp)
+    step, (better, live) = np.empty_like(label), np.empty((2,) + label.shape, dtype=bool)
     for c in range(1, z.shape[-1]):
-        better = ~(z[..., c] <= best) & (best == best)  # larger, or the first NaN
-        label += better * (c - label)
+        np.less_equal(z[..., c], best, out=better)
+        np.equal(best, best, out=live)  # no NaN so far
+        np.greater(live, better, out=better)  # larger, or the first NaN
+        label += np.multiply(np.subtract(c, label, out=step), better, out=step)
         np.maximum(best, z[..., c], out=best)  # NaN sticks
     return label
 

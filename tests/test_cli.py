@@ -689,6 +689,18 @@ def test_federate_runs_end_to_end_on_an_idx_corpus(tmp_path, seed):
     assert acc["estimated_ratios"] >= acc["none"] + IDX_FEDERATE_MARGIN, acc
 
 
+def test_federate_rejects_crossnode_listing_before_training(tmp_path, monkeypatch, capsys):
+    raw = {**idx_federate_raw(write_ink_corpus(tmp_path, 0)), "crossnode_listing": True}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    trained = []
+    _count_calls(monkeypatch, cli, "train_global", trained)
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert ("error: cross-node aggregation needs every class on every node"
+            in capsys.readouterr().err)
+    assert trained == [] and not list(out.glob("federate_*.csv"))
+
+
 def test_sweep_frees_the_train_pool_before_the_test_split_loads(tmp_path, monkeypatch):
     paths = {}
     for split in ("train", "test"):

@@ -342,6 +342,22 @@ def test_training_deterministic_with_node_sampling():
     assert not np.array_equal(a.predictor.parameters, d.predictor.parameters)
 
 
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_train_global_scores_the_final_model_once_per_round(monkeypatch, rounds):
+    cfg = small_no_shift_cfg(rounds=rounds)
+    fed = build_federation(cfg, SRC2, 3)
+    calls = []
+    monkeypatch.setattr(federated, "evaluate",
+                        lambda pred, fed: calls.append(pred) or evaluate(pred, fed))
+    results = train_global(fed, [np.ones((2, 2)), np.full((2, 2), 2.0)], cfg)
+    assert len(calls) == max(rounds, 1)
+    for s, result in enumerate(results):
+        per_node, avg = evaluate(result.predictor, fed)
+        assert result.per_node_accuracy == per_node and result.avg_accuracy == avg
+        assert np.array_equal(calls[-1].parameters[s], result.predictor.parameters)
+        assert result.accuracy_trace[-1:] == ((avg,) if rounds else ())
+
+
 def test_train_global_rejects_bad_weights():
     cfg = small_no_shift_cfg(rounds=2)
     fed = build_federation(cfg, SRC2, 3)

@@ -142,9 +142,15 @@ def test_relu_grad_matches_np_where_bit_for_bit():
     a, g = (x.reshape(-1, 9) for x in np.meshgrid(specials, specials))
     a = np.concatenate([a, np.random.default_rng(0).normal(size=(40, 9))])
     g = np.concatenate([g, np.random.default_rng(1).normal(size=(40, 9))])
-    expected = np.where(a <= 0, 0.0, g)
-    out = _relu_grad(a.copy(), g.copy())
-    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    # 2-D and stacked (S, b, w) cases, each run twice; every shape keeps one mask buffer.
+    stacked = [(a, g), (g, a), (a.reshape(3, 49, 3), g.reshape(3, 49, 3))]
+    masks = {}
+    for a, g in stacked + stacked:
+        expected = np.where(a <= 0, 0.0, g)
+        le = masks.setdefault(a.shape, np.empty(a.shape, dtype=bool))
+        out = _relu_grad(a.copy(), g.copy(), le)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    assert len(masks) == 2
 
 
 # ---------------------------------------------------------- train_global

@@ -3,6 +3,7 @@ uint8 IDX pixels give the same bits as the original arithmetic kept in
 helpers.py."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ def test_predict_proba_matches_reference(architecture):
     x = tiny_dataset(seed=6, n=2000, m=3, d=4, separation=2.0).features
     logp, _ = reference_forward(pred, pred.parameters, x)
     assert np.array_equal(predict_proba(pred, x).rows,
+                          ProbabilityMatrix.from_rows(np.exp(logp)).rows)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 2000])
+def test_predict_labels_of_a_linear_stack_matches_reference(n):
+    rng = np.random.default_rng(n)
+    layout = init_predictor(config("linear", 0.0), 3, 2)
+    stack = layout.parameters + rng.normal(scale=0.5, size=(3, layout.parameters.size))
+    x = rng.normal(scale=2.0, size=(n, 2))
+    labels = predict_labels(replace(layout, parameters=stack), x)
+    assert labels.shape == (3, n)
+    for s, params in enumerate(stack):
+        w, b = params[:6].reshape(2, 3), params[6:]
+        assert np.array_equal(labels[s], np.argmax(x @ w + b, axis=1))
+
+
+def test_predict_proba_of_pixels_matches_reference_on_scaled_rows():
+    # Three classes: from 8, the reference sums a row's classes pairwise, but the
+    # class-major scoring buffer sums them in class order.
+    rng = np.random.default_rng(3)
+    layout = init_predictor(config("mlp", 0.0, hidden_units=128), 3, 784)
+    params = layout.parameters + rng.normal(scale=0.05, size=layout.parameters.size)
+    pred = replace(layout, parameters=params)
+    pixels = rng.integers(0, 256, size=(700, 784), dtype=np.uint8)  # 2 blocks and an overlap
+    logp, _ = reference_forward(pred, params, pixels / 255.0)
+    assert np.array_equal(predict_proba(pred, pixels).rows,
                           ProbabilityMatrix.from_rows(np.exp(logp)).rows)
 
 

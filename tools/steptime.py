@@ -19,7 +19,10 @@ Two more rows time the stacks the shipped runs step:
     model on one shared batch of 64 rows drawn afresh each step, with (3, 64)
     per-row weights, through one predictor.StepWorkspace and the SGD update.
 Then it prints the median time of one predict_proba call on 5,000 seeded
-rows for one freshly initialized model of each shape.
+rows for one freshly initialized model of each shape, and two scoring calls
+of the federate run on 2,000 rows: predict_labels of a stack of three linear
+2->3 models (one node of federated.evaluate) and predict_proba of one
+2->32->3 ratio predictor.
 The BLAS and OpenMP thread variables are set to 1 before numpy is imported,
 as in tools/reprocheck.py and the benchmark.
 """
@@ -43,7 +46,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from labelshift import (  # noqa: E402
-    LabeledDataset, PredictorConfig, init_predictor, predict_proba, train_predictors,
+    LabeledDataset, PredictorConfig, init_predictor, predict_labels, predict_proba,
+    train_predictors,
 )
 from labelshift.predictor import StepWorkspace  # noqa: E402
 
@@ -56,6 +60,7 @@ SHAPES = (  # name, architecture, d, hidden units, m
 BATCH = 64
 ROWS = 8 * BATCH  # eight steps per epoch
 SCORED_ROWS = 5000
+NODE_ROWS = 2000  # one federate node's test split
 
 
 def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, steps: int,
@@ -91,13 +96,17 @@ def weighted_step_seconds(steps: int, stack: int = 3) -> float:
     return (time.perf_counter() - t) / steps
 
 
-def proba_seconds(architecture: str, d: int, hidden: int, m: int, calls: int) -> float:
+def score_seconds(architecture: str, d: int, hidden: int, m: int, calls: int,
+                  rows: int = SCORED_ROWS, stack: int = 1, score=predict_proba) -> float:
     cfg = PredictorConfig(architecture=architecture, hidden_units=max(hidden, 1))
     pred = init_predictor(cfg, m, d)
-    x = np.random.default_rng(d * 1000 + m).normal(size=(SCORED_ROWS, d))
+    if stack > 1:
+        pred = replace(pred, parameters=np.stack([init_predictor(replace(cfg, seed=s), m, d)
+                                                  .parameters for s in range(stack)]))
+    x = np.random.default_rng(d * 1000 + m).normal(size=(rows, d))
     t = time.perf_counter()
     for _ in range(calls):
-        predict_proba(pred, x)
+        score(pred, x)
     return (time.perf_counter() - t) / calls
 
 
@@ -123,9 +132,18 @@ def main() -> int:
         print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
     print(f"\n{'shape':<18} {'predict_proba ms per ' + str(SCORED_ROWS) + ' rows':>32}")
     for name, architecture, d, hidden, m in SHAPES:
-        secs = statistics.median(proba_seconds(architecture, d, hidden, m, 20)
+        secs = statistics.median(score_seconds(architecture, d, hidden, m, 20)
                                  for _ in range(args.repeats))
         print(f"{name:<18} {secs * 1e3:>32.3f}")
+    print(f"\n{'federate scoring, ' + str(NODE_ROWS) + ' rows':<32} {'ms per call':>18}")
+    node_calls = (
+        ("predict_labels linear 2->3 x3",
+         lambda: score_seconds("linear", 2, 0, 3, 100, NODE_ROWS, 3, predict_labels)),
+        ("predict_proba mlp 2->32->3", lambda: score_seconds("mlp", 2, 32, 3, 100, NODE_ROWS)),
+    )
+    for name, timed in node_calls:
+        secs = statistics.median(timed() for _ in range(args.repeats))
+        print(f"{name:<32} {secs * 1e3:>18.3f}")
     return 0
 
 
