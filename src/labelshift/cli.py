@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from types import NoneType, SimpleNamespace, UnionType
+from types import NoneType, UnionType
 
 import numpy as np
 
@@ -62,11 +62,19 @@ DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 _PRESETS = {RelaxedShiftSpec: {"relaxed": relaxed_preset, "relax_m": relax_m_preset}}
 
-# Fields only the sweeps and estimate_once read, and fields only federate reads (dotted
-# for a section's field). A kind that does not read a field needs it at its default.
-_SWEEP_FIELDS = ("predictor", "solver", "estimators", "alpha_grid", "size_grid", "trials",
-                 "n_te", "split_fraction", "data.n_train")
-_FEDERATE_FIELDS = ("weightings", "crossnode_listing")
+# The fields each kind never reads (dotted for a section's field), which its runs take
+# only at their defaults. seed, data, out_dir and threads are run settings of every kind.
+_UNREAD = {
+    "sweep_alpha": ("alpha", "size_grid", "federation", "weightings", "crossnode_listing"),
+    "sweep_size": ("n_te", "alpha_grid", "federation", "weightings", "crossnode_listing"),
+    "estimate_once": ("trials", "alpha_grid", "size_grid", "federation", "weightings",
+                      "crossnode_listing"),
+    "federate": ("trials", "n_te", "alpha", "alpha_grid", "size_grid", "estimators", "predictor",
+                 "solver", "split_fraction", "perturbation", "data.n_train",
+                 "federation.global_model.zeta", "federation.global_model.max_epochs",
+                 "federation.global_model.loss_threshold", "federation.ratio_solver.step_size",
+                 "federation.ratio_solver.rlls_lambda"),
+}
 
 # The JSON types each scalar field accepts. Matched by exact type, not
 # isinstance, so JSON true/false never pass as numbers.
@@ -112,14 +120,15 @@ class ExperimentConfig:
             raise ValueError("alpha_grid entries must be positive")
         if not self.size_grid or any(n < 1 for n in self.size_grid):
             raise ValueError("size_grid entries must be positive")
-        for e in self.estimators:
-            if e not in ESTIMATOR_NAMES:
-                raise ValueError(f"unknown estimator {e!r}")
-        if not self.estimators:
-            raise ValueError("need at least one estimator")
-        for w in self.weightings:
-            if w not in WEIGHTINGS:
-                raise ValueError(f"unknown weighting {w!r}")
+        for what, names, known in (("estimator", self.estimators, ESTIMATOR_NAMES),
+                                   ("weighting", self.weightings, WEIGHTINGS)):
+            if not names:
+                raise ValueError(f"need at least one {what}")
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {what} {name!r}")
+                if name in names[:i]:
+                    raise ValueError(f"duplicate {what} {name!r}")
         if not 0.0 <= self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in [0, 1)")
         n_train = self.data.n_train
@@ -130,14 +139,11 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
         if self.kind == "federate" and self.federation is None:
             raise ValueError("federate runs need a federation section")
-        if self.kind != "federate" and self.federation is not None:
-            raise ValueError(f"{self.kind} runs take no federation section")
-        if self.kind == "federate" and self.perturbation is not None:
-            raise ValueError("federate runs take no perturbation section")
-        defaults = SimpleNamespace(**{f.name: f.default for f in dataclasses.fields(self)})
-        for key in _SWEEP_FIELDS if self.kind == "federate" else _FEDERATE_FIELDS:
-            if attrgetter(key)(self) != attrgetter(key)(defaults):
-                raise ValueError(f"{self.kind} runs take no {key} key")
+        for path in _UNREAD[self.kind]:
+            owner, _, leaf = path.rpartition(".")
+            owner = attrgetter(owner)(self) if owner else self
+            if getattr(owner, leaf) != getattr(type(owner), leaf):  # the field's default
+                raise ValueError(f"{self.kind} runs take no {path} key")
 
 
 def _jsonable(x):

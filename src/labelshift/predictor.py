@@ -130,9 +130,10 @@ def _forward(parts, x, outs, floors):
 
 
 def _class_reduce(ufunc, z):
-    """ufunc.reduce over the last (class) axis of z, keeping it. Below 8 classes it is
-    a left fold over the class columns, which numpy's reduction matches bit for bit
-    there and runs as a slow loop over short rows; from 8 classes numpy sums pairwise."""
+    """ufunc.reduce over the last (class) axis of z, keeping it. Below 8 classes a left fold
+    over the class columns: numpy's order there, but numpy runs it as a slow loop over short
+    rows. From 8, numpy's own: pairwise along a contiguous class axis (training) and a left
+    fold along a strided one (scoring's class-major buffer), so scoring folds left at every m."""
     if z.shape[-1] >= 8:
         return ufunc.reduce(z, axis=-1, keepdims=True)
     out = ufunc(z[..., 0:1], z[..., 1:2])

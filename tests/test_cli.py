@@ -47,9 +47,18 @@ def body_lines(path):
     return Path(path).read_text().splitlines()[1:]  # drop the config line
 
 
+# The BASE_SWEEP keys that a kind never reads, and so does not take.
+BASE_SWEEP_UNREAD = {"sweep_size": ("n_te", "alpha_grid"),
+                     "estimate_once": ("trials", "alpha_grid")}
+
+
 def raw_for(kind, **over):
-    """A fresh config that resolves for kind: FED_RAW for federate, else BASE_SWEEP."""
-    return json.loads(json.dumps({**(FED_RAW if kind == "federate" else BASE_SWEEP), **over}))
+    """A fresh config that resolves for kind: FED_RAW for federate, else BASE_SWEEP less
+    the keys the kind does not read."""
+    base = FED_RAW if kind == "federate" else {
+        key: value for key, value in BASE_SWEEP.items()
+        if key not in BASE_SWEEP_UNREAD.get(kind, ())}
+    return json.loads(json.dumps({**base, **over}))
 
 
 def parent_of(raw, path):
@@ -202,7 +211,7 @@ def test_resolve_names_the_path_of_a_value_its_section_rejects(path, value, mess
 
 
 def test_resolve_keeps_float_fields_as_written():
-    cfg = cli.resolve_config(sweep_raw(alpha=2, split_fraction=0), "sweep_alpha")
+    cfg = cli.resolve_config(raw_for("sweep_size", alpha=2, split_fraction=0), "sweep_size")
     assert '"alpha":2,' in cli._config_line(cfg)
     assert '"split_fraction":0,' in cli._config_line(cfg)
 
@@ -452,7 +461,8 @@ def test_scoring_failure_is_charged_to_each_estimator_needing_it(tmp_path, monke
         else:
             assert r["error"] == "RuntimeError: scoring failed" and r["mse"] == ""
 
-    cfg = cli.resolve_config(sweep_raw(), "estimate_once", out=str(tmp_path / "e"), seed=3)
+    cfg = cli.resolve_config(raw_for("estimate_once"), "estimate_once", out=str(tmp_path / "e"),
+                             seed=3)
     estimates = cli.run_estimate_once(cfg)["estimates"]
     assert estimates["vrls_em"]["error"] == ""
     for name in ("mlls_em", "bbse", "rlls"):
@@ -525,7 +535,7 @@ def test_rate_check_reports_negative_slopes(tmp_path):
 
 
 def test_estimate_once_summary_fields(tmp_path):
-    cfg = cli.resolve_config(sweep_raw(), "estimate_once", out=str(tmp_path), seed=3)
+    cfg = cli.resolve_config(raw_for("estimate_once"), "estimate_once", out=str(tmp_path), seed=3)
     summary = cli.run_estimate_once(cfg)
     written = json.loads((tmp_path / "estimate_once_summary.json").read_text())
     assert written["drawn_marginal"] == summary["drawn_marginal"]
@@ -638,15 +648,41 @@ FED_IGNORES = {"predictor": {"zeta": 0.5}, "solver": {"tol": 1e-5}, "estimators"
                "split_fraction": 0.1}
 
 
+def federation_with(section, **over):
+    """FED_RAW's federation section with over set in its section."""
+    federation = json.loads(json.dumps(FED_RAW["federation"]))
+    federation[section] = {**federation.get(section, {}), **over}
+    return federation
+
+
+# (kind, top-level key, value, dotted path) for a value other than the default of each
+# remaining field that no run of the kind reads.
+UNREAD = [
+    ("sweep_alpha", "alpha", 2.0, "alpha"),
+    ("sweep_alpha", "size_grid", [100], "size_grid"),
+    ("sweep_size", "alpha_grid", [0.5], "alpha_grid"),
+    ("sweep_size", "n_te", 300, "n_te"),
+    ("estimate_once", "trials", 3, "trials"),
+    ("estimate_once", "alpha_grid", [0.5], "alpha_grid"),
+    ("estimate_once", "size_grid", [100], "size_grid"),
+    ("federate", "alpha", 2.0, "alpha"),
+    *[("federate", "federation", federation_with("global_model", **{key: value}),
+       f"federation.global_model.{key}")
+      for key, value in {"zeta": 0.5, "max_epochs": 5, "loss_threshold": 0.0}.items()],
+    *[("federate", "federation", federation_with("ratio_solver", **{key: 0.1}),
+       f"federation.ratio_solver.{key}") for key in ("step_size", "rlls_lambda")],
+]
+
+
 @pytest.mark.parametrize(
     "kind, section, value, message",
     [
         ("sweep_alpha", "federation", FED_RAW["federation"],
-         "sweep_alpha runs take no federation section"),
+         "sweep_alpha runs take no federation key"),
         ("estimate_once", "federation", FED_RAW["federation"],
-         "estimate_once runs take no federation section"),
+         "estimate_once runs take no federation key"),
         ("federate", "perturbation", {"preset": "relaxed"},
-         "federate runs take no perturbation section"),
+         "federate runs take no perturbation key"),
         *[("sweep_alpha", "data", {**IDX_DATA, key: value}, f"data: idx sources take no {key} key")
           for key, value in IDX_IGNORES.items()],
         ("sweep_alpha", "data", {"test_labels": "x"},
@@ -658,17 +694,52 @@ FED_IGNORES = {"predictor": {"zeta": 0.5}, "solver": {"tol": 1e-5}, "estimators"
         ("sweep_size", "crossnode_listing", True, "sweep_size runs take no crossnode_listing key"),
         ("estimate_once", "crossnode_listing", True,
          "estimate_once runs take no crossnode_listing key"),
+        *[(kind, key, value, re.escape(f"{kind} runs take no {path} key"))
+          for kind, key, value, path in UNREAD],
     ],
     ids=["sweep_federation", "estimate_once_federation", "federate_perturbation",
          *[f"idx_{key}" for key in IDX_IGNORES], "synthetic_path", "federate_n_train",
          *[f"federate_{key}" for key in FED_IGNORES], "sweep_weightings",
-         "sweep_size_crossnode_listing", "estimate_once_crossnode_listing"],
+         "sweep_size_crossnode_listing", "estimate_once_crossnode_listing",
+         *[f"{kind}_{path.removeprefix('federation.').replace('.', '_')}"
+           for kind, _, _, path in UNREAD]],
 )
-def test_resolve_rejects_a_section_the_kind_ignores(kind, section, value, message):
+def test_resolve_rejects_a_section_the_kind_ignores(tmp_path, capsys, kind, section, value,
+                                                    message):
     raw = raw_for(kind)
     raw[section] = json.loads(json.dumps(value))
     with pytest.raises(ValueError, match=rf"^{message}$"):
         cli.resolve_config(raw, kind)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert re.search(rf"^error: {message}$", capsys.readouterr().err, re.M)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_every_kind_takes_the_run_settings(tmp_path, kind):
+    raw = raw_for(kind, seed=4, out_dir="from-config", threads=3)
+    cfg = cli.resolve_config(raw, kind, out=str(tmp_path), threads=2)
+    assert (cfg.seed, cfg.out_dir, cfg.threads) == (4, str(tmp_path), 2)
+
+
+@pytest.mark.parametrize(
+    "kind, key, names, message",
+    [
+        ("sweep_alpha", "estimators", ["mlls_em", "mlls_em"], "duplicate estimator 'mlls_em'"),
+        ("federate", "weightings", ["none", "true_ratios", "none"], "duplicate weighting 'none'"),
+        ("federate", "weightings", [], "need at least one weighting"),
+    ],
+    ids=["duplicate_estimator", "duplicate_weighting", "no_weighting"],
+)
+def test_main_rejects_repeated_or_missing_names_before_any_output(tmp_path, capsys, kind, key,
+                                                                   names, message):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw_for(kind, **{key: names})))
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # Under ls_multi on the ink corpus, estimated_ratios must beat none on avg_accuracy by this

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelshift import (
+    PROB_FLOOR,
     DataSource,
     EstimatorOptions,
     FederationConfig,
@@ -48,6 +49,7 @@ from .helpers import (
     reference_load_idx,
     reference_loss_and_grad,
     reference_train,
+    reference_unpack,
     three_class_marginal,
     tiny_dataset,
     write_ink_corpus,
@@ -151,6 +153,32 @@ def test_predict_proba_of_pixels_matches_reference_on_scaled_rows():
     logp, _ = reference_forward(pred, params, pixels / 255.0)
     assert np.array_equal(predict_proba(pred, pixels).rows,
                           ProbabilityMatrix.from_rows(np.exp(logp)).rows)
+
+
+def left_fold(ufunc, z):
+    """ufunc over the columns of the (n, m) matrix z in class order, as an (n, 1) column."""
+    out = z[:, :1]
+    for c in range(1, z.shape[1]):
+        out = ufunc(out, z[:, c : c + 1])
+    return out
+
+
+def test_predict_proba_of_ten_classes_folds_the_class_axis_left():
+    # Scoring reduces along the strided class axis of a class-major buffer, so its max,
+    # exp-sum and renormalization fold left at every m, also where a row-major sum of
+    # 8 or more classes (reference_forward's) goes pairwise.
+    rng = np.random.default_rng(10)
+    layout = init_predictor(config("mlp", 0.0, hidden_units=128), 10, 784)
+    params = layout.parameters + rng.normal(scale=0.05, size=layout.parameters.size)
+    pred = replace(layout, parameters=params)
+    pixels = rng.integers(0, 256, size=(700, 784), dtype=np.uint8)  # 2 blocks and an overlap
+    w1, b1, w2, b2 = reference_unpack(pred, params)
+    z = np.maximum(pixels / 255.0 @ w1 + b1, 0.0) @ w2 + b2
+    z = z - left_fold(np.maximum, z)
+    logp = z - np.log(left_fold(np.add, np.exp(z)))
+    p = np.maximum(np.exp(logp), PROB_FLOOR)
+    p = np.maximum(p / left_fold(np.add, p), PROB_FLOOR)
+    assert np.array_equal(predict_proba(pred, pixels).rows, p)
 
 
 @pytest.mark.parametrize(
