@@ -76,6 +76,29 @@ _UNREAD = {
                  "federation.ratio_solver.rlls_lambda"),
 }
 
+# The fields a run reads only under a condition, as (who, paths, applies) rows: in a run
+# where applies(cfg) holds, the paths too take only their defaults.
+_UNREAD_IF = (
+    ("runs without a vrls estimator", ("predictor.zeta",),
+     lambda c: {"vrls_em", "vrls_gd"}.isdisjoint(c.estimators)),
+    ("runs without a gd estimator", ("solver.step_size",),
+     lambda c: {"vrls_gd", "mlls_gd"}.isdisjoint(c.estimators)),
+    ("runs without rlls", ("solver.rlls_lambda",), lambda c: "rlls" not in c.estimators),
+    ("runs without a likelihood estimator", ("solver.max_iters", "solver.tol"),
+     lambda c: set(c.estimators) <= {"bbse", "rlls"}),
+    ("linear models", ("predictor.hidden_units",), lambda c: c.predictor.architecture == "linear"),
+    ("linear models", ("federation.global_model.hidden_units",),
+     lambda c: c.federation and c.federation.global_model.architecture == "linear"),
+    ("linear models", ("federation.ratio_predictor.hidden_units",),
+     lambda c: c.federation and c.federation.ratio_predictor.architecture == "linear"),
+    ("runs with one local step", ("federation.global_model.learning_rate",),
+     lambda c: c.federation and c.federation.local_steps == 1),
+    ("sgd optimizers", ("federation.server_optimizer.betas", "federation.server_optimizer.eps"),
+     lambda c: c.federation and c.federation.server_optimizer.kind == "sgd"),
+    ("runs that estimate no ratios", ("federation.ratio_predictor", "federation.ratio_solver"),
+     lambda c: "estimated_ratios" not in c.weightings and not c.crossnode_listing),
+)
+
 # The JSON types each scalar field accepts. Matched by exact type, not
 # isinstance, so JSON true/false never pass as numbers.
 _SCALARS = {
@@ -139,11 +162,13 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
         if self.kind == "federate" and self.federation is None:
             raise ValueError("federate runs need a federation section")
-        for path in _UNREAD[self.kind]:
-            owner, _, leaf = path.rpartition(".")
-            owner = attrgetter(owner)(self) if owner else self
-            if getattr(owner, leaf) != getattr(type(owner), leaf):  # the field's default
-                raise ValueError(f"{self.kind} runs take no {path} key")
+        for who, paths, applies in ((f"{self.kind} runs", _UNREAD[self.kind], lambda c: True),
+                                    *_UNREAD_IF):
+            for path in paths if applies(self) else ():
+                owner, _, leaf = path.rpartition(".")
+                owner = attrgetter(owner)(self) if owner else self
+                if getattr(owner, leaf) != getattr(type(owner), leaf):  # the field's default
+                    raise ValueError(f"{who} take no {path} key")
 
 
 def _jsonable(x):
@@ -156,14 +181,6 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
-
-
-def _field_default(f: dataclasses.Field, base):
-    if base is not MISSING:
-        return getattr(base, f.name)
-    if f.default_factory is not MISSING:
-        return f.default_factory()
-    return f.default
 
 
 def _build(where: str, make):
@@ -227,13 +244,13 @@ def _decode(tp, raw, where: str, default=MISSING):
         hints = typing.get_type_hints(tp)
         prefix = "" if where == "experiment" else f"{where}."
         values = {
-            key: _decode(hints[key], value, prefix + key, _field_default(fields[key], default))
+            key: _decode(hints[key], value, prefix + key,
+                         fields[key].default if default is MISSING else getattr(default, key))
             for key, value in raw.items()
         }
         if default is not MISSING:
             return _build(where, lambda: replace(default, **values))
-        missing = [k for k, f in fields.items() if k not in values
-                   and _field_default(f, MISSING) is MISSING]
+        missing = [k for k, f in fields.items() if k not in values and f.default is MISSING]
         if missing:
             raise ValueError(f"missing {where} keys: {missing}")
         return _build(where, lambda: tp(**values))

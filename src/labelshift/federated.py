@@ -14,7 +14,7 @@ Three phases mirror the deployment story:
    sampling and a server-side optimizer (train_global).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -88,9 +88,7 @@ class FederationConfig:
     local_steps: int = 1
     sample_nodes_per_round: int = 0  # 0 means all nodes every round
     server_optimizer: ServerOptimizer = ServerOptimizer()
-    ratio_predictor: PredictorConfig = field(
-        default_factory=lambda: PredictorConfig(architecture="mlp", hidden_units=32)
-    )
+    ratio_predictor: PredictorConfig = PredictorConfig(architecture="mlp", hidden_units=32)
     ratio_solver: EstimatorOptions = EstimatorOptions()
     normalize_weights: bool = False
 

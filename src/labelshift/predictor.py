@@ -23,8 +23,8 @@ ARCHITECTURES = ("linear", "mlp")
 class PredictorConfig:
     """Architecture plus SGD hyperparameters.
 
-    hidden_units is ignored for the linear architecture. zeta scales the
-    confidence penalty; zeta = 0 recovers plain cross-entropy training.
+    hidden_units is ignored for linear models, and a config file may not set it
+    there. zeta scales the confidence penalty; zeta = 0 gives plain cross-entropy.
     """
 
     architecture: str = "linear"

@@ -30,8 +30,10 @@ BASE_SWEEP = {
 
 
 def sweep_raw(**over):
-    raw = json.loads(json.dumps(BASE_SWEEP))
-    raw.update(over)
+    """BASE_SWEEP with over's keys, less predictor.zeta when no vrls estimator reads it."""
+    raw = json.loads(json.dumps({**BASE_SWEEP, **over}))
+    if not any(name.startswith("vrls_") for name in raw["estimators"]):
+        raw["predictor"].pop("zeta", None)
     return raw
 
 
@@ -409,8 +411,7 @@ def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names,
     calls, trained = [], []
     _count_calls(monkeypatch, cli, "predict_proba", calls)
     _count_jobs(monkeypatch, cli, trained)
-    raw = sweep_raw(estimators=names, trials=2)
-    raw["predictor"]["zeta"] = zeta
+    raw = sweep_raw(estimators=names, trials=2, predictor={**BASE_SWEEP["predictor"], "zeta": zeta})
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
     cli.run_sweep_alpha(cfg)
     validation = 1 if {"bbse", "rlls"} & set(names) else 0
@@ -673,41 +674,78 @@ UNREAD = [
        f"federation.ratio_solver.{key}") for key in ("step_size", "rlls_lambda")],
 ]
 
+LINEAR_NO_ZETA = {"architecture": "linear", "max_epochs": 10, "loss_threshold": 0.0}
+NO_RATIOS = {"weightings": ["none", "true_ratios"], "crossnode_listing": False}
+
+# (kind, top-level overrides, who, dotted path) for a value other than the default of each
+# field that a run reads only under a condition, in a run where the condition fails.
+UNREAD_IF = [
+    # BASE_SWEEP's zeta 0.25 without a vrls estimator
+    ("sweep_alpha", {"estimators": ["mlls_em", "bbse"]}, "runs without a vrls estimator",
+     "predictor.zeta"),
+    ("sweep_size", {"predictor": {**BASE_SWEEP["predictor"], "hidden_units": 8}},
+     "linear models", "predictor.hidden_units"),
+    ("estimate_once", {"solver": {"step_size": 0.1}}, "runs without a gd estimator",
+     "solver.step_size"),
+    ("sweep_alpha", {"estimators": ["vrls_em", "mlls_em"], "solver": {"rlls_lambda": 0.1}},
+     "runs without rlls", "solver.rlls_lambda"),
+    *[("sweep_alpha", {"estimators": ["bbse", "rlls"], "predictor": LINEAR_NO_ZETA,
+                       "solver": {key: value}},
+       "runs without a likelihood estimator", f"solver.{key}")
+      for key, value in {"max_iters": 50, "tol": 1e-5}.items()],
+    ("federate", {"federation": federation_with("global_model", hidden_units=8)},
+     "linear models", "federation.global_model.hidden_units"),
+    ("federate", {"federation": federation_with("global_model", learning_rate=0.5)},
+     "runs with one local step", "federation.global_model.learning_rate"),
+    *[("federate", {"federation": federation_with("server_optimizer", kind="sgd", **{key: value})},
+       "sgd optimizers", f"federation.server_optimizer.{key}")
+      for key, value in {"betas": [0.8, 0.99], "eps": 1e-6}.items()],
+    ("federate", {"federation": federation_with("ratio_predictor", architecture="linear")},
+     "linear models", "federation.ratio_predictor.hidden_units"),
+    # FED_RAW's ratio_predictor without a ratio weighting or the cross-node listing
+    ("federate", NO_RATIOS, "runs that estimate no ratios", "federation.ratio_predictor"),
+    ("federate", {**NO_RATIOS, "federation": {
+        **{k: v for k, v in FED_RAW["federation"].items() if k != "ratio_predictor"},
+        "ratio_solver": {"max_iters": 50}}},
+     "runs that estimate no ratios", "federation.ratio_solver"),
+]
+
 
 @pytest.mark.parametrize(
-    "kind, section, value, message",
+    "kind, over, message",
     [
-        ("sweep_alpha", "federation", FED_RAW["federation"],
+        ("sweep_alpha", {"federation": FED_RAW["federation"]},
          "sweep_alpha runs take no federation key"),
-        ("estimate_once", "federation", FED_RAW["federation"],
+        ("estimate_once", {"federation": FED_RAW["federation"]},
          "estimate_once runs take no federation key"),
-        ("federate", "perturbation", {"preset": "relaxed"},
+        ("federate", {"perturbation": {"preset": "relaxed"}},
          "federate runs take no perturbation key"),
-        *[("sweep_alpha", "data", {**IDX_DATA, key: value}, f"data: idx sources take no {key} key")
-          for key, value in IDX_IGNORES.items()],
-        ("sweep_alpha", "data", {"test_labels": "x"},
+        *[("sweep_alpha", {"data": {**IDX_DATA, key: value}},
+           f"data: idx sources take no {key} key") for key, value in IDX_IGNORES.items()],
+        ("sweep_alpha", {"data": {"test_labels": "x"}},
          "data: synthetic sources take no test_labels key"),
-        ("federate", "data", {"n_train": 500}, r"federate runs take no data\.n_train key"),
-        *[("federate", key, value, f"federate runs take no {key} key")
+        ("federate", {"data": {"n_train": 500}}, r"federate runs take no data\.n_train key"),
+        *[("federate", {key: value}, f"federate runs take no {key} key")
           for key, value in FED_IGNORES.items()],
-        ("sweep_alpha", "weightings", ["none"], "sweep_alpha runs take no weightings key"),
-        ("sweep_size", "crossnode_listing", True, "sweep_size runs take no crossnode_listing key"),
-        ("estimate_once", "crossnode_listing", True,
+        ("sweep_alpha", {"weightings": ["none"]}, "sweep_alpha runs take no weightings key"),
+        ("sweep_size", {"crossnode_listing": True},
+         "sweep_size runs take no crossnode_listing key"),
+        ("estimate_once", {"crossnode_listing": True},
          "estimate_once runs take no crossnode_listing key"),
-        *[(kind, key, value, re.escape(f"{kind} runs take no {path} key"))
+        *[(kind, {key: value}, re.escape(f"{kind} runs take no {path} key"))
           for kind, key, value, path in UNREAD],
+        *[(kind, over, re.escape(f"{who} take no {path} key"))
+          for kind, over, who, path in UNREAD_IF],
     ],
     ids=["sweep_federation", "estimate_once_federation", "federate_perturbation",
          *[f"idx_{key}" for key in IDX_IGNORES], "synthetic_path", "federate_n_train",
          *[f"federate_{key}" for key in FED_IGNORES], "sweep_weightings",
          "sweep_size_crossnode_listing", "estimate_once_crossnode_listing",
          *[f"{kind}_{path.removeprefix('federation.').replace('.', '_')}"
-           for kind, _, _, path in UNREAD]],
+           for kind, *_, path in UNREAD + UNREAD_IF]],
 )
-def test_resolve_rejects_a_section_the_kind_ignores(tmp_path, capsys, kind, section, value,
-                                                    message):
-    raw = raw_for(kind)
-    raw[section] = json.loads(json.dumps(value))
+def test_resolve_rejects_a_section_the_kind_ignores(tmp_path, capsys, kind, over, message):
+    raw = raw_for(kind, **over)
     with pytest.raises(ValueError, match=rf"^{message}$"):
         cli.resolve_config(raw, kind)
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"

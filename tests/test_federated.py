@@ -111,11 +111,17 @@ def test_no_ls_rejects_intra_node_shift():
 
 
 def test_ls_single_shape_checks():
+    """The scenarios' node counts: ls_single needs two or more nodes, ls_both exactly two."""
     shifted = NodeSpec(marginal(0.9, 0.1), marginal(0.1, 0.9), 20, 20)
     with pytest.raises(ValueError, match="at least two nodes"):
         build_federation(
             FederationConfig(nodes=(shifted,), global_model=LINEAR, scenario="ls_single"),
             SRC2)
+    both = FederationConfig(nodes=(shifted, shifted), global_model=LINEAR, scenario="ls_both")
+    assert [n.test.n for n in build_federation(both, SRC2).nodes] == [20, 20]
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="^scenario ls_both expects exactly two nodes$"):
+            build_federation(replace(both, nodes=(shifted,) * count), SRC2)
 
 
 def test_build_is_deterministic_and_seed_sensitive():
