@@ -15,8 +15,6 @@ from .data import (
     load_idx,
     perturb_relaxed,
     posterior_matrix,
-    relax_m_preset,
-    relaxed_preset,
     resample_by_marginal,
     sample_dirichlet_marginal,
     uniform_marginal,

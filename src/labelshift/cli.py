@@ -30,8 +30,6 @@ from .data import (
     draw,
     open_split,
     perturb_relaxed,
-    relax_m_preset,
-    relaxed_preset,
     sample_dirichlet_marginal,
     uniform_marginal,
 )
@@ -59,8 +57,6 @@ SCHEMA_VERSION = 1
 KINDS = ("sweep_alpha", "sweep_size", "estimate_once", "federate")
 ESTIMATOR_NAMES = ("vrls_em", "vrls_gd", "mlls_em", "mlls_gd", "bbse", "rlls")
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
-
-_PRESETS = {RelaxedShiftSpec: {"relaxed": relaxed_preset, "relax_m": relax_m_preset}}
 
 # The fields each kind never reads (dotted for a section's field), which its runs take
 # only at their defaults. seed, data, out_dir and threads are run settings of every kind.
@@ -198,11 +194,10 @@ def _decode(tp, raw, where: str, default=MISSING):
     """Builds a value of type tp from the JSON value raw.
 
     A section (JSON object) overrides default, or else its dataclass's field
-    defaults, key by key; a perturbation preset picks default instead. where
-    names raw in errors: "experiment" for the root, dotted paths such as
-    federation.nodes[1] below it. Scalars must have their field's JSON type
-    (_SCALARS); floats pass through as given, so the resolved config echoes
-    the file's numbers. tuple[X, ...] takes a list of any length, tuple[X, Y]
+    defaults, key by key. where names raw in errors: "experiment" for the
+    root, dotted paths such as federation.nodes[1] below it. Scalars must
+    have their field's JSON type (_SCALARS); floats pass through as given, so
+    the resolved config echoes the file's numbers. tuple[X, ...] takes a list of any length, tuple[X, Y]
     exactly one entry per type. A LabelMarginal, as a list or as the
     {"probs": list} that the echoed config prints, takes numbers. A value its
     dataclass rejects raises that ValueError prefixed by where.
@@ -230,13 +225,6 @@ def _decode(tp, raw, where: str, default=MISSING):
     if dataclasses.is_dataclass(tp):
         if not isinstance(raw, dict):
             raise ValueError(f"{where} must be an object, got {raw!r}")
-        presets = _PRESETS.get(tp, {})
-        if presets and "preset" in raw:
-            raw = dict(raw)
-            preset = raw.pop("preset")
-            if preset not in presets:
-                raise ValueError(f"unknown {where} preset {preset!r}")
-            default = presets[preset]()
         fields = {f.name: f for f in dataclasses.fields(tp)}
         unknown = set(raw) - set(fields)
         if unknown:

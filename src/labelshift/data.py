@@ -72,16 +72,6 @@ class RelaxedShiftSpec:
         object.__setattr__(self, "noise_sigma_range", (float(lo), float(hi)))
 
 
-def relaxed_preset(seed: int = 0) -> RelaxedShiftSpec:
-    """Mild corruption: 30% of samples, noise scale 0.1-0.5, brightness 0.1."""
-    return RelaxedShiftSpec(0.3, (0.1, 0.5), 0.1, seed=seed)
-
-
-def relax_m_preset(seed: int = 0) -> RelaxedShiftSpec:
-    """Heavier corruption: 50% of samples, noise scale 0.1-0.7, brightness 0.2."""
-    return RelaxedShiftSpec(0.5, (0.1, 0.7), 0.2, seed=seed)
-
-
 def equidistant_means(m: int, d: int, separation: float) -> np.ndarray:
     """Vertices of a regular simplex in R^d with pairwise distance separation.
 
@@ -283,8 +273,8 @@ class DataSource:
         missing = [name for name in _IDX_PATHS if idx and not getattr(self, name)]
         if missing:
             raise ValueError(f"idx source needs {missing[0]}")
-        if self.m < 2 or self.d < 1:
-            raise ValueError("synthetic source needs m >= 2 and d >= 1")
+        if self.m < 2 or self.d < self.m - 1:  # equidistant_means needs d >= m - 1
+            raise ValueError("synthetic source needs m >= 2 and d >= m - 1")
         if not (self.separation > 0 and self.sigma > 0):
             raise ValueError("separation and sigma must be positive")
         if self.n_train < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictor import PredictorConfig, predict_proba, train_predictor
+from .predictor import PredictorConfig, predict_proba, train_predictors
 from .types import LabeledDataset, LabelMarginal, PROB_FLOOR, ProbabilityMatrix, RatioVector
 from .types import argmax_last
 
@@ -372,5 +372,5 @@ def estimate_vrls(
     features, and maximize the resulting likelihood with estimate_mlls_em
     against the empirical label distribution of the training set.
     """
-    pred = train_predictor(train, pcfg)
+    pred = train_predictors([(train, pcfg)])[0]
     return estimate_mlls_em(predict_proba(pred, test_features), train.empirical_marginal(), opts)

@@ -33,7 +33,6 @@ from .predictor import (
 )
 from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix
 
-SCENARIOS = ("no_ls", "ls_single", "ls_both", "ls_multi")
 WEIGHTINGS = ("none", "true_ratios", "estimated_ratios")
 
 
@@ -73,7 +72,10 @@ class ServerOptimizer:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Scenario, schedule, and model settings for one simulated federation.
+    """Node, schedule, and model settings for one simulated federation.
+
+    The node marginals define the setting: no shift, shift within nodes, shift
+    across nodes, or both.
 
     ratio_predictor and ratio_solver drive the per-node estimation behind the
     "estimated_ratios" weighting. normalize_weights divides every weight
@@ -83,7 +85,6 @@ class FederationConfig:
 
     nodes: tuple[NodeSpec, ...]
     global_model: PredictorConfig = PredictorConfig()
-    scenario: str = "ls_multi"
     rounds: int = 100
     local_steps: int = 1
     sample_nodes_per_round: int = 0  # 0 means all nodes every round
@@ -96,15 +97,13 @@ class FederationConfig:
         if not self.nodes:
             raise ValueError("need at least one node")
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
         if self.local_steps < 1:
             raise ValueError("local_steps must be at least 1")
-        k = len(self.nodes)
-        if self.sample_nodes_per_round < 0 or self.sample_nodes_per_round > k:
-            raise ValueError("sample_nodes_per_round must lie in [0, node count]")
+        if not 0 <= self.sample_nodes_per_round < self.k:
+            raise ValueError("sample_nodes_per_round must lie in [0, node count); 0 samples"
+                             " every node")
         m = self.nodes[0].train_marginal.m
         if any(n.train_marginal.m != m for n in self.nodes):
             raise ValueError("all nodes must share one class count")
@@ -182,36 +181,10 @@ class FederationResult:
         object.__setattr__(self, "node_weights", w)
 
 
-def _marginals_equal(a: LabelMarginal, b: LabelMarginal) -> bool:
-    return bool(np.all(np.abs(a.probs - b.probs) <= 1e-9))
-
-
-def _validate_scenario(cfg: FederationConfig) -> None:
-    tag = cfg.scenario
-    if tag == "ls_both" and cfg.k != 2:
-        raise ValueError("scenario ls_both expects exactly two nodes")
-    if tag == "ls_single" and cfg.k < 2:
-        raise ValueError("scenario ls_single expects at least two nodes")
-    # Tags pin down which nodes must keep train == test; the rest may shift.
-    if tag == "no_ls":
-        fixed = range(cfg.k)
-    elif tag == "ls_single":
-        fixed = range(1, cfg.k)
-    else:
-        fixed = ()
-    for i in fixed:
-        node = cfg.nodes[i]
-        if not _marginals_equal(node.train_marginal, node.test_marginal):
-            raise ValueError(
-                f"scenario {tag} requires train marginal == test marginal on node {i}"
-            )
-
-
 def build_federation(cfg: FederationConfig, source: DataSource, seed: int = 0) -> Federation:
     """Materialize every node's train and test split from the shared source;
     seed keys every draw of the federation, training included: node i's
     split s (0 train, 1 test) draws with child_seed(seed, i, node seed, s)."""
-    _validate_scenario(cfg)
     splits = []
     for s, split in enumerate(("train", "test")):
         population = open_split(source, split)

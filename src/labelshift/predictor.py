@@ -273,6 +273,7 @@ class StepWorkspace:
         return total, ce, self.grad
 
 
+# Kept only for perfbench/traced.py, which patches it; ROADMAP item 2 moves that hook.
 def train_predictor(train: LabeledDataset, cfg: PredictorConfig) -> Predictor:
     """One model: train_predictors([(train, cfg)])[0]."""
     return train_predictors([(train, cfg)])[0]

@@ -196,7 +196,7 @@ def test_ac5_weighted_training_closes_the_gap():
             nodes=nodes,
             global_model=PredictorConfig(architecture="linear", learning_rate=0.1,
                                          batch_size=64, seed=0),
-            scenario="ls_multi", rounds=300, local_steps=1,
+            rounds=300, local_steps=1,
             server_optimizer=ServerOptimizer(kind="adam", learning_rate=0.05),
             ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
                                             learning_rate=0.1, max_epochs=120,
@@ -250,8 +250,7 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     # normalized they reproduce the unweighted run bit for bit
     p = make_marginal([0.25, 0.25, 0.5])  # dyadic, so ratios are exactly 1.0
     nodes = tuple(NodeSpec(p, p, 1000, 500, seed=i) for i in range(3))
-    base = FederationConfig(nodes=nodes, global_model=PredictorConfig(),
-                            scenario="no_ls", rounds=40)
+    base = FederationConfig(nodes=nodes, global_model=PredictorConfig(), rounds=40)
     fed = build_federation(base, DataSource(m=3, d=2, separation=2.5), 3)
     (plain,) = train_global(fed, [weight_vectors(fed, "none")], base)
     (trued,) = train_global(fed, [weight_vectors(fed, "true_ratios")],

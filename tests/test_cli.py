@@ -103,9 +103,9 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         ("sweep_alpha", ["solver"], {"tol": 1e-5}, "tl", "solver"),
         ("sweep_alpha", ["predictor"], {"zeta": 0.5}, "lr", "predictor"),
         ("sweep_alpha", ["perturbation"], EXPLICIT_PERTURBATION, "p", "perturbation"),
-        ("sweep_alpha", ["perturbation"], {"preset": "relaxed", "apply_prob": 0.2}, "p",
-         "perturbation"),
+        ("sweep_alpha", ["perturbation"], {"preset": "relaxed"}, "preset", "perturbation"),
         ("federate", ["federation"], None, "round", "federation"),
+        ("federate", ["federation"], None, "scenario", "federation"),
         ("federate", ["federation", "global_model"], None, "lr", r"federation\.global_model"),
         ("federate", ["federation", "ratio_predictor"], None, "lr",
          r"federation\.ratio_predictor"),
@@ -115,14 +115,15 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         ("federate", ["federation"], None, "seed", "federation"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
-         "federation", "global_model", "ratio_predictor", "ratio_solver", "federation_seed"],
+         "federation", "federation_scenario", "global_model", "ratio_predictor", "ratio_solver",
+         "federation_seed"],
 )
 def test_resolve_rejects_unknown_keys_in_every_section(kind, path, section, key, where):
     raw = raw_for(kind)
     parent = parent_of(raw, path)
     if section is not None:
         parent[path[-1]] = json.loads(json.dumps(section))
-    parent[path[-1]][key] = 1
+    parent[path[-1]].setdefault(key, 1)
     with pytest.raises(ValueError, match=rf"unknown {where} keys: \['{key}'\]"):
         cli.resolve_config(raw, kind)
 
@@ -202,8 +203,11 @@ def test_resolve_checks_the_length_of_fixed_pairs(kind, path, where):
          r"federation\.nodes\[1\]\.train_marginal\.probs\[1\] must be a number, got 'x'$"),
         (["federation", "nodes", 1, "train_marginal"], {"probs": [True, False, 0]},
          r"federation\.nodes\[1\]\.train_marginal\.probs\[0\] must be a number, got True$"),
+        # four equidistant means need three dimensions
+        (["data", "m"], 4, r"data: synthetic source needs m >= 2 and d >= m - 1$"),
     ],
-    ids=["zeta", "marginal_sum", "marginal_entry", "marginal_probs_entry", "marginal_probs_bool"],
+    ids=["zeta", "marginal_sum", "marginal_entry", "marginal_probs_entry", "marginal_probs_bool",
+         "too_few_dimensions"],
 )
 def test_resolve_names_the_path_of_a_value_its_section_rejects(path, value, message):
     raw = json.loads(json.dumps(FED_RAW))
@@ -295,7 +299,6 @@ def test_seed_override_reaches_federation(tmp_path, monkeypatch):
         "federation": {
             "nodes": [{"train_marginal": [0.5, 0.5], "test_marginal": [0.5, 0.5],
                        "n_tr": 20, "n_te": 20}],
-            "scenario": "no_ls",
             "rounds": 2,
         },
     }
@@ -305,14 +308,6 @@ def test_seed_override_reaches_federation(tmp_path, monkeypatch):
     _count_calls(monkeypatch, cli, "build_federation", builds)
     cli.run_federate(cfg)
     assert [args[2] for args in builds] == [42]
-
-
-def test_perturbation_presets_resolve():
-    raw = sweep_raw(perturbation={"preset": "relax_m"})
-    cfg = cli.resolve_config(raw, "sweep_alpha")
-    assert cfg.perturbation.apply_prob == 0.5
-    with pytest.raises(ValueError, match="unknown perturbation preset"):
-        cli.resolve_config(sweep_raw(perturbation={"preset": "blur"}), "sweep_alpha")
 
 
 # ----------------------------------------------------------------- sweeps
@@ -483,17 +478,21 @@ def test_relaxed_with_zero_apply_prob_reproduces_sweep(tmp_path):
 
 def test_heavier_corruption_degrades_estimates(tmp_path):
     medians = {}
-    for preset in ("relaxed", "relax_m"):
+    levels = {"mild": {"apply_prob": 0.3, "noise_sigma_range": [0.1, 0.5],
+                       "brightness_delta": 0.1},
+              "heavy": {"apply_prob": 0.5, "noise_sigma_range": [0.1, 0.7],
+                        "brightness_delta": 0.2}}
+    for level, perturbation in levels.items():
         raw = sweep_raw(trials=8, n_te=500, alpha_grid=[1.0], estimators=["mlls_em"],
                         data={"m": 3, "d": 2, "separation": 2.5, "n_train": 4000},
                         predictor={"architecture": "linear", "max_epochs": 15,
                                    "loss_threshold": 0.0},
-                        perturbation={"preset": preset})
-        cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / preset), seed=11)
+                        perturbation=perturbation)
+        cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / level), seed=11)
         cli.run_sweep_alpha(cfg)
-        rows = read_rows(tmp_path / preset / "sweep_alpha_results.csv")
-        medians[preset] = float(np.median([float(r["mse"]) for r in rows]))
-    assert medians["relax_m"] >= medians["relaxed"]
+        rows = read_rows(tmp_path / level / "sweep_alpha_results.csv")
+        medians[level] = float(np.median([float(r["mse"]) for r in rows]))
+    assert medians["heavy"] >= medians["mild"]
 
 
 SIZE_RAW = {
@@ -562,7 +561,6 @@ FED_RAW = {
             {"train_marginal": [0.1, 0.8, 0.1], "test_marginal": [0.1, 0.1, 0.8],
              "n_tr": 400, "n_te": 300, "seed": 2},
         ],
-        "scenario": "ls_multi",
         "rounds": 8,
         "global_model": {"architecture": "linear", "learning_rate": 0.1},
         "server_optimizer": {"kind": "adam", "learning_rate": 0.05},
@@ -591,9 +589,8 @@ def test_federate_emits_all_weighting_variants(tmp_path):
 def test_federate_builds_once_and_trains_one_ratio_predictor_per_node(tmp_path, monkeypatch):
     builds, trainings = [], []
     _count_calls(monkeypatch, cli, "build_federation", builds)
-    for module in (cli, federated):
+    for module in (cli, federated, estimators):
         _count_jobs(monkeypatch, module, trainings)
-    _count_calls(monkeypatch, estimators, "train_predictor", trainings)
     cfg = cli.resolve_config(json.loads(json.dumps(FED_RAW)), "federate",
                              out=str(tmp_path), seed=2)
     assert "estimated_ratios" in cfg.weightings and cfg.crossnode_listing
@@ -718,7 +715,7 @@ UNREAD_IF = [
          "sweep_alpha runs take no federation key"),
         ("estimate_once", {"federation": FED_RAW["federation"]},
          "estimate_once runs take no federation key"),
-        ("federate", {"perturbation": {"preset": "relaxed"}},
+        ("federate", {"perturbation": EXPLICIT_PERTURBATION},
          "federate runs take no perturbation key"),
         *[("sweep_alpha", {"data": {**IDX_DATA, key: value}},
            f"data: idx sources take no {key} key") for key, value in IDX_IGNORES.items()],

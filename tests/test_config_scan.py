@@ -3,10 +3,11 @@
 Each base config below is resolved and echoed as its `# config=` line, so that
 fields left at their defaults are spelled out too. Every field of the echo is
 then set to another value, one at a time. The value must either fail to
-resolve or change the run's output: its CSV bodies, and its summary apart from
-the echoed config (or the error the run raises). Only kind, out_dir and
-threads are skipped: kind picks the runner, and out_dir and threads are run
-settings that change no output byte by design.
+resolve, or run and change the run's output: its CSV bodies, and its summary
+apart from the echoed config. A value that resolves and then makes the run
+raise fails the scan too, since resolving is where a bad config must fail.
+Only kind, out_dir and threads are skipped: kind picks the runner, and out_dir
+and threads are run settings that change no output byte by design.
 
 The bases are tiny, and each binds the fields it reads: max_iters and
 max_epochs end their loops (at the default tol and a loss_threshold of 0),
@@ -31,7 +32,7 @@ ONCE = {**SWEEP, "n_te": 200, "alpha": 0.5}  # estimate_once's one draw
 
 
 def _federation(**over):
-    """A three-node ls_multi federation with over's keys; a key set to None is left out."""
+    """Three shifted nodes with over's keys; a key set to None is left out."""
     node = {"n_tr": 80, "n_te": 40}
     federation = {
         "nodes": [{**node, "train_marginal": [0.7, 0.2, 0.1], "test_marginal": [0.1, 0.2, 0.7],
@@ -52,7 +53,9 @@ BASES = {
                                            "estimators": ["vrls_em", "mlls_em", "bbse", "rlls"]}),
     "sweep_alpha_mlp_gd": ("sweep_alpha", {**ALPHA, "predictor": MLP, "split_fraction": 0.2,
                                            "estimators": ["vrls_gd", "mlls_gd"],
-                                           "perturbation": {"preset": "relaxed"}}),
+                                           "perturbation": {"apply_prob": 0.3,
+                                                            "noise_sigma_range": [0.1, 0.5],
+                                                            "brightness_delta": 0.1}}),
     "sweep_size_no_vrls": ("sweep_size", {**SWEEP, "trials": 1, "alpha": 0.5,
                                           "size_grid": [40, 80], "predictor": LINEAR,
                                           "estimators": ["mlls_em", "bbse"]}),
@@ -78,9 +81,11 @@ BASES = {
 
 SKIPPED = {("kind",), ("out_dir",), ("threads",)}
 # What an optional section left out (null) and each string field are set to.
-EMPTY_SECTIONS = {"perturbation": {"preset": "relax_m"}, "federation": _federation()}
+EMPTY_SECTIONS = {"perturbation": {"apply_prob": 0.5, "noise_sigma_range": [0.1, 0.7],
+                                   "brightness_delta": 0.2},
+                  "federation": _federation()}
 STRINGS = {"linear": "mlp", "mlp": "linear", "adam": "sgd", "sgd": "adam", "synthetic": "idx",
-           "ls_multi": "ls_single", "": "x"}
+           "": "x"}
 
 
 def _fields(value, path=()):
@@ -127,7 +132,7 @@ def _setting(raw, path, value):
 
 
 def _outcome(raw, kind, out):
-    """What a run of raw writes, or None if raw does not resolve."""
+    """What a run of raw writes, None if raw does not resolve, or the error the run raises."""
     try:
         cfg = cli.resolve_config(raw, kind, out=str(out))
     except ValueError:
@@ -147,6 +152,7 @@ def _name(path):
 
 def test_every_value_a_run_accepts_changes_its_output(tmp_path):
     unchanged = {}  # dotted path: the bases where setting it changed nothing
+    raised = {}  # dotted path: "base: error" where it resolved and the run raised
     for base_name, (kind, raw) in BASES.items():
         echo = cli._jsonable(cli.resolve_config(raw, kind, out=str(tmp_path / base_name)))
         expected = _outcome(echo, kind, tmp_path / base_name / "base")
@@ -155,11 +161,17 @@ def test_every_value_a_run_accepts_changes_its_output(tmp_path):
         outcomes = {path: _outcome(_setting(echo, path, _another(path[-1], value)), kind,
                                    tmp_path / base_name / str(i))
                     for i, (path, value) in enumerate(fields.items())}
+        for path, outcome in outcomes.items():
+            if isinstance(outcome, str):
+                raised.setdefault(_name(path), []).append(f"{base_name}: {outcome}")
         found = [path for path, outcome in outcomes.items() if outcome == expected]
         for path in found:  # a section whose settable fields all change nothing counts once
             section = next(path[:n] for n in range(1, len(path) + 1)
                            if all(outcomes[p] in (None, expected) for p in fields
                                   if p[:n] == path[:n]))
             unchanged.setdefault(_name(section), []).append(base_name)
-    assert not unchanged, "accepted values that change nothing:\n" + "\n".join(
-        f"{path} ({', '.join(dict.fromkeys(bases))})" for path, bases in sorted(unchanged.items()))
+    assert not unchanged and not raised, "\n".join(
+        [f"changes nothing: {path} ({', '.join(dict.fromkeys(bases))})"
+         for path, bases in sorted(unchanged.items())]
+        + [f"resolves, then the run raises: {path} ({'; '.join(errors)})"
+           for path, errors in sorted(raised.items())])

@@ -19,8 +19,6 @@ from labelshift import (
     make_marginal,
     perturb_relaxed,
     posterior_matrix,
-    relax_m_preset,
-    relaxed_preset,
     resample_by_marginal,
     sample_dirichlet_marginal,
     read_features,
@@ -55,14 +53,6 @@ def test_relaxed_spec_validation():
         RelaxedShiftSpec(1.5, (0.1, 0.5), 0.1)
     with pytest.raises(ValueError, match="noise_sigma_range"):
         RelaxedShiftSpec(0.5, (0.5, 0.1), 0.1)
-
-
-def test_presets_mirror_the_two_corruption_levels():
-    mild = relaxed_preset(seed=3)
-    heavy = relax_m_preset(seed=3)
-    assert (mild.apply_prob, heavy.apply_prob) == (0.3, 0.5)
-    assert heavy.noise_sigma_range[1] > mild.noise_sigma_range[1]
-    assert heavy.brightness_delta > mild.brightness_delta
 
 
 def test_equidistant_means_pairwise_distance():

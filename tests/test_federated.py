@@ -75,20 +75,21 @@ def test_server_optimizer_validation():
 
 def test_federation_config_validation():
     node = NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 10, 10)
-    with pytest.raises(ValueError, match="unknown scenario"):
-        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_all")
-    with pytest.raises(ValueError, match=r"sample_nodes_per_round"):
-        FederationConfig(nodes=(node,), global_model=LINEAR, sample_nodes_per_round=2)
+    for k, sampled in ((1, 2), (3, 3), (3, -1)):  # 0, not k, samples every node
+        with pytest.raises(ValueError, match=r"^sample_nodes_per_round must lie in \[0, node"
+                                             r" count\); 0 samples every node$"):
+            FederationConfig(nodes=(node,) * k, global_model=LINEAR,
+                             sample_nodes_per_round=sampled)
 
 
 def test_nodes_per_round_defaults_to_all():
     nodes = tuple(NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 10, 10) for _ in range(4))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     assert cfg.k == 4 and cfg.nodes_per_round == 4
     assert replace(cfg, sample_nodes_per_round=2).nodes_per_round == 2
 
 
-# ---------------------------------------------------------------- scenarios
+# -------------------------------------------------------------------- build
 
 
 def test_no_ls_accepts_matching_marginals_per_node():
@@ -96,37 +97,15 @@ def test_no_ls_accepts_matching_marginals_per_node():
         NodeSpec(marginal(0.9, 0.1), marginal(0.9, 0.1), 20, 20),
         NodeSpec(marginal(0.1, 0.9), marginal(0.1, 0.9), 20, 20),
     )
-    fed = build_federation(
-        FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls"), SRC2)
+    fed = build_federation(FederationConfig(nodes=nodes, global_model=LINEAR), SRC2)
     assert fed.m == 2
     assert [n.train.n for n in fed.nodes] == [20, 20]
     assert [n.test.n for n in fed.nodes] == [20, 20]
 
 
-def test_no_ls_rejects_intra_node_shift():
-    nodes = (NodeSpec(marginal(0.9, 0.1), marginal(0.1, 0.9), 20, 20),)
-    with pytest.raises(ValueError, match="node 0"):
-        build_federation(
-            FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls"), SRC2)
-
-
-def test_ls_single_shape_checks():
-    """The scenarios' node counts: ls_single needs two or more nodes, ls_both exactly two."""
-    shifted = NodeSpec(marginal(0.9, 0.1), marginal(0.1, 0.9), 20, 20)
-    with pytest.raises(ValueError, match="at least two nodes"):
-        build_federation(
-            FederationConfig(nodes=(shifted,), global_model=LINEAR, scenario="ls_single"),
-            SRC2)
-    both = FederationConfig(nodes=(shifted, shifted), global_model=LINEAR, scenario="ls_both")
-    assert [n.test.n for n in build_federation(both, SRC2).nodes] == [20, 20]
-    for count in (1, 3):
-        with pytest.raises(ValueError, match="^scenario ls_both expects exactly two nodes$"):
-            build_federation(replace(both, nodes=(shifted,) * count), SRC2)
-
-
 def test_build_is_deterministic_and_seed_sensitive():
     nodes = (NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 50, 30, seed=4),)
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     a = build_federation(cfg, SRC2, 9)
     b = build_federation(cfg, SRC2, 9)
     assert np.array_equal(a.nodes[0].train.features, b.nodes[0].train.features)
@@ -137,7 +116,7 @@ def test_build_is_deterministic_and_seed_sensitive():
 
 def test_build_rejects_marginals_of_another_class_count(tmp_path):
     u = uniform_marginal(3)
-    cfg = FederationConfig(nodes=(NodeSpec(u, u, 20, 20),), global_model=LINEAR, scenario="no_ls")
+    cfg = FederationConfig(nodes=(NodeSpec(u, u, 20, 20),), global_model=LINEAR)
     with pytest.raises(ValueError, match="marginal has 3 classes but the mixture has 2"):
         build_federation(cfg, SRC2)
     idx = DataSource(source="idx", **write_ink_corpus(tmp_path, 1, n=50))
@@ -149,7 +128,7 @@ def test_build_draws_every_node_from_an_idx_source_one_split_at_a_time(tmp_path,
     paths = write_ink_corpus(tmp_path, 1, n=200)
     nodes = tuple(NodeSpec(marginal(*three_class_marginal(hot)), marginal(*three_class_marginal(2)),
                            40 + i, 30, seed=i) for i, hot in enumerate((0, 0, 1)))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi")
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     loads = record_pool_loads(monkeypatch)
     fed = build_federation(cfg, DataSource(source="idx", **paths), 2)
     assert loads == [(paths["train_images"], 0), (paths["test_images"], 0)]
@@ -199,7 +178,7 @@ def test_aggregate_errors():
 def test_true_weights_uniform_two_nodes_all_twos():
     u = uniform_marginal(3)
     nodes = (NodeSpec(u, u, 10, 10), NodeSpec(u, u, 10, 10))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     assert np.all(true_weight_vectors(cfg) == 2.0)
 
 
@@ -210,7 +189,7 @@ def test_local_marginal_without_intra_node_shift():
     node = NodeSpec(marginal(0.5, 0.3, 0.2), marginal(0.5, 0.3, 0.2), 4000, 5000, seed=2)
     fed = build_federation(
         FederationConfig(
-            nodes=(node,), global_model=LINEAR, scenario="no_ls",
+            nodes=(node,), global_model=LINEAR,
             ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
                                             learning_rate=0.1, max_epochs=120, zeta=0.25,
                                             seed=8)),
@@ -223,7 +202,7 @@ def test_local_marginal_without_intra_node_shift():
 def test_local_marginal_with_oracle_posterior():
     node = NodeSpec(marginal(0.6, 0.3, 0.1), marginal(0.2, 0.2, 0.6), 2000, 5000, seed=9)
     fed = build_federation(
-        FederationConfig(nodes=(node,), global_model=LINEAR, scenario="ls_multi"), SRC3, 4)
+        FederationConfig(nodes=(node,), global_model=LINEAR), SRC3, 4)
     tr_emp = fed.nodes[0].train.empirical_marginal()
     (est,) = exchange_marginals(
         fed, posterior_fn=lambda feats: posterior_matrix(MIX3, tr_emp, feats))
@@ -233,7 +212,7 @@ def test_local_marginal_with_oracle_posterior():
 def test_exchange_publishes_one_marginal_per_node():
     # the entire pre-training communication: K length-m marginals, nothing else
     nodes = tuple(skew_node(i % 3, 2, n_tr=200, n_te=150, seed=i) for i in range(3))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi")
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     fed = build_federation(cfg, SRC3, 1)
     tr_emp = [n.train.empirical_marginal() for n in fed.nodes]
     published = exchange_marginals(
@@ -248,8 +227,7 @@ SMALL_RATIO = PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25, max
 
 def test_estimated_weights_recombine_exchanged_marginals():
     nodes = tuple(skew_node(i % 3, 2, n_tr=300, n_te=200, seed=i) for i in range(3))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
-                           ratio_predictor=SMALL_RATIO)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, SRC3, 5)
     w = weight_vectors(fed, "estimated_ratios")
     published = exchange_marginals(fed)
@@ -261,8 +239,7 @@ def test_estimated_weights_recombine_exchanged_marginals():
 
 def test_ratio_predictors_train_once_and_reproduce_local_estimates():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
-                           ratio_predictor=SMALL_RATIO)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, SRC3, 1)
     assert fed.ratio_predictors is fed.ratio_predictors
     published = exchange_marginals(fed)
@@ -277,8 +254,7 @@ def test_ratio_predictors_train_once_and_reproduce_local_estimates():
 
 def test_weight_vectors_per_weighting():
     nodes = tuple(skew_node(i, 2, n_tr=200, n_te=150, seed=i) for i in range(2))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="ls_multi",
-                           ratio_predictor=SMALL_RATIO)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, SRC3, 1)
     assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
     assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
@@ -302,8 +278,7 @@ def train_under(cfg, source, seed, weighting="none"):
 def small_no_shift_cfg(rounds=6, **kw):
     u = uniform_marginal(2)
     nodes = (NodeSpec(u, u, 120, 80, seed=1), NodeSpec(u, u, 120, 80, seed=2))
-    return FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls",
-                            rounds=rounds, **kw)
+    return FederationConfig(nodes=nodes, global_model=LINEAR, rounds=rounds, **kw)
 
 
 def test_weighting_none_equals_explicit_ones():
@@ -318,8 +293,7 @@ def test_weighting_none_equals_explicit_ones():
 def test_single_node_true_ratios_equals_plain_erm():
     u = uniform_marginal(2)
     nodes = (NodeSpec(u, u, 150, 100, seed=4),)
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls",
-                           rounds=8)
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, rounds=8)
     plain = train_under(cfg, SRC2, 6)
     weighted = train_under(cfg, SRC2, 6, "true_ratios")
     assert np.array_equal(plain.predictor.parameters, weighted.predictor.parameters)
@@ -387,7 +361,7 @@ def test_divergence_reports_round():
     cfg = FederationConfig(
         nodes=(NodeSpec(u, u, 200, 100),),
         global_model=PredictorConfig(architecture="mlp", hidden_units=8),
-        scenario="no_ls", rounds=10,
+        rounds=10,
         server_optimizer=ServerOptimizer(kind="sgd", learning_rate=1e160))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged at round 1"):
@@ -407,8 +381,8 @@ def test_local_steps_change_the_trajectory():
 def test_evaluate_random_model_near_chance():
     u = uniform_marginal(10)
     fed = build_federation(
-        FederationConfig(nodes=(NodeSpec(u, u, 10, 2000),), global_model=LINEAR,
-                         scenario="no_ls"), DataSource(m=10, d=9, separation=1.0), 0)
+        FederationConfig(nodes=(NodeSpec(u, u, 10, 2000),), global_model=LINEAR),
+        DataSource(m=10, d=9, separation=1.0), 0)
     _, acc = evaluate(init_predictor(PredictorConfig(architecture="linear", seed=5), 10, 9), fed)
     assert abs(acc - 0.1) <= 0.03
 
@@ -416,8 +390,7 @@ def test_evaluate_random_model_near_chance():
 def test_evaluate_constant_model_matches_class_share():
     skew = marginal(0.977, 0.023)
     fed = build_federation(
-        FederationConfig(nodes=(NodeSpec(skew, skew, 10, 5000),), global_model=LINEAR,
-                         scenario="no_ls"), SRC2, 1)
+        FederationConfig(nodes=(NodeSpec(skew, skew, 10, 5000),), global_model=LINEAR), SRC2, 1)
     # zero weights, bias forces class 0 on every input
     const = Predictor(np.array([0.0, 0.0, 0.0, 0.0, 50.0, -50.0]), "linear", 0, 2, 2)
     per_node, acc = evaluate(const, fed)
@@ -429,8 +402,8 @@ def test_evaluate_constant_model_matches_class_share():
 def test_evaluate_separable_mixture_near_perfect():
     u = uniform_marginal(3)
     fed = build_federation(
-        FederationConfig(nodes=(NodeSpec(u, u, 4000, 3000),), global_model=LINEAR,
-                         scenario="no_ls"), DataSource(m=3, d=2, separation=6.0), 2)
+        FederationConfig(nodes=(NodeSpec(u, u, 4000, 3000),), global_model=LINEAR),
+        DataSource(m=3, d=2, separation=6.0), 2)
     pred = train_predictor(
         fed.nodes[0].train,
         PredictorConfig(architecture="linear", max_epochs=30, loss_threshold=0.0,
@@ -446,7 +419,7 @@ def test_evaluate_scores_each_node_split_on_its_own(monkeypatch, model):
     # products, so each split keeps its own forward pass
     nodes = tuple(skew_node(i, 2, n_tr=20, n_te=n_te, seed=i) for i, n_te in enumerate((50, 7, 31)))
     fed = build_federation(
-        FederationConfig(nodes=nodes, global_model=model, scenario="ls_multi"), SRC3, 3)
+        FederationConfig(nodes=nodes, global_model=model), SRC3, 3)
     pred = init_predictor(replace(model, seed=2), 3, 2)
     one_by_one = [float((predict_labels(pred, node.test.features) == node.test.labels).mean())
                   for node in fed.nodes]
@@ -473,8 +446,7 @@ def prop_nodes(n_tr):
 
 
 def weighted_risk_gap(source, fixed, n_tr, seed):
-    cfg = FederationConfig(nodes=prop_nodes(n_tr), global_model=LINEAR,
-                           scenario="ls_multi")
+    cfg = FederationConfig(nodes=prop_nodes(n_tr), global_model=LINEAR)
     fed = build_federation(cfg, source, seed)
     mix = open_split(source, "test")
     w = true_weight_vectors(cfg) / cfg.k
@@ -510,7 +482,7 @@ def test_crossnode_listing_shape_and_flagged_nature():
     nodes = tuple(skew_node(i, (i + 1) % 3, n_tr=300, n_te=200, seed=i, m=3)
                   for i in range(2))
     cfg = FederationConfig(
-        nodes=nodes, global_model=LINEAR, scenario="ls_multi",
+        nodes=nodes, global_model=LINEAR,
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=16,
                                         zeta=0.25, max_epochs=20))
     fed = build_federation(cfg, SRC3, 8)
@@ -522,7 +494,7 @@ def test_crossnode_listing_shape_and_flagged_nature():
 def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
     nodes = tuple(skew_node(i, (i + 1) % 3, n_tr=200, n_te=150, seed=i) for i in range(3))
     cfg = FederationConfig(
-        nodes=nodes, global_model=LINEAR, scenario="ls_multi",
+        nodes=nodes, global_model=LINEAR,
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
                                         max_epochs=5))
     fed = build_federation(cfg, SRC3, 8)
@@ -546,7 +518,7 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
 def test_crossnode_listing_needs_full_class_support():
     nodes = (NodeSpec(marginal(1.0, 0.0), marginal(1.0, 0.0), 50, 50, seed=0),
              NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 50, 50, seed=1))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, scenario="no_ls")
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     fed = build_federation(cfg, SRC2, 2)
     with pytest.raises(ValueError, match="every class on every node"):
         crossnode_listing_ratios(fed)

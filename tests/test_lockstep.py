@@ -161,7 +161,7 @@ def federation(**kw):
              NodeSpec(marginal(0.2, 0.6, 0.2), marginal(0.1, 0.2, 0.7), 110, 70, seed=2),
              NodeSpec(marginal(0.3, 0.3, 0.4), marginal(0.1, 0.2, 0.7), 130, 60, seed=3))
     kw = {"global_model": PredictorConfig(architecture="linear"), **kw}
-    cfg = FederationConfig(nodes=nodes, scenario="ls_multi", rounds=12, **kw)
+    cfg = FederationConfig(nodes=nodes, rounds=12, **kw)
     return build_federation(cfg, DataSource(m=3, d=2, separation=2.0), 4), cfg
 
 

@@ -19,6 +19,7 @@ from labelshift import (
     NodeSpec,
     PredictorConfig,
     ProbabilityMatrix,
+    RelaxedShiftSpec,
     estimate_mlls_em,
     init_predictor,
     load_idx,
@@ -29,7 +30,6 @@ from labelshift import (
     predict_labels,
     predict_proba,
     read_features,
-    relaxed_preset,
     resample_by_marginal,
     train_global,
     train_predictor,
@@ -275,7 +275,7 @@ def test_uint8_draws_train_score_and_perturb_to_the_bits_of_float_draws(tmp_path
                                   predict_proba(pred, test_f.features).rows)
             assert np.array_equal(predict_labels(pred, test_u8.features),
                                   predict_labels(pred, test_f.features))
-        spec = relaxed_preset(seed=3)
+        spec = RelaxedShiftSpec(0.3, (0.1, 0.5), 0.1, seed=3)
         hit_u8, hit_f = perturb_relaxed(test_u8, spec), perturb_relaxed(test_f, spec)
         assert hit_u8.features.dtype == np.float64
         assert np.array_equal(hit_u8.features, hit_f.features)
@@ -288,7 +288,7 @@ def test_pixel_federation_trains_to_the_bits_of_its_float_twin(tmp_path, monkeyp
                            make_marginal(three_class_marginal(2)), n_tr, 90, seed=i)
                   for i, (hot, n_tr) in enumerate(((0, 150), (0, 130), (1, 170))))
     cfg = FederationConfig(
-        nodes=nodes, scenario="ls_multi", rounds=6, local_steps=local_steps,
+        nodes=nodes, rounds=6, local_steps=local_steps,
         global_model=PredictorConfig(architecture="mlp", hidden_units=16, batch_size=32),
         ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
                                         max_epochs=3, seed=4))
