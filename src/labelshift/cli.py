@@ -3,9 +3,11 @@
 Every artifact embeds the fully resolved configuration, so a result file is
 reproducible from its own header. Identical configuration and seed produce
 byte-identical CSV bodies and summary payloads regardless of thread count;
-only the embedded threads and out_dir settings follow the run. Per-trial
-randomness is keyed by (seed, cell index, trial index), never by scheduling
-order.
+only the embedded threads and out_dir settings follow the run. Each trial's
+marginal and test draw are keyed by (seed, cell index, trial index), never by
+scheduling order. A perturbation's corruption is keyed by (perturbation.seed,
+cell index, trial index) instead, so the experiment seed (--seed) changes the
+draws but not which rows are corrupted or by how much.
 """
 
 import argparse
@@ -50,7 +52,7 @@ from .federated import (
 )
 from .metrics import loglog_slope, ratio_mse, summarize
 from .predictor import PredictorConfig, predict_proba, train_predictors
-from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix, ratio_from_marginals
+from .types import LabeledDataset, LabelMarginal, ratio_from_marginals
 
 SCHEMA_VERSION = 1
 
@@ -58,23 +60,22 @@ KINDS = ("sweep_alpha", "sweep_size", "estimate_once", "federate")
 ESTIMATOR_NAMES = ("vrls_em", "vrls_gd", "mlls_em", "mlls_gd", "bbse", "rlls")
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
-# The fields each kind never reads (dotted for a section's field), which its runs take
-# only at their defaults. seed, data, out_dir and threads are run settings of every kind.
-_UNREAD = {
-    "sweep_alpha": ("alpha", "size_grid", "federation", "weightings", "crossnode_listing"),
-    "sweep_size": ("n_te", "alpha_grid", "federation", "weightings", "crossnode_listing"),
-    "estimate_once": ("trials", "alpha_grid", "size_grid", "federation", "weightings",
-                      "crossnode_listing"),
-    "federate": ("trials", "n_te", "alpha", "alpha_grid", "size_grid", "estimators", "predictor",
-                 "solver", "split_fraction", "perturbation", "data.n_train",
-                 "federation.global_model.zeta", "federation.global_model.max_epochs",
-                 "federation.global_model.loss_threshold", "federation.ratio_solver.step_size",
-                 "federation.ratio_solver.rlls_lambda"),
-}
-
-# The fields a run reads only under a condition, as (who, paths, applies) rows: in a run
-# where applies(cfg) holds, the paths too take only their defaults.
-_UNREAD_IF = (
+# The fields a run leaves at their defaults, as (who, paths, applies) rows: in a run where
+# applies(cfg) holds, the paths (dotted for a section's field) take only their defaults. The
+# kind rows come first; seed, data, out_dir and threads are run settings of every kind.
+_UNREAD = (
+    ("sweep_alpha runs", ("alpha", "size_grid", "federation", "weightings", "crossnode_listing"),
+     lambda c: c.kind == "sweep_alpha"),
+    ("sweep_size runs", ("n_te", "alpha_grid", "federation", "weightings", "crossnode_listing"),
+     lambda c: c.kind == "sweep_size"),
+    ("estimate_once runs", ("trials", "alpha_grid", "size_grid", "federation", "weightings",
+                            "crossnode_listing"), lambda c: c.kind == "estimate_once"),
+    ("federate runs", ("trials", "n_te", "alpha", "alpha_grid", "size_grid", "estimators",
+                       "predictor", "solver", "split_fraction", "perturbation", "data.n_train",
+                       "federation.global_model.zeta", "federation.global_model.max_epochs",
+                       "federation.global_model.loss_threshold",
+                       "federation.ratio_solver.step_size", "federation.ratio_solver.rlls_lambda"),
+     lambda c: c.kind == "federate"),
     ("runs without a vrls estimator", ("predictor.zeta",),
      lambda c: {"vrls_em", "vrls_gd"}.isdisjoint(c.estimators)),
     ("runs without a gd estimator", ("solver.step_size",),
@@ -158,25 +159,12 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
         if self.kind == "federate" and self.federation is None:
             raise ValueError("federate runs need a federation section")
-        for who, paths, applies in ((f"{self.kind} runs", _UNREAD[self.kind], lambda c: True),
-                                    *_UNREAD_IF):
+        for who, paths, applies in _UNREAD:
             for path in paths if applies(self) else ():
                 owner, _, leaf = path.rpartition(".")
                 owner = attrgetter(owner)(self) if owner else self
                 if getattr(owner, leaf) != getattr(type(owner), leaf):  # the field's default
                     raise ValueError(f"{who} take no {path} key")
-
-
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _build(where: str, make):
@@ -306,26 +294,14 @@ def _predictor_config(pcfg: PredictorConfig, estimator: str) -> PredictorConfig:
     return pcfg if estimator.startswith("vrls") else replace(pcfg, zeta=0.0)
 
 
-def _score(env: _SweepEnv, test_features) -> dict[PredictorConfig, ProbabilityMatrix | Exception]:
-    """One forward pass of the test draw per trained predictor.
-
-    Maps each predictor's config to its ProbabilityMatrix, or to the
-    exception its forward pass raised, so that every estimator that needed
-    those scores records the failure as its own.
-    """
-    scores = {}
-    for pcfg, pred in env.predictors.items():
-        try:
-            scores[pcfg] = predict_proba(pred, test_features)
-        except Exception as exc:  # charged to each estimator that needs it
-            scores[pcfg] = exc
-    return scores
-
-
-def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, scores: dict):
-    preds = scores[_predictor_config(cfg.predictor, name)]
-    if isinstance(preds, Exception):
-        raise preds
+def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, features, scores: dict):
+    """Runs estimator name on the draw's features. scores, the draw's scores per predictor
+    config, fills on first use, so each predictor scores the draw once; a forward pass that
+    raises stores nothing, so each estimator needing it retries and records the failure."""
+    pcfg = _predictor_config(cfg.predictor, name)
+    if pcfg not in scores:
+        scores[pcfg] = predict_proba(env.predictors[pcfg], features)
+    preds = scores[pcfg]
     if name.endswith("_em"):
         return estimate_mlls_em(preds, env.tr, cfg.solver)
     if name.endswith("_gd"):
@@ -349,11 +325,11 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
         spec = replace(cfg.perturbation, seed=child_seed(cfg.perturbation.seed, ci, ti))
         ds = perturb_relaxed(ds, spec)
     truth = ratio_from_marginals(marginal, env.tr)
-    scores = _score(env, ds.features)
+    scores = {}
     results = []
     for est in cfg.estimators:
         try:
-            report = _run_estimator(est, cfg, env, scores)
+            report = _run_estimator(est, cfg, env, ds.features, scores)
             results.append((est, report, ratio_mse(report.ratio, truth), ""))
         except Exception as exc:  # recorded per cell; the run keeps going
             results.append((est, None, None, f"{type(exc).__name__}: {exc}"))
@@ -377,7 +353,8 @@ def _run_cells(cfg: ExperimentConfig, cells: list[tuple[float, int]]):
 
 
 def _config_line(cfg: ExperimentConfig) -> str:
-    return json.dumps(_jsonable(cfg), sort_keys=True, separators=(",", ":"))
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"),
+                      default=np.ndarray.tolist)
 
 
 def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
@@ -390,7 +367,7 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header, rows) -> None:
 
 def _write_summary(cfg: ExperimentConfig, summary: dict) -> dict:
     with open(Path(cfg.out_dir) / f"{cfg.kind}_summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True, default=np.ndarray.tolist)
         f.write("\n")
     return summary
 
@@ -428,7 +405,7 @@ def _base_summary(cfg: ExperimentConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "config": _jsonable(cfg),
+        "config": dataclasses.asdict(cfg),
     }
 
 

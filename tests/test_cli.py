@@ -396,16 +396,23 @@ def _count_jobs(monkeypatch, module, jobs):
 
 
 @pytest.mark.parametrize(
-    "names, zeta, predictors",
-    [(["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2), (["mlls_em", "mlls_gd", "bbse"], 0.25, 1),
-     (["vrls_em", "vrls_gd"], 0.25, 1), (["vrls_em", "mlls_em", "bbse", "rlls"], 0, 1)],
-    ids=["both", "base", "reg", "zeta0"],
+    "names, zeta, predictors, em_fails",
+    [(["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2, False),
+     (["mlls_em", "mlls_gd", "bbse"], 0.25, 1, False), (["vrls_em", "vrls_gd"], 0.25, 1, False),
+     (["vrls_em", "mlls_em", "bbse", "rlls"], 0, 1, False),
+     (["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2, True)],
+    ids=["both", "base", "reg", "zeta0", "both_em_fails"],
 )
 def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names, zeta,
-                                                   predictors):
+                                                   predictors, em_fails):
     calls, trained = [], []
     _count_calls(monkeypatch, cli, "predict_proba", calls)
     _count_jobs(monkeypatch, cli, trained)
+    if em_fails:  # a solver failure after scoring leaves the draw's scores for the rest
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(cli, "estimate_mlls_em", fail)
     raw = sweep_raw(estimators=names, trials=2, predictor={**BASE_SWEEP["predictor"], "zeta": zeta})
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
     cli.run_sweep_alpha(cfg)
@@ -414,6 +421,11 @@ def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names,
     assert len(trained) == predictors
     assert len(calls) == validation + draws * predictors
     assert len({(id(pred), id(feats)) for pred, feats in calls}) == len(calls)
+    rows = read_rows(tmp_path / "sweep_alpha_results.csv")
+    assert len(rows) == draws * len(names)
+    for r in rows:
+        failed = em_fails and r["estimator"].endswith("_em")
+        assert r["error"] == ("RuntimeError: solver failed" if failed else "")
 
 
 def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):

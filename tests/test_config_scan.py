@@ -154,7 +154,8 @@ def test_every_value_a_run_accepts_changes_its_output(tmp_path):
     unchanged = {}  # dotted path: the bases where setting it changed nothing
     raised = {}  # dotted path: "base: error" where it resolved and the run raised
     for base_name, (kind, raw) in BASES.items():
-        echo = cli._jsonable(cli.resolve_config(raw, kind, out=str(tmp_path / base_name)))
+        cfg = cli.resolve_config(raw, kind, out=str(tmp_path / base_name))
+        echo = json.loads(cli._config_line(cfg))
         expected = _outcome(echo, kind, tmp_path / base_name / "base")
         assert expected is not None and not isinstance(expected, str), (base_name, expected)
         fields = dict(_fields(echo))

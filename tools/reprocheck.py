@@ -22,7 +22,11 @@ as perfbench/run.py does, so hashes from two hosts or shells compare like
 with like: the sweep_alpha_idx hashes change with the BLAS thread count.
 
 Standard output holds one "<sha256>  <path>" line per file, sorted by path;
-progress goes to standard error. The exit code is 1 if a run fails.
+progress goes to standard error. The tool also checks that the thread count
+changes no result: each config's files at --threads 2 must match those at
+--threads 1 in every CSV line after the "# config=" line, and in every summary
+apart from config.threads and config.out_dir. The exit code is 1 if a run
+fails or a file differs; standard error names the first file that differs.
 """
 
 import hashlib
@@ -46,6 +50,29 @@ CORPUS_SEED = 0
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _comparable(path: Path):
+    """What the thread count must not change: a CSV's lines after its "# config=" line, or a
+    summary without the config's threads and out_dir."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return text.split("\n", 1)[1]
+    summary = json.loads(text)
+    del summary["config"]["threads"], summary["config"]["out_dir"]
+    return summary
+
+
+def _first_mismatch(config: Path) -> Path | None:
+    """The first of config's --threads 2 files that differs from its --threads 1 file
+    (_comparable), or that only one of the two runs wrote."""
+    one, two = (OUT / config.stem / f"threads{n}" for n in THREADS)
+    names = {p.relative_to(r) for r in (one, two) for p in r.rglob("*") if p.is_file()}
+    for name in sorted(names):
+        a, b = one / name, two / name
+        if not (a.is_file() and b.is_file()) or _comparable(a) != _comparable(b):
+            return b
+    return None
 
 
 def _with_corpus(raw: dict) -> dict:
@@ -84,6 +111,11 @@ def main() -> int:
                 failed += 1
     for path in sorted(p for c in configs for p in (OUT / c.stem).rglob("*") if p.is_file()):
         print(f"{_digest(path)}  {path.as_posix()}")
+    for config in configs:
+        mismatch = _first_mismatch(config)
+        if mismatch is not None:
+            print(f"{mismatch.as_posix()} differs from its --threads 1 run", file=sys.stderr)
+            return 1
     return 1 if failed else 0
 
 
