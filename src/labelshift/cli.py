@@ -4,10 +4,8 @@ Every artifact embeds the fully resolved configuration, so a result file is
 reproducible from its own header. Identical configuration and seed produce
 byte-identical CSV bodies and summary payloads regardless of thread count;
 only the embedded threads and out_dir settings follow the run. Each trial's
-marginal and test draw are keyed by (seed, cell index, trial index), never by
-scheduling order. A perturbation's corruption is keyed by (perturbation.seed,
-cell index, trial index) instead, so the experiment seed (--seed) changes the
-draws but not which rows are corrupted or by how much.
+marginal, test draw and perturbation corruption are keyed by (seed, cell
+index, trial index), never by scheduling order.
 """
 
 import argparse
@@ -165,6 +163,9 @@ class ExperimentConfig:
                 owner = attrgetter(owner)(self) if owner else self
                 if getattr(owner, leaf) != getattr(type(owner), leaf):  # the field's default
                     raise ValueError(f"{who} take no {path} key")
+        if self.kind == "federate" and self.federation.m != self.data.num_classes:
+            raise ValueError(f"federation nodes have {self.federation.m} classes but the data"
+                             f" source has {self.data.num_classes}")
 
 
 def _build(where: str, make):
@@ -322,8 +323,7 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
     marginal = sample_dirichlet_marginal(alpha, env.tr.m, child_seed(cfg.seed, 0xA0, ci, ti, 0))
     ds = draw(env.test_split, marginal, n_te, seed=child_seed(cfg.seed, 0xA0, ci, ti, 1))
     if cfg.perturbation is not None:
-        spec = replace(cfg.perturbation, seed=child_seed(cfg.perturbation.seed, ci, ti))
-        ds = perturb_relaxed(ds, spec)
+        ds = perturb_relaxed(ds, cfg.perturbation, child_seed(cfg.seed, 0xA0, ci, ti, 2))
     truth = ratio_from_marginals(marginal, env.tr)
     scores = {}
     results = []

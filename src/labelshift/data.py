@@ -11,6 +11,7 @@ from .types import LabeledDataset, LabelMarginal, make_marginal, read_features
 
 IDX_IMAGE_MAGIC = 2051
 IDX_LABEL_MAGIC = 2049
+IDX_CLASSES = 10
 _IDX_PATHS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
@@ -59,7 +60,6 @@ class RelaxedShiftSpec:
     apply_prob: float
     noise_sigma_range: tuple[float, float]
     brightness_delta: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.apply_prob <= 1.0:
@@ -169,14 +169,14 @@ def resample_by_marginal(
     return LabeledDataset(feats, labels, pool.m)
 
 
-def perturb_relaxed(data: LabeledDataset, spec: RelaxedShiftSpec) -> LabeledDataset:
-    """Apply the corruption in spec to a float64 copy of the dataset's features
-    (read_features: uint8 pixels scale to [0, 1]).
+def perturb_relaxed(data: LabeledDataset, spec: RelaxedShiftSpec, seed: int) -> LabeledDataset:
+    """Apply the corruption in spec, drawn from seed, to a float64 copy of the
+    dataset's features (read_features: uint8 pixels scale to [0, 1]).
 
     Rows that the coin flip skips are carried over bit for bit, so
     apply_prob = 0 returns the same floats.
     """
-    rng = stream(spec.seed)
+    rng = stream(seed)
     n, d = data.n, data.d
     hit = rng.random(n) < spec.apply_prob
     lo, hi = spec.noise_sigma_range
@@ -204,7 +204,7 @@ def _check_header(path, **fields):
             raise ValueError(f"bad IDX header in {path}: {name} is {value}, expected >= 1")
 
 
-def load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
+def load_idx(images_path, labels_path, num_classes: int = IDX_CLASSES) -> LabeledDataset:
     """Read an IDX image/label file pair into a dataset of raw uint8 pixels.
 
     Images are flattened to one row of bytes each, read straight into the
@@ -250,7 +250,7 @@ def uniform_marginal(m: int) -> LabelMarginal:
 class DataSource:
     """Where a run's data comes from: a synthetic mixture of m equidistant
     classes (separation apart, sd sigma) in d dimensions, or IDX file pairs
-    with load_idx's 10 classes. A source takes only the keys it reads."""
+    with load_idx's IDX_CLASSES (10) classes. A source takes only the keys it reads."""
 
     source: str = "synthetic"
     m: int = 3
@@ -279,6 +279,10 @@ class DataSource:
             raise ValueError("separation and sigma must be positive")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+
+    @property
+    def num_classes(self) -> int:
+        return self.m if self.source == "synthetic" else IDX_CLASSES
 
 
 def open_split(source: DataSource, split: str):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .predictor import PredictorConfig, predict_proba, train_predictors
 from .types import LabeledDataset, LabelMarginal, PROB_FLOOR, ProbabilityMatrix, RatioVector
-from .types import argmax_last
 
 COND_LIMIT = 1e12
 
@@ -301,12 +300,10 @@ def _confusion_system(preds_val, labels_val, preds_te, tr):
         raise ValueError("labels_val must be one per validation row")
     if labels_val.size and (labels_val.min() < 0 or labels_val.max() >= m):
         raise ValueError(f"labels must lie in [0, {m})")
-    zv = argmax_last(preds_val.rows)
-    zt = argmax_last(preds_te.rows)
     a = np.zeros((m, m))
-    np.add.at(a, (zv, labels_val), 1.0)
+    np.add.at(a, (preds_val.hard_labels, labels_val), 1.0)
     a /= labels_val.size
-    b = np.bincount(zt, minlength=m) / preds_te.n
+    b = np.bincount(preds_te.hard_labels, minlength=m) / preds_te.n
     if np.linalg.cond(a) > COND_LIMIT:
         raise ValueError("ill-conditioned confusion matrix")
     return a, b

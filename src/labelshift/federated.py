@@ -104,13 +104,16 @@ class FederationConfig:
         if not 0 <= self.sample_nodes_per_round < self.k:
             raise ValueError("sample_nodes_per_round must lie in [0, node count); 0 samples"
                              " every node")
-        m = self.nodes[0].train_marginal.m
-        if any(n.train_marginal.m != m for n in self.nodes):
+        if any(n.train_marginal.m != self.m for n in self.nodes):
             raise ValueError("all nodes must share one class count")
 
     @property
     def k(self) -> int:
         return len(self.nodes)
+
+    @property
+    def m(self) -> int:
+        return self.nodes[0].train_marginal.m
 
     @property
     def nodes_per_round(self) -> int:
@@ -129,10 +132,6 @@ class Federation:
     cfg: FederationConfig
     nodes: tuple[FederationNode, ...]
     seed: int
-
-    @property
-    def m(self) -> int:
-        return self.cfg.nodes[0].train_marginal.m
 
     @cached_property
     def ratio_predictors(self) -> tuple[Predictor, ...]:
@@ -375,7 +374,7 @@ def weight_vectors(fed: Federation, weighting: str) -> np.ndarray:
     empirical train marginal.
     """
     if weighting == "none":
-        return np.ones((fed.cfg.k, fed.m))
+        return np.ones((fed.cfg.k, fed.cfg.m))
     if weighting == "true_ratios":
         return true_weight_vectors(fed.cfg)
     if weighting == "estimated_ratios":
@@ -396,7 +395,7 @@ def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
     The diagonal, each node on its own test split, is fed.local_estimates.
     """
     cfg = fed.cfg
-    k, m = cfg.k, fed.m
+    k, m = cfg.k, cfg.m
     est = np.zeros((k, k, m))
     marg = np.stack([node.train.empirical_marginal().probs for node in fed.nodes])
     if np.any(marg == 0):

@@ -9,6 +9,7 @@ copied first, so later writes by the caller cannot reach the value.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,6 +178,13 @@ class ProbabilityMatrix:
     @property
     def m(self) -> int:
         return int(self.rows.shape[1])
+
+    @cached_property
+    def hard_labels(self) -> np.ndarray:
+        """Each row's most probable class (argmax_last), computed on first use."""
+        labels = argmax_last(self.rows)
+        labels.setflags(write=False)
+        return labels
 
 
 def read_features(x, out=None) -> np.ndarray:

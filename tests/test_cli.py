@@ -13,6 +13,7 @@ from labelshift import (
     estimators,
     federated,
     train_global,
+    types,
     weight_vectors,
 )
 
@@ -104,6 +105,8 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         ("sweep_alpha", ["predictor"], {"zeta": 0.5}, "lr", "predictor"),
         ("sweep_alpha", ["perturbation"], EXPLICIT_PERTURBATION, "p", "perturbation"),
         ("sweep_alpha", ["perturbation"], {"preset": "relaxed"}, "preset", "perturbation"),
+        # The experiment seed keys the corruption too.
+        ("sweep_alpha", ["perturbation"], EXPLICIT_PERTURBATION, "seed", "perturbation"),
         ("federate", ["federation"], None, "round", "federation"),
         ("federate", ["federation"], None, "scenario", "federation"),
         ("federate", ["federation", "global_model"], None, "lr", r"federation\.global_model"),
@@ -115,8 +118,8 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         ("federate", ["federation"], None, "seed", "federation"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
-         "federation", "federation_scenario", "global_model", "ratio_predictor", "ratio_solver",
-         "federation_seed"],
+         "perturbation_seed", "federation", "federation_scenario", "global_model",
+         "ratio_predictor", "ratio_solver", "federation_seed"],
 )
 def test_resolve_rejects_unknown_keys_in_every_section(kind, path, section, key, where):
     raw = raw_for(kind)
@@ -428,6 +431,17 @@ def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names,
         assert r["error"] == ("RuntimeError: solver failed" if failed else "")
 
 
+def test_sweep_takes_each_probability_matrix_argmax_once(tmp_path, monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, types, "argmax_last", calls)
+    cfg = cli.resolve_config(sweep_raw(estimators=["vrls_em", "bbse", "rlls"], trials=2),
+                             "sweep_alpha", out=str(tmp_path), seed=3)
+    summary = cli.run_sweep_alpha(cfg)
+    assert all(c["errors"] == 0 for c in summary["cells"])
+    draws = len(cfg.alpha_grid) * cfg.trials
+    assert len(calls) == 1 + draws  # the validation scores, then each draw's once
+
+
 def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):
     em, gd = [], []
     _count_calls(monkeypatch, cli, "estimate_mlls_em", em)
@@ -481,11 +495,30 @@ def test_relaxed_with_zero_apply_prob_reproduces_sweep(tmp_path):
     plain = cli.resolve_config(sweep_raw(), "sweep_alpha", out=str(tmp_path / "p"), seed=3)
     cli.run_sweep_alpha(plain)
     raw = sweep_raw(perturbation={"apply_prob": 0.0, "noise_sigma_range": [0.1, 0.5],
-                                  "brightness_delta": 0.1, "seed": 0})
+                                  "brightness_delta": 0.1})
     relaxed = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / "r"), seed=3)
     cli.run_sweep_alpha(relaxed)
     assert body_lines(tmp_path / "r" / "sweep_alpha_results.csv") == body_lines(
         tmp_path / "p" / "sweep_alpha_results.csv")
+
+
+def test_seed_keys_which_rows_each_trial_corrupts(tmp_path, monkeypatch):
+    hits = []
+    original = cli.perturb_relaxed
+
+    def recorded(data, *args):
+        out = original(data, *args)
+        hits[-1].append(np.flatnonzero(np.any(out.features != data.features, axis=1)).tolist())
+        return out
+
+    monkeypatch.setattr(cli, "perturb_relaxed", recorded)
+    raw = sweep_raw(estimators=["mlls_em"], trials=2, perturbation=EXPLICIT_PERTURBATION)
+    for seed in (3, 4):
+        hits.append([])
+        cli.run_sweep_alpha(cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / str(seed)),
+                                               seed=seed))
+    assert len(hits[0]) == len(hits[1]) == 4 and all(hits[0])
+    assert all(rows3 != rows4 for rows3, rows4 in zip(*hits))
 
 
 def test_heavier_corruption_degrades_estimates(tmp_path):
@@ -761,6 +794,20 @@ def test_resolve_rejects_a_section_the_kind_ignores(tmp_path, capsys, kind, over
     cfg_path.write_text(json.dumps(raw))
     assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert re.search(rf"^error: {message}$", capsys.readouterr().err, re.M)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, classes", [({"m": 4, "d": 3, "separation": 2.5}, 4),
+                                           (IDX_DATA, 10)], ids=["synthetic", "idx"])
+def test_resolve_rejects_a_federation_of_other_class_count(tmp_path, capsys, data, classes):
+    raw = raw_for("federate", data=data)
+    message = f"federation nodes have 3 classes but the data source has {classes}"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        cli.resolve_config(raw, "federate")
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -67,8 +67,9 @@ BASES = {
                                              "estimators": ["vrls_em", "vrls_gd", "rlls"]}),
     "federate_adam": ("federate", {"data": DATA, "weightings": ["none", "estimated_ratios"],
                                    "federation": _federation()}),
+    # d = 3 leaves room for a fourth class, so data.m + 1 passes the data section's own check
     "federate_sgd_two_steps": ("federate", {
-        "data": DATA, "weightings": ["none", "true_ratios"],
+        "data": {**DATA, "d": 3}, "weightings": ["none", "true_ratios"],
         "federation": _federation(
             local_steps=2, sample_nodes_per_round=2, normalize_weights=True,
             global_model={"architecture": "mlp", "hidden_units": 4, "batch_size": 16,

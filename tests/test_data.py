@@ -202,7 +202,7 @@ def test_resample_rejects_empty_request():
 
 def test_perturb_identity_when_never_applied():
     data = gen_gaussian_mixture(MIX2, UNIFORM2, 200, seed=3)
-    out = perturb_relaxed(data, RelaxedShiftSpec(0.0, (0.1, 0.5), 0.1, seed=1))
+    out = perturb_relaxed(data, RelaxedShiftSpec(0.0, (0.1, 0.5), 0.1), 1)
     assert np.array_equal(out.features, data.features)
     assert np.array_equal(out.labels, data.labels)
 
@@ -210,18 +210,18 @@ def test_perturb_identity_when_never_applied():
 def test_perturb_noise_scale_matches_spec():
     data = gen_gaussian_mixture(GaussianMixtureSpec(np.array([[-1.0] * 4, [1.0] * 4]), 1.0),
                                 UNIFORM2, 10_000, seed=4)
-    out = perturb_relaxed(data, RelaxedShiftSpec(1.0, (0.1, 0.1), 0.0, seed=2))
+    out = perturb_relaxed(data, RelaxedShiftSpec(1.0, (0.1, 0.1), 0.0), 2)
     deltas = out.features - data.features
     assert abs(float(deltas.std()) - 0.1) < 0.01
 
 
 def test_perturb_untouched_rows_bitwise_identical():
     data = gen_gaussian_mixture(MIX2, UNIFORM2, 500, seed=8)
-    spec = RelaxedShiftSpec(0.4, (0.2, 0.6), 0.1, seed=11)
-    out = perturb_relaxed(data, spec)
+    spec = RelaxedShiftSpec(0.4, (0.2, 0.6), 0.1)
+    out = perturb_relaxed(data, spec, 11)
     same = np.all(out.features == data.features, axis=1)
     assert 0 < same.sum() < data.n  # coin flips hit some rows, spare others
-    again = perturb_relaxed(data, spec)
+    again = perturb_relaxed(data, spec, 11)
     assert np.array_equal(out.features, again.features)
 
 
@@ -229,7 +229,7 @@ def test_perturb_untouched_rows_bitwise_identical():
 @given(apply_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_perturb_always_preserves_labels(apply_prob, seed):
     data = gen_gaussian_mixture(MIX2, UNIFORM2, 64, seed=0)
-    out = perturb_relaxed(data, RelaxedShiftSpec(apply_prob, (0.1, 0.3), 0.2, seed=seed))
+    out = perturb_relaxed(data, RelaxedShiftSpec(apply_prob, (0.1, 0.3), 0.2), seed)
     assert np.array_equal(out.labels, data.labels)
 
 

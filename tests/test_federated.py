@@ -98,7 +98,7 @@ def test_no_ls_accepts_matching_marginals_per_node():
         NodeSpec(marginal(0.1, 0.9), marginal(0.1, 0.9), 20, 20),
     )
     fed = build_federation(FederationConfig(nodes=nodes, global_model=LINEAR), SRC2)
-    assert fed.m == 2
+    assert fed.cfg.m == 2
     assert [n.train.n for n in fed.nodes] == [20, 20]
     assert [n.test.n for n in fed.nodes] == [20, 20]
 
@@ -132,7 +132,7 @@ def test_build_draws_every_node_from_an_idx_source_one_split_at_a_time(tmp_path,
     loads = record_pool_loads(monkeypatch)
     fed = build_federation(cfg, DataSource(source="idx", **paths), 2)
     assert loads == [(paths["train_images"], 0), (paths["test_images"], 0)]
-    assert fed.m == 10
+    assert fed.cfg.m == 10
     assert [(n.train.n, n.test.n) for n in fed.nodes] == [(40, 30), (41, 30), (42, 30)]
     assert all(n.train.features.dtype == np.uint8 and n.train.d == 64 for n in fed.nodes)
     assert all(set(n.test.labels.tolist()) <= {0, 1, 2} for n in fed.nodes)

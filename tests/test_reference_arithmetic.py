@@ -275,8 +275,8 @@ def test_uint8_draws_train_score_and_perturb_to_the_bits_of_float_draws(tmp_path
                                   predict_proba(pred, test_f.features).rows)
             assert np.array_equal(predict_labels(pred, test_u8.features),
                                   predict_labels(pred, test_f.features))
-        spec = RelaxedShiftSpec(0.3, (0.1, 0.5), 0.1, seed=3)
-        hit_u8, hit_f = perturb_relaxed(test_u8, spec), perturb_relaxed(test_f, spec)
+        spec = RelaxedShiftSpec(0.3, (0.1, 0.5), 0.1)
+        hit_u8, hit_f = perturb_relaxed(test_u8, spec, 3), perturb_relaxed(test_f, spec, 3)
         assert hit_u8.features.dtype == np.float64
         assert np.array_equal(hit_u8.features, hit_f.features)
 

@@ -190,6 +190,12 @@ def test_probability_matrix_validates_rows():
     assert (p.n, p.m) == (2, 2)
 
 
+def test_probability_matrix_hard_labels_are_one_read_only_argmax():
+    p = ProbabilityMatrix(np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]]))
+    assert p.hard_labels.tolist() == [1, 0, 0]  # a tie goes to the first class
+    assert p.hard_labels is p.hard_labels and not p.hard_labels.flags.writeable
+
+
 def test_probability_matrix_rejects_subfloor_entries():
     with pytest.raises(ValueError, match="probability floor"):
         ProbabilityMatrix(np.array([[0.0, 1.0]]))
