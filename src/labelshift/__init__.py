@@ -44,7 +44,6 @@ from .federated import (
     evaluate,
     exchange_marginals,
     train_global,
-    true_weight_vectors,
     weight_vectors,
 )
 from .metrics import TrialSummary, loglog_slope, ratio_mse, summarize

@@ -185,9 +185,9 @@ def _decode(tp, raw, where: str, default=MISSING):
     A section (JSON object) overrides default, or else its dataclass's field
     defaults, key by key. where names raw in errors: "experiment" for the
     root, dotted paths such as federation.nodes[1] below it. Scalars must
-    have their field's JSON type (_SCALARS); floats pass through as given, so
-    the resolved config echoes the file's numbers. tuple[X, ...] takes a list of any length, tuple[X, Y]
-    exactly one entry per type. A LabelMarginal, as a list or as the
+    have their field's JSON type (_SCALARS); a float must be finite and passes through as given,
+    so the resolved config echoes the file's numbers. tuple[X, ...] takes a list of any length,
+    tuple[X, Y] exactly one entry per type. A LabelMarginal, as a list or as the
     {"probs": list} that the echoed config prints, takes numbers. A value its
     dataclass rejects raises that ValueError prefixed by where.
     """
@@ -233,6 +233,8 @@ def _decode(tp, raw, where: str, default=MISSING):
         return _build(where, lambda: tp(**values))
     if tp in _SCALARS and type(raw) not in _SCALARS[tp][0]:
         raise ValueError(f"{where} must be {_SCALARS[tp][1]}, got {raw!r}")
+    if type(raw) is float and not np.isfinite(raw):  # a JSON integer is finite
+        raise ValueError(f"{where} must be a finite number, got {raw!r}")
     return raw
 
 
@@ -244,10 +246,11 @@ def resolve_config(
     threads: int | None = None,
 ) -> ExperimentConfig:
     """Merge a raw JSON config with command-line overrides."""
-    file_kind = raw.get("kind")
-    if file_kind is not None and file_kind != kind:
-        raise ValueError(f"config is for kind {file_kind!r}, not {kind!r}")
-    cfg = _decode(ExperimentConfig, {**raw, "kind": kind}, "experiment")
+    if isinstance(raw, dict):
+        if raw.get("kind") not in (None, kind):
+            raise ValueError(f"config is for kind {raw['kind']!r}, not {kind!r}")
+        raw = {**raw, "kind": kind}
+    cfg = _decode(ExperimentConfig, raw, "experiment")
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if out is None:

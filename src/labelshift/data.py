@@ -1,6 +1,7 @@
 """Synthetic Gaussian-mixture data with exact posteriors, label-shift samplers,
 feature perturbations, IDX file ingestion, and the data source every run draws from."""
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -211,8 +212,8 @@ def load_idx(images_path, labels_path, num_classes: int = IDX_CLASSES) -> Labele
     dataset's own array, so a split costs about its file size in memory; the
     code that reads rows scales them to [0, 1]. Big-endian headers per the
     classic format: magic 2051 for images (then n, rows, cols), magic 2049
-    for labels (then n). A count, row or column number below 1 is rejected
-    before any pixel is read.
+    for labels (then n). A count, row or column number below 1, or more
+    pixels than the file holds, is rejected before any pixel is read.
     """
     if num_classes < 2:
         raise ValueError("need at least two classes")
@@ -221,6 +222,8 @@ def load_idx(images_path, labels_path, num_classes: int = IDX_CLASSES) -> Labele
         if magic != IDX_IMAGE_MAGIC:
             raise ValueError(f"bad IDX image magic {magic} in {images_path}")
         _check_header(images_path, count=n, rows=rows, cols=cols)
+        if n * rows * cols > os.fstat(f.fileno()).st_size - 16:
+            raise ValueError(f"truncated IDX file: {images_path}")
         pixels = np.empty((n, rows * cols), dtype=np.uint8)
         if f.readinto(memoryview(pixels).cast("B")) != pixels.nbytes:
             raise ValueError(f"truncated IDX file: {images_path}")

@@ -79,8 +79,8 @@ class FederationConfig:
 
     ratio_predictor and ratio_solver drive the per-node estimation behind the
     "estimated_ratios" weighting. normalize_weights divides every weight
-    vector by the node count, which rescales the loss without moving the
-    minimizer.
+    vector by the node count; the unweighted global_model.weight_decay then
+    weighs k times more against the data, so only at decay 0 is it a pure rescale.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -182,8 +182,9 @@ class FederationResult:
 
 def build_federation(cfg: FederationConfig, source: DataSource, seed: int = 0) -> Federation:
     """Materialize every node's train and test split from the shared source;
-    seed keys every draw of the federation, training included: node i's
-    split s (0 train, 1 test) draws with child_seed(seed, i, node seed, s)."""
+    seed keys every draw, train_global's sampling included, but the global
+    model's start, which cfg.global_model.seed keys: node i's split s (0
+    train, 1 test) draws with child_seed(seed, i, node seed, s)."""
     splits = []
     for s, split in enumerate(("train", "test")):
         population = open_split(source, split)
@@ -241,12 +242,6 @@ def aggregate_ratios(test_marginals, tr_k: LabelMarginal) -> np.ndarray:
         raise ValueError("unsupported class: test mass where node train mass is zero")
     safe = np.where(tr_k.probs > 0, tr_k.probs, 1.0)
     return np.where(tr_k.probs > 0, total / safe, 0.0)
-
-
-def true_weight_vectors(cfg: FederationConfig) -> np.ndarray:
-    """Weights computed from the configured marginals, one row per node."""
-    marginals = [n.test_marginal for n in cfg.nodes]
-    return np.stack([aggregate_ratios(marginals, node.train_marginal) for node in cfg.nodes])
 
 
 def _local_pseudograd(step, params, node, w_vec, cfg: FederationConfig, rng):
@@ -370,45 +365,41 @@ def evaluate(pred: Predictor, fed: Federation) -> tuple[tuple, float | list[floa
 def weight_vectors(fed: Federation, weighting: str) -> np.ndarray:
     """Per-node class weights under the named weighting, one row per node.
 
-    estimated_ratios aggregates the exchanged marginals against each node's
-    empirical train marginal.
+    true_ratios aggregates the configured marginals, estimated_ratios the
+    exchanged ones against each node's empirical train marginal.
     """
     if weighting == "none":
         return np.ones((fed.cfg.k, fed.cfg.m))
     if weighting == "true_ratios":
-        return true_weight_vectors(fed.cfg)
-    if weighting == "estimated_ratios":
+        marginals = [spec.test_marginal for spec in fed.cfg.nodes]
+        trains = [spec.train_marginal for spec in fed.cfg.nodes]
+    elif weighting == "estimated_ratios":
         marginals = exchange_marginals(fed)
-        return np.stack([
-            aggregate_ratios(marginals, node.train.empirical_marginal()) for node in fed.nodes
-        ])
-    raise ValueError(f"unknown weighting {weighting!r}")
+        trains = [node.train.empirical_marginal() for node in fed.nodes]
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    return np.stack([aggregate_ratios(marginals, tr) for tr in trains])
 
 
 def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
-    """Cross-node aggregation variant for fidelity experiments.
+    """Cross-node aggregation variant for fidelity experiments, one row per node.
 
-    Node k's ratio predictor is applied to every node's test features; the
-    resulting matrix combines estimates against the other nodes' train
-    marginals. Unlike the marginal exchange, this ships raw features across
-    nodes, so it stays an opt-in diagnostic rather than a training path.
-    The diagonal, each node on its own test split, is fed.local_estimates.
+    Row a is aggregate_ratios(test marginals, node a's empirical train
+    marginal), where node b's test marginal is the one node a's ratio
+    predictor implies on node b's test features, solved against node a's
+    train marginal. The diagonal is fed.local_estimates. Unlike the marginal
+    exchange, this ships raw features across nodes, so it stays an opt-in
+    diagnostic rather than a training path.
     """
-    cfg = fed.cfg
-    k, m = cfg.k, cfg.m
-    est = np.zeros((k, k, m))
-    marg = np.stack([node.train.empirical_marginal().probs for node in fed.nodes])
-    if np.any(marg == 0):
+    trains = [node.train.empirical_marginal() for node in fed.nodes]
+    if any(np.any(tr.probs == 0) for tr in trains):
         raise ValueError("cross-node aggregation needs every class on every node")
-    for a, predictor in enumerate(fed.ratio_predictors):
-        tr_a = fed.nodes[a].train.empirical_marginal()
-        for b in range(k):
-            if b == a:
-                report = fed.local_estimates[a]
-            else:
-                preds = predict_proba(predictor, fed.nodes[b].test.features)
-                report = estimate_mlls_em(preds, tr_a, cfg.ratio_solver)
-            est[a, b] = report.ratio.ratios
-    values = marg[None, :, :] * est
-    aggregated = values.sum(axis=1)
-    return aggregated / marg
+    rows = []
+    for a, (node, predictor) in enumerate(zip(fed.nodes, fed.ratio_predictors)):
+        reports = [
+            fed.local_estimates[a] if b == a else
+            _estimate(node, predict_proba(predictor, other.test.features), fed.cfg.ratio_solver)
+            for b, other in enumerate(fed.nodes)
+        ]
+        rows.append(aggregate_ratios([r.ratio.implied_test_marginal() for r in reports], trains[a]))
+    return np.stack(rows)

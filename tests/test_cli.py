@@ -164,9 +164,24 @@ def test_resolve_accepts_only_json_integers_for_int_fields(kind, path, value, wh
         ("sweep_alpha", ["estimators"], ["vrls_em", 3], r"estimators\[1\]", "a string"),
         ("federate", ["federation", "server_optimizer", "kind"], 1,
          r"federation\.server_optimizer\.kind", "a string"),
+        ("sweep_alpha", ["predictor", "loss_threshold"], float("nan"),
+         r"predictor\.loss_threshold", "a finite number"),
+        ("sweep_alpha", ["alpha_grid"], [float("nan")], r"alpha_grid\[0\]", "a finite number"),
+        ("sweep_alpha", ["alpha_grid"], [1.0, float("inf")], r"alpha_grid\[1\]",
+         "a finite number"),
+        ("sweep_alpha", ["predictor", "zeta"], float("nan"), r"predictor\.zeta",
+         "a finite number"),
+        ("sweep_alpha", ["predictor", "weight_decay"], float("nan"),
+         r"predictor\.weight_decay", "a finite number"),
+        ("sweep_alpha", ["solver"], {"rlls_lambda": float("-inf")}, r"solver\.rlls_lambda",
+         "a finite number"),
+        ("sweep_alpha", ["perturbation"],
+         {**EXPLICIT_PERTURBATION, "brightness_delta": float("nan")},
+         r"perturbation\.brightness_delta", "a finite number"),
     ],
     ids=["alpha", "zeta", "alpha_grid", "crossnode_listing", "normalize_weights", "out_dir",
-         "estimators", "server_kind"],
+         "estimators", "server_kind", "nan_loss_threshold", "nan_alpha_grid", "inf_alpha_grid",
+         "nan_zeta", "nan_weight_decay", "inf_rlls_lambda", "nan_brightness_delta"],
 )
 def test_resolve_type_checks_scalar_fields(kind, path, value, where, expected):
     raw = raw_for(kind)
@@ -926,6 +941,23 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     code = cli.main(["sweep_alpha", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "unknown estimator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(json.dumps(sweep_raw(predictor={"loss_threshold": float("nan")})),
+      "error: predictor.loss_threshold must be a finite number, got nan\n"),
+     ("[]", "error: experiment must be an object, got []\n")],
+    ids=["literal_nan", "top_level_list"],
+)
+def test_main_rejects_non_finite_numbers_and_non_objects_before_any_output(tmp_path, capsys,
+                                                                           text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["sweep_alpha", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_main_honors_env_output_dir(tmp_path, monkeypatch, capsys):

@@ -347,6 +347,13 @@ def test_load_idx_rejects_truncated_images(tmp_path):
         load_idx(img, lab)
 
 
+def test_load_idx_checks_the_header_against_the_file_size_before_allocating(tmp_path):
+    img, lab = write_idx_pair(tmp_path, bytes(28 * 28), [1], rows=28, cols=28)
+    img.write_bytes(struct.pack(">iiii", 2051, 10**8, 28, 28) + bytes(28 * 28))  # 73 GiB claimed
+    with pytest.raises(ValueError, match=f"^truncated IDX file: {re.escape(str(img))}$"):
+        load_idx(img, lab)
+
+
 def test_load_idx_rejects_count_mismatch(tmp_path):
     img, lab = write_idx_pair(tmp_path, [0] * 8, [1, 2], label_count=2)
     (tmp_path / "labels.idx").write_bytes(struct.pack(">ii", 2049, 3) + bytes([1, 2, 3]))

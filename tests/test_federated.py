@@ -1,5 +1,7 @@
+import json
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +28,10 @@ from labelshift import (
     estimate_mlls_em,
     train_global,
     train_predictor,
-    true_weight_vectors,
     uniform_marginal,
     weight_vectors,
 )
-from labelshift import federated
+from labelshift import cli, federated
 from labelshift.data import open_split
 from labelshift._rng import child_seed
 from labelshift.types import LabelMarginal
@@ -179,7 +180,7 @@ def test_true_weights_uniform_two_nodes_all_twos():
     u = uniform_marginal(3)
     nodes = (NodeSpec(u, u, 10, 10), NodeSpec(u, u, 10, 10))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
-    assert np.all(true_weight_vectors(cfg) == 2.0)
+    assert np.all(weight_vectors(build_federation(cfg, SRC3, 0), "true_ratios") == 2.0)
 
 
 # ----------------------------------------------------- marginal exchange
@@ -257,7 +258,8 @@ def test_weight_vectors_per_weighting():
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, ratio_predictor=SMALL_RATIO)
     fed = build_federation(cfg, SRC3, 1)
     assert np.array_equal(weight_vectors(fed, "none"), np.ones((2, 3)))
-    assert np.array_equal(weight_vectors(fed, "true_ratios"), true_weight_vectors(cfg))
+    assert np.array_equal(weight_vectors(fed, "true_ratios"), np.stack([
+        aggregate_ratios([n.test_marginal for n in nodes], n.train_marginal) for n in nodes]))
     published = exchange_marginals(fed)
     expected = np.stack([aggregate_ratios(published, node.train.empirical_marginal())
                          for node in fed.nodes])
@@ -449,7 +451,7 @@ def weighted_risk_gap(source, fixed, n_tr, seed):
     cfg = FederationConfig(nodes=prop_nodes(n_tr), global_model=LINEAR)
     fed = build_federation(cfg, source, seed)
     mix = open_split(source, "test")
-    w = true_weight_vectors(cfg) / cfg.k
+    w = weight_vectors(fed, "true_ratios") / cfg.k
     emp = float(np.mean([
         loss_and_grad(fixed, fixed.parameters, nd.train.features, nd.train.labels,
                       weights=w[k][nd.train.labels])[0]
@@ -522,3 +524,19 @@ def test_crossnode_listing_needs_full_class_support():
     fed = build_federation(cfg, SRC2, 2)
     with pytest.raises(ValueError, match="every class on every node"):
         crossnode_listing_ratios(fed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_crossnode_listing_matches_the_empirical_marginal_oracle(seed):
+    """With well-separated classes every predictor labels every test row right,
+    so each solve recovers the empirical test marginal it scores and row a of
+    the listing is sum_b (node b's test marginal) / (node a's train marginal)."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "federate.json"
+    nodes = cli.resolve_config(json.loads(shipped.read_text()), "federate").federation.nodes
+    cfg = FederationConfig(nodes=nodes, global_model=LINEAR, ratio_predictor=PredictorConfig(
+        architecture="linear", zeta=0.0, max_epochs=30, loss_threshold=0.0))
+    fed = build_federation(cfg, DataSource(m=3, d=2, separation=20.0), seed)
+    test_mass = sum(node.test.empirical_marginal().probs for node in fed.nodes)
+    oracle = np.stack([test_mass / node.train.empirical_marginal().probs for node in fed.nodes])
+    for got in (crossnode_listing_ratios(fed), weight_vectors(fed, "estimated_ratios")):
+        np.testing.assert_allclose(got, oracle, rtol=0.02)

@@ -19,7 +19,7 @@ from labelshift import (
     train_global,
     train_predictor,
     train_predictors,
-    true_weight_vectors,
+    weight_vectors,
 )
 from labelshift import predictor
 from labelshift.predictor import _relu_grad
@@ -189,7 +189,7 @@ def assert_same_result(a, b):
 )
 def test_train_global_stack_matches_separate_calls(options):
     fed, cfg = federation(**options)
-    weights = [np.ones((3, 3)), true_weight_vectors(cfg),
+    weights = [np.ones((3, 3)), weight_vectors(fed, "true_ratios"),
                np.random.default_rng(5).uniform(0.0, 4.0, size=(3, 3))]
     stacked = train_global(fed, weights, cfg)
     assert len(stacked) == 3
