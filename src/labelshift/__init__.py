@@ -26,10 +26,8 @@ from .estimators import (
     empirical_objective_gradient,
     estimate_bbse,
     estimate_mlls_em,
-    estimate_mlls_gd,
     estimate_rlls,
     estimate_vrls,
-    project_to_simplex,
 )
 from .federated import (
     Federation,

@@ -37,7 +37,6 @@ from .estimators import (
     EstimatorOptions,
     estimate_bbse,
     estimate_mlls_em,
-    estimate_mlls_gd,
     estimate_rlls,
 )
 from .federated import (
@@ -55,7 +54,7 @@ from .types import LabeledDataset, LabelMarginal, ratio_from_marginals
 SCHEMA_VERSION = 1
 
 KINDS = ("sweep_alpha", "sweep_size", "estimate_once", "federate")
-ESTIMATOR_NAMES = ("vrls_em", "vrls_gd", "mlls_em", "mlls_gd", "bbse", "rlls")
+ESTIMATOR_NAMES = ("vrls_em", "mlls_em", "bbse", "rlls")
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 # The fields a run leaves at their defaults, as (who, paths, applies) rows: in a run where
@@ -72,12 +71,9 @@ _UNREAD = (
                        "predictor", "solver", "split_fraction", "perturbation", "data.n_train",
                        "federation.global_model.zeta", "federation.global_model.max_epochs",
                        "federation.global_model.loss_threshold",
-                       "federation.ratio_solver.step_size", "federation.ratio_solver.rlls_lambda"),
+                       "federation.ratio_solver.rlls_lambda"),
      lambda c: c.kind == "federate"),
-    ("runs without a vrls estimator", ("predictor.zeta",),
-     lambda c: {"vrls_em", "vrls_gd"}.isdisjoint(c.estimators)),
-    ("runs without a gd estimator", ("solver.step_size",),
-     lambda c: {"vrls_gd", "mlls_gd"}.isdisjoint(c.estimators)),
+    ("runs without a vrls estimator", ("predictor.zeta",), lambda c: "vrls_em" not in c.estimators),
     ("runs without rlls", ("solver.rlls_lambda",), lambda c: "rlls" not in c.estimators),
     ("runs without a likelihood estimator", ("solver.max_iters", "solver.tol"),
      lambda c: set(c.estimators) <= {"bbse", "rlls"}),
@@ -185,11 +181,13 @@ def _decode(tp, raw, where: str, default=MISSING):
     A section (JSON object) overrides default, or else its dataclass's field
     defaults, key by key. where names raw in errors: "experiment" for the
     root, dotted paths such as federation.nodes[1] below it. Scalars must
-    have their field's JSON type (_SCALARS); a float must be finite and passes through as given,
-    so the resolved config echoes the file's numbers. tuple[X, ...] takes a list of any length,
-    tuple[X, Y] exactly one entry per type. A LabelMarginal, as a list or as the
-    {"probs": list} that the echoed config prints, takes numbers. A value its
-    dataclass rejects raises that ValueError prefixed by where.
+    have their field's JSON type (_SCALARS). A number in a float field must
+    be finite, so an integer must fit a float; it passes through as given, so
+    the resolved config echoes the file's numbers. tuple[X, ...] takes a list
+    of any length, tuple[X, Y] exactly one entry per type. A LabelMarginal,
+    as a list or as the {"probs": list} that the echoed config prints, takes
+    numbers. A value its dataclass rejects raises that ValueError prefixed by
+    where.
     """
     if isinstance(tp, UnionType):  # X | None: null stays None
         if raw is None:
@@ -233,7 +231,7 @@ def _decode(tp, raw, where: str, default=MISSING):
         return _build(where, lambda: tp(**values))
     if tp in _SCALARS and type(raw) not in _SCALARS[tp][0]:
         raise ValueError(f"{where} must be {_SCALARS[tp][1]}, got {raw!r}")
-    if type(raw) is float and not np.isfinite(raw):  # a JSON integer is finite
+    if tp is float and not abs(raw) <= sys.float_info.max:  # NaN, infinities, huge integers
         raise ValueError(f"{where} must be a finite number, got {raw!r}")
     return raw
 
@@ -293,9 +291,9 @@ class _SweepEnv:
 
 
 def _predictor_config(pcfg: PredictorConfig, estimator: str) -> PredictorConfig:
-    """The predictor an estimator scores with: pcfg for vrls_*, and its
+    """The predictor an estimator scores with: pcfg for vrls_em, and its
     unregularized (zeta = 0) twin for the rest."""
-    return pcfg if estimator.startswith("vrls") else replace(pcfg, zeta=0.0)
+    return pcfg if estimator == "vrls_em" else replace(pcfg, zeta=0.0)
 
 
 def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, features, scores: dict):
@@ -308,8 +306,6 @@ def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, features, s
     preds = scores[pcfg]
     if name.endswith("_em"):
         return estimate_mlls_em(preds, env.tr, cfg.solver)
-    if name.endswith("_gd"):
-        return estimate_mlls_gd(preds, env.tr, cfg.solver)
     if name == "bbse":
         return estimate_bbse(env.preds_val, env.labels_val, preds, env.tr)
     return estimate_rlls(env.preds_val, env.labels_val, preds, env.tr, cfg.solver.rlls_lambda)

@@ -2,9 +2,9 @@
 
 Two families:
 
-* Likelihood maximizers (estimate_mlls_em, estimate_mlls_gd) that maximize
-  the mean log of predicted test likelihoods mean_j log(preds_j . r) over
-  the feasible set {r >= 0, sum_c r_c p_tr(c) = 1}.
+* The likelihood maximizer estimate_mlls_em, which maximizes the mean log of
+  predicted test likelihoods mean_j log(preds_j . r) over the feasible set
+  {r >= 0, sum_c r_c p_tr(c) = 1} by accelerated EM.
 * Moment matchers (estimate_bbse, estimate_rlls) that solve a hard-label
   confusion system, optionally with a ridge term.
 
@@ -27,7 +27,6 @@ COND_LIMIT = 1e12
 class EstimatorOptions:
     max_iters: int = 1000
     tol: float = 1e-6
-    step_size: float = 0.05
     rlls_lambda: float = 0.0
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class EstimatorOptions:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if not (self.step_size > 0):
-            raise ValueError("step_size must be positive")
         if self.rlls_lambda < 0:
             raise ValueError("rlls_lambda must be nonnegative")
 
@@ -97,18 +94,6 @@ def empirical_objective_gradient(r, preds: ProbabilityMatrix) -> np.ndarray:
     """Gradient of empirical_objective in r: mean_j preds_j / (preds_j . r)."""
     rv = _ratio_values(r)
     return _mean_log_gradient(preds.rows, preds.rows @ rv)
-
-
-def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection onto {q >= 0, sum q = 1} (sort-based)."""
-    q = np.asarray(v, dtype=np.float64)
-    srt = np.sort(q)[::-1]
-    css = np.cumsum(srt) - 1.0
-    ks = np.arange(1, q.size + 1)
-    mask = srt - css / ks > 0
-    rho = int(np.nonzero(mask)[0][-1])
-    theta = css[rho] / (rho + 1)
-    return np.maximum(q - theta, 0.0)
 
 
 def _support(preds: ProbabilityMatrix, tr: LabelMarginal):
@@ -228,64 +213,6 @@ def estimate_mlls_em(
         ratio=_embed(r, sup, tr),
         iterations_used=iters,
         final_objective=trace[-1],
-        converged=converged,
-        objective_trace=tuple(trace),
-    )
-
-
-def estimate_mlls_gd(
-    preds_te: ProbabilityMatrix, tr: LabelMarginal, opts: EstimatorOptions = EstimatorOptions()
-) -> EstimateReport:
-    """Projected gradient ascent on the same objective as estimate_mlls_em.
-
-    The feasible set becomes the probability simplex under q = r * p_tr, so
-    the ascent runs in q: the ratio gradient mean_j preds_j / (preds_j . r)
-    turns into its q-space counterpart by the chain rule, and each iterate is
-    projected back onto the simplex. The step is halved until the objective
-    does not decrease, which keeps the trace monotone.
-    """
-    p, t, sup = _support(preds_te, tr)
-    q = t.copy()  # r = all-ones
-    r = np.ones(t.size)
-    like = p @ r
-    obj = _mean_log(like)
-    trace = [obj]
-    converged = False
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        grad_q = _mean_log_gradient(p, like) / t
-        step = opts.step_size
-        moved = False
-        while True:
-            q_try = project_to_simplex(q + step * grad_q)
-            s = q_try.sum()
-            if not (np.isfinite(s) and s > 0):
-                raise RuntimeError("diverged: non-finite iterate")
-            q_try /= s
-            r_try = q_try / t
-            like_try = p @ r_try
-            obj_try = _mean_log(like_try)
-            if not np.isfinite(obj_try):
-                raise RuntimeError("diverged: non-finite objective")
-            if obj_try >= obj - 1e-12:
-                moved = True
-                break
-            step *= 0.5
-            if step < 1e-14:
-                break
-        if not moved:  # projected gradient vanished: stationary point
-            converged = True
-            break
-        delta = float(np.max(np.abs(r_try - r)))
-        q, r, like, obj = q_try, r_try, like_try, obj_try
-        trace.append(obj)
-        if delta < opts.tol:
-            converged = True
-            break
-    return EstimateReport(
-        ratio=_embed(r, sup, tr),
-        iterations_used=iters,
-        final_objective=obj,
         converged=converged,
         objective_trace=tuple(trace),
     )

@@ -28,7 +28,6 @@ from labelshift import (
     build_federation,
     estimate_bbse,
     estimate_mlls_em,
-    estimate_mlls_gd,
     estimate_rlls,
     equidistant_means,
     gen_gaussian_mixture,
@@ -73,24 +72,23 @@ def _linf(a, b=0.0):
 
 def test_ac1_solvers_match_grid_oracle():
     t0 = time.time()
-    worst_em = worst_gd = worst_gap = 0.0
+    worst_em = worst_gap = 0.0
     for i in range(20):
         rng = stream(0xAC1, i)
         preds = ProbabilityMatrix.from_rows(rng.dirichlet((1.5, 1.5), size=120))
         tr = make_marginal(np.clip(rng.dirichlet((3.0, 3.0)), 0.05, 0.95))
-        oracle, _ = grid_oracle_m2(preds, tr)
+        oracle, best_obj = grid_oracle_m2(preds, tr)
         em = estimate_mlls_em(preds, tr)
-        gd = estimate_mlls_gd(preds, tr)
         worst_em = max(worst_em, _linf(em.ratio.ratios - oracle))
-        worst_gd = max(worst_gd, _linf(gd.ratio.ratios - oracle))
-        gap = abs(empirical_objective(em.ratio, preds) - empirical_objective(gd.ratio, preds))
-        worst_gap = max(worst_gap, gap)
+        # the grid's best objective minus EM's: positive only if the grid beats EM
+        worst_gap = max(worst_gap, best_obj - empirical_objective(em.ratio, preds))
     took = time.time() - t0
-    ok = worst_em < 1e-3 and worst_gd < 1e-3 and worst_gap < 1e-6 and took < 10
+    ok = worst_em < 1e-3 and worst_gap < 1e-6 and took < 10
     _verdict(
         "AC-1 solver agreement vs grid oracle",
         ok,
-        f"em {worst_em:.2e}, gd {worst_gd:.2e} (tol 1e-3); obj gap {worst_gap:.2e} (tol 1e-6); {took:.1f}s",
+        f"em {worst_em:.2e} (tol 1e-3); grid objective above em {worst_gap:.2e} (tol 1e-6);"
+        f" {took:.1f}s",
     )
 
 
@@ -233,11 +231,8 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     pred_base = train_predictor(train, replace(pcfg, zeta=0.0))
     emp = train.empirical_marginal()
     drift = {}
-    for name, pred, solve in (("vrls_em", pred_reg, estimate_mlls_em),
-                              ("vrls_gd", pred_reg, estimate_mlls_gd),
-                              ("mlls_em", pred_base, estimate_mlls_em),
-                              ("mlls_gd", pred_base, estimate_mlls_gd)):
-        rep = solve(predict_proba(pred, test.features), emp, EstimatorOptions())
+    for name, pred in (("vrls_em", pred_reg), ("mlls_em", pred_base)):
+        rep = estimate_mlls_em(predict_proba(pred, test.features), emp, EstimatorOptions())
         drift[name] = _linf(rep.ratio.ratios, 1.0)
     preds_val = predict_proba(pred_base, train.features)
     preds_te = predict_proba(pred_base, test.features)

@@ -116,19 +116,31 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
          r"federation\.ratio_solver"),
         # The experiment seed is the only one.
         ("federate", ["federation"], None, "seed", "federation"),
+        # EM, the one likelihood solver, takes no step size.
+        ("sweep_alpha", ["solver"], {"tol": 1e-5}, "step_size", "solver"),
+        ("federate", ["federation", "ratio_solver"], {"max_iters": 50}, "step_size",
+         r"federation\.ratio_solver"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
          "perturbation_seed", "federation", "federation_scenario", "global_model",
-         "ratio_predictor", "ratio_solver", "federation_seed"],
+         "ratio_predictor", "ratio_solver", "federation_seed", "solver_step_size",
+         "ratio_solver_step_size"],
 )
-def test_resolve_rejects_unknown_keys_in_every_section(kind, path, section, key, where):
+def test_resolve_rejects_unknown_keys_in_every_section(tmp_path, capsys, kind, path, section,
+                                                       key, where):
     raw = raw_for(kind)
     parent = parent_of(raw, path)
     if section is not None:
         parent[path[-1]] = json.loads(json.dumps(section))
     parent[path[-1]].setdefault(key, 1)
-    with pytest.raises(ValueError, match=rf"unknown {where} keys: \['{key}'\]"):
+    message = rf"unknown {where} keys: \['{key}'\]"
+    with pytest.raises(ValueError, match=message):
         cli.resolve_config(raw, kind)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert re.search(rf"^error: {message}$", capsys.readouterr().err, re.M)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -169,6 +181,7 @@ def test_resolve_accepts_only_json_integers_for_int_fields(kind, path, value, wh
         ("sweep_alpha", ["alpha_grid"], [float("nan")], r"alpha_grid\[0\]", "a finite number"),
         ("sweep_alpha", ["alpha_grid"], [1.0, float("inf")], r"alpha_grid\[1\]",
          "a finite number"),
+        ("sweep_alpha", ["alpha_grid"], [10**400], r"alpha_grid\[0\]", "a finite number"),
         ("sweep_alpha", ["predictor", "zeta"], float("nan"), r"predictor\.zeta",
          "a finite number"),
         ("sweep_alpha", ["predictor", "weight_decay"], float("nan"),
@@ -181,7 +194,8 @@ def test_resolve_accepts_only_json_integers_for_int_fields(kind, path, value, wh
     ],
     ids=["alpha", "zeta", "alpha_grid", "crossnode_listing", "normalize_weights", "out_dir",
          "estimators", "server_kind", "nan_loss_threshold", "nan_alpha_grid", "inf_alpha_grid",
-         "nan_zeta", "nan_weight_decay", "inf_rlls_lambda", "nan_brightness_delta"],
+         "huge_alpha_grid", "nan_zeta", "nan_weight_decay", "inf_rlls_lambda",
+         "nan_brightness_delta"],
 )
 def test_resolve_type_checks_scalar_fields(kind, path, value, where, expected):
     raw = raw_for(kind)
@@ -416,7 +430,7 @@ def _count_jobs(monkeypatch, module, jobs):
 @pytest.mark.parametrize(
     "names, zeta, predictors, em_fails",
     [(["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2, False),
-     (["mlls_em", "mlls_gd", "bbse"], 0.25, 1, False), (["vrls_em", "vrls_gd"], 0.25, 1, False),
+     (["mlls_em", "bbse"], 0.25, 1, False), (["vrls_em"], 0.25, 1, False),
      (["vrls_em", "mlls_em", "bbse", "rlls"], 0, 1, False),
      (["vrls_em", "mlls_em", "bbse", "rlls"], 0.25, 2, True)],
     ids=["both", "base", "reg", "zeta0", "both_em_fails"],
@@ -458,15 +472,13 @@ def test_sweep_takes_each_probability_matrix_argmax_once(tmp_path, monkeypatch):
 
 
 def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):
-    em, gd = [], []
+    em = []
     _count_calls(monkeypatch, cli, "estimate_mlls_em", em)
-    _count_calls(monkeypatch, cli, "estimate_mlls_gd", gd)
-    raw = sweep_raw(estimators=["vrls_em", "vrls_gd", "mlls_em", "mlls_gd"], trials=1,
-                    alpha_grid=[1.0])
+    raw = sweep_raw(estimators=["vrls_em", "mlls_em"], trials=1, alpha_grid=[1.0])
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
     summary = cli.run_sweep_alpha(cfg)
-    assert len(em) == len(gd) == 2
-    assert all(opts is cfg.solver for *_, opts in em + gd)
+    assert len(em) == 2
+    assert all(opts is cfg.solver for *_, opts in em)
     assert all(c["count"] == 1 and c["errors"] == 0 for c in summary["cells"])
 
 
@@ -727,8 +739,8 @@ UNREAD = [
     *[("federate", "federation", federation_with("global_model", **{key: value}),
        f"federation.global_model.{key}")
       for key, value in {"zeta": 0.5, "max_epochs": 5, "loss_threshold": 0.0}.items()],
-    *[("federate", "federation", federation_with("ratio_solver", **{key: 0.1}),
-       f"federation.ratio_solver.{key}") for key in ("step_size", "rlls_lambda")],
+    ("federate", "federation", federation_with("ratio_solver", rlls_lambda=0.1),
+     "federation.ratio_solver.rlls_lambda"),
 ]
 
 LINEAR_NO_ZETA = {"architecture": "linear", "max_epochs": 10, "loss_threshold": 0.0}
@@ -742,8 +754,6 @@ UNREAD_IF = [
      "predictor.zeta"),
     ("sweep_size", {"predictor": {**BASE_SWEEP["predictor"], "hidden_units": 8}},
      "linear models", "predictor.hidden_units"),
-    ("estimate_once", {"solver": {"step_size": 0.1}}, "runs without a gd estimator",
-     "solver.step_size"),
     ("sweep_alpha", {"estimators": ["vrls_em", "mlls_em"], "solver": {"rlls_lambda": 0.1}},
      "runs without rlls", "solver.rlls_lambda"),
     *[("sweep_alpha", {"estimators": ["bbse", "rlls"], "predictor": LINEAR_NO_ZETA,
@@ -839,8 +849,9 @@ def test_every_kind_takes_the_run_settings(tmp_path, kind):
         ("sweep_alpha", "estimators", ["mlls_em", "mlls_em"], "duplicate estimator 'mlls_em'"),
         ("federate", "weightings", ["none", "true_ratios", "none"], "duplicate weighting 'none'"),
         ("federate", "weightings", [], "need at least one weighting"),
+        ("sweep_alpha", "estimators", ["vrls_gd"], "unknown estimator 'vrls_gd'"),
     ],
-    ids=["duplicate_estimator", "duplicate_weighting", "no_weighting"],
+    ids=["duplicate_estimator", "duplicate_weighting", "no_weighting", "retired_estimator"],
 )
 def test_main_rejects_repeated_or_missing_names_before_any_output(tmp_path, capsys, kind, key,
                                                                    names, message):
@@ -947,8 +958,11 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     "text, message",
     [(json.dumps(sweep_raw(predictor={"loss_threshold": float("nan")})),
       "error: predictor.loss_threshold must be a finite number, got nan\n"),
+     # an integer no float can hold
+     (json.dumps(sweep_raw(alpha_grid=[10**400])),
+      f"error: alpha_grid[0] must be a finite number, got {10**400}\n"),
      ("[]", "error: experiment must be an object, got []\n")],
-    ids=["literal_nan", "top_level_list"],
+    ids=["literal_nan", "huge_integer", "top_level_list"],
 )
 def test_main_rejects_non_finite_numbers_and_non_objects_before_any_output(tmp_path, capsys,
                                                                            text, message):

@@ -13,7 +13,7 @@ The bases are tiny, and each binds the fields it reads: max_iters and
 max_epochs end their loops (at the default tol and a loss_threshold of 0),
 batch sizes lie below the row counts, and no marginal is uniform. Between
 them they cover all four kinds, linear and MLP models, estimator lists with
-and without vrls, gd and rlls, a list of only bbse and rlls, perturbed sweeps,
+and without vrls and rlls, a list of only bbse and rlls, perturbed sweeps,
 one and two local steps, adam and sgd, and federations with and without a
 ratio weighting.
 """
@@ -51,11 +51,10 @@ def _federation(**over):
 BASES = {
     "sweep_alpha_linear": ("sweep_alpha", {**ALPHA, "predictor": LINEAR,
                                            "estimators": ["vrls_em", "mlls_em", "bbse", "rlls"]}),
-    "sweep_alpha_mlp_gd": ("sweep_alpha", {**ALPHA, "predictor": MLP, "split_fraction": 0.2,
-                                           "estimators": ["vrls_gd", "mlls_gd"],
-                                           "perturbation": {"apply_prob": 0.3,
-                                                            "noise_sigma_range": [0.1, 0.5],
-                                                            "brightness_delta": 0.1}}),
+    "sweep_alpha_mlp_perturbed": ("sweep_alpha", {
+        **ALPHA, "predictor": MLP, "split_fraction": 0.2, "estimators": ["vrls_em", "mlls_em"],
+        "perturbation": {"apply_prob": 0.3, "noise_sigma_range": [0.1, 0.5],
+                         "brightness_delta": 0.1}}),
     "sweep_size_no_vrls": ("sweep_size", {**SWEEP, "trials": 1, "alpha": 0.5,
                                           "size_grid": [40, 80], "predictor": LINEAR,
                                           "estimators": ["mlls_em", "bbse"]}),
@@ -64,7 +63,7 @@ BASES = {
         **ONCE, "predictor": {**WIDE, "zeta": 1.0}, "solver": {}, "split_fraction": 0.3,
         "estimators": ["bbse", "rlls"]}),
     "estimate_once_vrls": ("estimate_once", {**ONCE, "predictor": WIDE,
-                                             "estimators": ["vrls_em", "vrls_gd", "rlls"]}),
+                                             "estimators": ["vrls_em", "rlls"]}),
     "federate_adam": ("federate", {"data": DATA, "weightings": ["none", "estimated_ratios"],
                                    "federation": _federation()}),
     # d = 3 leaves room for a fourth class, so data.m + 1 passes the data section's own check

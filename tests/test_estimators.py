@@ -12,12 +12,10 @@ from labelshift import (
     ProbabilityMatrix,
     estimate_bbse,
     estimate_mlls_em,
-    estimate_mlls_gd,
     estimate_rlls,
     estimate_vrls,
     gen_gaussian_mixture,
     predict_proba,
-    project_to_simplex,
     ratio_from_marginals,
     ratio_mse,
     sample_dirichlet_marginal,
@@ -87,42 +85,6 @@ def test_objective_gradient_matches_central_differences(seed, m):
     analytic = empirical_objective_gradient(r, preds)
     numeric = central_diff(lambda v: empirical_objective(v, preds), r)
     assert rel_err(analytic, numeric) < 1e-5
-
-
-# --------------------------------------------------------------- projection
-
-
-@prop
-@given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8))
-def test_projection_lands_on_simplex(vals):
-    q = project_to_simplex(np.asarray(vals))
-    assert np.all(q >= 0)
-    assert abs(float(q.sum()) - 1.0) <= 1e-9
-
-
-@prop
-@given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6))
-def test_projection_idempotent(vals):
-    q = project_to_simplex(np.asarray(vals))
-    assert np.all(np.abs(project_to_simplex(q) - q) <= 1e-12)
-
-
-@prop
-@given(seed=st.integers(0, 10_000))
-def test_projection_fixed_on_simplex_points(seed):
-    p = np.random.default_rng(seed).dirichlet(np.ones(4))
-    assert np.all(np.abs(project_to_simplex(p) - p) <= 1e-12)
-
-
-@prop
-@given(seed=st.integers(0, 2_000))
-def test_projection_is_nearest_simplex_point(seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(scale=3.0, size=4)
-    q = project_to_simplex(v)
-    for _ in range(20):
-        other = rng.dirichlet(np.ones(4))
-        assert np.linalg.norm(v - q) <= np.linalg.norm(v - other) + 1e-9
 
 
 # ----------------------------------------------------------------------- em
@@ -248,42 +210,6 @@ def test_em_converges_within_tol_on_flat_posteriors(tol):
     assert np.max(np.abs(report.ratio.ratios - tight_em(*FLAT))) <= tol
 
 
-# ----------------------------------------------------------------------- gd
-
-
-def test_gd_matches_grid_oracle_on_asymmetric_instance():
-    report = estimate_mlls_gd(THREE_ROWS, HALF)
-    oracle, _ = grid_oracle_m2(THREE_ROWS, HALF)
-    assert np.max(np.abs(report.ratio.ratios - oracle)) < 1e-3
-
-
-def test_gd_stays_at_ones_under_no_shift():
-    rows = np.tile(HALF.probs, (10, 1))
-    report = estimate_mlls_gd(ProbabilityMatrix(rows), HALF)
-    assert np.allclose(report.ratio.ratios, 1.0, atol=1e-9)
-
-
-def test_gd_trace_monotone_across_seeds():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        preds = random_preds(rng, 50, m=3)
-        tr = random_marginal(rng, 3)
-        report = estimate_mlls_gd(preds, tr, EstimatorOptions(step_size=0.1))
-        trace = np.asarray(report.objective_trace)
-        assert np.all(np.diff(trace) >= -1e-12)
-
-
-@prop
-@given(seed=st.integers(0, 5_000), m=st.integers(2, 4))
-def test_em_gd_objectives_agree(seed, m):
-    rng = np.random.default_rng(seed)
-    preds = random_preds(rng, 80, m=m)
-    tr = random_marginal(rng, m)
-    em = estimate_mlls_em(preds, tr)
-    gd = estimate_mlls_gd(preds, tr)
-    assert abs(em.final_objective - gd.final_objective) < 1e-6
-
-
 def test_report_serializes_to_json_types():
     import json
 
@@ -395,15 +321,6 @@ def test_vrls_zeta_zero_is_plain_mlls_composition():
     manual = estimate_mlls_em(predict_proba(manual_pred, test.features),
                               train.empirical_marginal())
     assert np.array_equal(composed.ratio.ratios, manual.ratio.ratios)
-
-
-def test_em_and_gd_reach_one_objective_under_default_options():
-    rng = np.random.default_rng(3)
-    preds = random_preds(rng, 60, m=3)
-    tr = random_marginal(rng, 3)
-    em = estimate_mlls_em(preds, tr, EstimatorOptions())
-    gd = estimate_mlls_gd(preds, tr, EstimatorOptions())
-    assert abs(em.final_objective - gd.final_objective) < 1e-6
 
 
 def test_options_validation():

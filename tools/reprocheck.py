@@ -21,12 +21,18 @@ The BLAS and OpenMP thread variables are set to 1 before numpy is imported,
 as perfbench/run.py does, so hashes from two hosts or shells compare like
 with like: the sweep_alpha_idx hashes change with the BLAS thread count.
 
-Standard output holds one "<sha256>  <path>" line per file, sorted by path;
-progress goes to standard error. The tool also checks that the thread count
-changes no result: each config's files at --threads 2 must match those at
---threads 1 in every CSV line after the "# config=" line, and in every summary
-apart from config.threads and config.out_dir. The exit code is 1 if a run
-fails or a file differs; standard error names the first file that differs.
+Standard output holds one "<sha256>  <path>" line per file, sorted by path,
+then one "<sha256>  <path> (body)" line per file in the same order. A file's
+body is what it holds apart from its echoed config: a CSV's text after its
+"# config=" line, or a summary without config, dumped with sorted keys. So a
+change that only adds or drops a config field changes every file line and no
+body line. Progress goes to standard error.
+
+The tool also checks that the thread count changes no result: each config's
+files at --threads 2 must match those at --threads 1 in every CSV line after
+the "# config=" line, and in every summary apart from config.threads and
+config.out_dir. The exit code is 1 if a run fails or a file differs; standard
+error names the first file that differs.
 """
 
 import hashlib
@@ -48,17 +54,27 @@ THREADS = (1, 2)
 CORPUS_SEED = 0
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _comparable(path: Path):
-    """What the thread count must not change: a CSV's lines after its "# config=" line, or a
-    summary without the config's threads and out_dir."""
+def _body(path: Path) -> str:
+    """path's text apart from its echoed config: a CSV's lines after its "# config=" line, or
+    a summary without config, dumped with sorted keys."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
         return text.split("\n", 1)[1]
     summary = json.loads(text)
+    del summary["config"]
+    return json.dumps(summary, sort_keys=True)
+
+
+def _comparable(path: Path):
+    """What the thread count must not change: a CSV's body, or a summary without the config's
+    threads and out_dir."""
+    if path.suffix == ".csv":
+        return _body(path)
+    summary = json.loads(path.read_text(encoding="utf-8"))
     del summary["config"]["threads"], summary["config"]["out_dir"]
     return summary
 
@@ -109,8 +125,11 @@ def main() -> int:
                     "--threads", str(threads)]
             if cli.main(argv) != 0:
                 failed += 1
-    for path in sorted(p for c in configs for p in (OUT / c.stem).rglob("*") if p.is_file()):
-        print(f"{_digest(path)}  {path.as_posix()}")
+    files = sorted(p for c in configs for p in (OUT / c.stem).rglob("*") if p.is_file())
+    for path in files:
+        print(f"{_digest(path.read_bytes())}  {path.as_posix()}")
+    for path in files:
+        print(f"{_digest(_body(path).encode())}  {path.as_posix()} (body)")
     for config in configs:
         mismatch = _first_mismatch(config)
         if mismatch is not None:
