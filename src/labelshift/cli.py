@@ -77,11 +77,6 @@ _UNREAD = (
     ("runs without rlls", ("solver.rlls_lambda",), lambda c: "rlls" not in c.estimators),
     ("runs without a likelihood estimator", ("solver.max_iters", "solver.tol"),
      lambda c: set(c.estimators) <= {"bbse", "rlls"}),
-    ("linear models", ("predictor.hidden_units",), lambda c: c.predictor.architecture == "linear"),
-    ("linear models", ("federation.global_model.hidden_units",),
-     lambda c: c.federation and c.federation.global_model.architecture == "linear"),
-    ("linear models", ("federation.ratio_predictor.hidden_units",),
-     lambda c: c.federation and c.federation.ratio_predictor.architecture == "linear"),
     ("runs with one local step", ("federation.global_model.learning_rate",),
      lambda c: c.federation and c.federation.local_steps == 1),
     ("sgd optimizers", ("federation.server_optimizer.betas", "federation.server_optimizer.eps"),
@@ -111,7 +106,7 @@ class ExperimentConfig:
     size_grid: tuple[int, ...] = DEFAULT_SIZE_GRID
     estimators: tuple[str, ...] = ("vrls_em", "mlls_em")
     data: DataSource = DataSource()
-    predictor: PredictorConfig = PredictorConfig(architecture="mlp")
+    predictor: PredictorConfig = PredictorConfig(hidden_units=32)
     solver: EstimatorOptions = EstimatorOptions()
     split_fraction: float = 0.0
     perturbation: RelaxedShiftSpec | None = None

@@ -127,15 +127,22 @@ def posterior_matrix(
 
 
 def sample_dirichlet_marginal(alpha: float, m: int, seed: int) -> LabelMarginal:
-    """Symmetric Dirichlet(alpha) draw via normalized Gamma variables."""
+    """Symmetric Dirichlet(alpha) draw via normalized Gamma variables, drawn once more
+    in log space if every Gamma(alpha) draw underflows to 0 (a tiny alpha)."""
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError("alpha must be positive")
     if m < 2:
         raise ValueError("need at least two classes")
     rng = stream(seed)
     g = rng.gamma(alpha, 1.0, size=m)
-    while g.sum() <= 0:  # all-underflow is possible for very small alpha
-        g = rng.gamma(alpha, 1.0, size=m)
+    if g.sum() > 0:
+        return LabelMarginal(g / g.sum())
+    # Gamma(alpha) = Gamma(alpha + 1) U^(1/alpha) (Marsaglia & Tsang, 2000): its log times
+    # alpha stays finite, and normalizes after the max is subtracted. Over a subnormal
+    # alpha a gap overflows to -inf, which exp takes to 0.
+    s = alpha * np.log(rng.gamma(alpha + 1.0, 1.0, size=m)) + np.log1p(-rng.random(m))
+    with np.errstate(over="ignore"):
+        g = np.exp((s - s.max()) / alpha)
     return LabelMarginal(g / g.sum())
 
 
@@ -251,11 +258,11 @@ def uniform_marginal(m: int) -> LabelMarginal:
 
 @dataclass(frozen=True)
 class DataSource:
-    """Where a run's data comes from: a synthetic mixture of m equidistant
-    classes (separation apart, sd sigma) in d dimensions, or IDX file pairs
-    with load_idx's IDX_CLASSES (10) classes. A source takes only the keys it reads."""
+    """Where a run's data comes from: IDX file pairs with load_idx's IDX_CLASSES (10)
+    classes once any of the four paths is set, else a synthetic mixture of m
+    equidistant classes (separation apart, sd sigma) in d dimensions. An IDX
+    source needs all four paths and takes none of the mixture's keys."""
 
-    source: str = "synthetic"
     m: int = 3
     d: int = 2
     separation: float = 3.0
@@ -267,15 +274,13 @@ class DataSource:
     test_labels: str = ""
 
     def __post_init__(self):
-        if self.source not in ("synthetic", "idx"):
-            raise ValueError(f"unknown data source {self.source!r}")
-        idx = self.source == "idx"
-        for name in ("m", "d", "separation", "sigma") if idx else _IDX_PATHS:
-            if getattr(self, name) != getattr(DataSource, name):  # the field's default
-                raise ValueError(f"{self.source} sources take no {name} key")
-        missing = [name for name in _IDX_PATHS if idx and not getattr(self, name)]
-        if missing:
-            raise ValueError(f"idx source needs {missing[0]}")
+        if self.idx:
+            for name in ("m", "d", "separation", "sigma"):
+                if getattr(self, name) != getattr(DataSource, name):  # the field's default
+                    raise ValueError(f"idx sources take no {name} key")
+            missing = [name for name in _IDX_PATHS if not getattr(self, name)]
+            if missing:
+                raise ValueError(f"idx source needs {missing[0]}")
         if self.m < 2 or self.d < self.m - 1:  # equidistant_means needs d >= m - 1
             raise ValueError("synthetic source needs m >= 2 and d >= m - 1")
         if not (self.separation > 0 and self.sigma > 0):
@@ -284,14 +289,18 @@ class DataSource:
             raise ValueError("n_train must be at least 1")
 
     @property
+    def idx(self) -> bool:
+        return any(getattr(self, name) for name in _IDX_PATHS)
+
+    @property
     def num_classes(self) -> int:
-        return self.m if self.source == "synthetic" else IDX_CLASSES
+        return IDX_CLASSES if self.idx else self.m
 
 
 def open_split(source: DataSource, split: str):
     """What split ("train" or "test") draws from: a synthetic source's mixture, or the
     load_idx pool of the split's files (drop the train pool before opening the test's)."""
-    if source.source == "synthetic":
+    if not source.idx:
         return GaussianMixtureSpec(equidistant_means(source.m, source.d, source.separation),
                                    source.sigma)
     return load_idx(getattr(source, f"{split}_images"), getattr(source, f"{split}_labels"))

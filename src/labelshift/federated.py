@@ -89,7 +89,7 @@ class FederationConfig:
     local_steps: int = 1
     sample_nodes_per_round: int = 0  # 0 means all nodes every round
     server_optimizer: ServerOptimizer = ServerOptimizer()
-    ratio_predictor: PredictorConfig = PredictorConfig(architecture="mlp", hidden_units=32)
+    ratio_predictor: PredictorConfig = PredictorConfig(hidden_units=32)
     ratio_solver: EstimatorOptions = EstimatorOptions()
     normalize_weights: bool = False
 

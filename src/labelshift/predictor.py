@@ -16,19 +16,17 @@ import numpy as np
 from ._rng import stream
 from .types import LabeledDataset, PROB_FLOOR, ProbabilityMatrix, argmax_last, read_features
 
-ARCHITECTURES = ("linear", "mlp")
-
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Architecture plus SGD hyperparameters.
+    """Model width plus SGD hyperparameters.
 
-    hidden_units is ignored for linear models, and a config file may not set it
-    there. zeta scales the confidence penalty; zeta = 0 gives plain cross-entropy.
+    hidden_units is the width of the one hidden (ReLU) layer; 0 means no hidden
+    layer, the linear softmax model. zeta scales the confidence penalty; zeta = 0
+    gives plain cross-entropy.
     """
 
-    architecture: str = "linear"
-    hidden_units: int = 32
+    hidden_units: int = 0
     learning_rate: float = 0.1
     batch_size: int = 64
     max_epochs: int = 100
@@ -38,10 +36,8 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.architecture == "mlp" and self.hidden_units < 1:
-            raise ValueError("mlp needs at least one hidden unit")
+        if self.hidden_units < 0:
+            raise ValueError("hidden_units must be nonnegative")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -58,20 +54,17 @@ class PredictorConfig:
 
 @dataclass(frozen=True)
 class Predictor:
-    """Trained (or freshly initialized) model: flat parameter vector (or a
-    stack (S, P) of S models) plus the shape metadata needed to unpack it."""
+    """Trained (or freshly initialized) model: flat parameter vector (or a stack (S, P)
+    of S models) plus the shapes needed to unpack it (hidden_units 0: linear)."""
 
     parameters: np.ndarray
-    architecture: str
     hidden_units: int
     m: int
     d: int
 
     def __post_init__(self):
         p = np.array(self.parameters, dtype=np.float64)
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        layers = _layers(self.architecture, self.hidden_units, self.m, self.d)
+        layers = _layers(self.hidden_units, self.m, self.d)
         expected = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
         if p.ndim not in (1, 2) or p.shape[-1] != expected:
             raise ValueError(f"expected {expected} parameters per model, got shape {p.shape}")
@@ -80,19 +73,22 @@ class Predictor:
         p.setflags(write=False)
         object.__setattr__(self, "parameters", p)
 
+    # Kept only for perfbench/traced.py, which reads it; hidden_units decides it.
+    @property
+    def architecture(self) -> str:
+        return "mlp" if self.hidden_units else "linear"
 
-def _layers(architecture: str, hidden_units: int, m: int, d: int) -> list[tuple[int, int]]:
+
+def _layers(hidden_units: int, m: int, d: int) -> list[tuple[int, int]]:
     """The dense layers as (fan_in, fan_out) pairs, input layer first."""
-    if architecture == "linear":
-        return [(d, m)]
-    return [(d, hidden_units), (hidden_units, m)]
+    return [(d, hidden_units), (hidden_units, m)] if hidden_units else [(d, m)]
 
 
 def _unpack(layout, params: np.ndarray):
     """(w, b) views into the flat parameters (or each row of a stack) for each
     layer, first layer first: fan_in x fan_out weights (row-major), then bias."""
     lead, parts, o = params.shape[:-1], [], 0
-    for fan_in, fan_out in _layers(layout.architecture, layout.hidden_units, layout.m, layout.d):
+    for fan_in, fan_out in _layers(layout.hidden_units, layout.m, layout.d):
         e = o + fan_in * fan_out
         w = params[..., o:e].reshape(*lead, fan_in, fan_out)
         parts.append((w, params[..., None, e : e + fan_out]))
@@ -105,13 +101,12 @@ def init_predictor(cfg: PredictorConfig, m: int, d: int) -> Predictor:
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 classes and d >= 1 features")
     rng = stream(cfg.seed, 0x1)
-    hidden = cfg.hidden_units if cfg.architecture == "mlp" else 0
     parts = []
-    for fan_in, fan_out in _layers(cfg.architecture, hidden, m, d):
+    for fan_in, fan_out in _layers(cfg.hidden_units, m, d):
         bound = 1.0 / np.sqrt(fan_in)
         parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
         parts.append(rng.uniform(-bound, bound, size=fan_out))
-    return Predictor(np.concatenate(parts), cfg.architecture, hidden, m, d)
+    return Predictor(np.concatenate(parts), cfg.hidden_units, m, d)
 
 
 def _forward(parts, x, outs, floors):
@@ -167,7 +162,7 @@ def entropy_penalty(p) -> float:
 def loss_and_grad(layout: Predictor, params, x, y, zeta=0.0, weights=None):
     """Penalized loss and its gradient in the flat parameter layout.
 
-    layout supplies only the architecture and shapes; params is the flat
+    layout supplies only the layer shapes; params is the flat
     parameter vector to evaluate (training loops pass their working copy),
     or a stack (S, P) of them, with x, y, zeta and weights shared or per model.
     x must be float64 (read_features turns uint8 pixels into it).
@@ -209,8 +204,7 @@ class StepWorkspace:
             self.grad, self.batches = np.empty(lead + params.shape[-1:]), {}
             self.grad_parts = _unpack(self.layout, self.grad)
         rows, m = x.shape[-2], self.layout.m
-        widths = [w for _, w in _layers(self.layout.architecture, self.layout.hidden_units,
-                                        m, self.layout.d)]
+        widths = [w for _, w in _layers(self.layout.hidden_units, m, self.layout.d)]
         outs = [np.empty(lead + (rows, w)) for w in widths]
         hidden = [o.shape for o in outs[:-1]]
         self.batches[key] = (
@@ -340,7 +334,7 @@ def _train_stack(jobs) -> list[Predictor]:
 def _block_rows(pred: Predictor) -> int:
     """Rows per scoring block: a power of two in [256, 1024] that keeps the
     widest activation near 32k floats. It depends on the layer widths only."""
-    widest = max(w for _, w in _layers(pred.architecture, pred.hidden_units, pred.m, pred.d))
+    widest = max(w for _, w in _layers(pred.hidden_units, pred.m, pred.d))
     return 1 << min(10, max(8, (32768 // widest).bit_length() - 1))
 
 

@@ -162,7 +162,7 @@ def idx_federate_raw(paths) -> dict:
     trained hot on classes 0, 0 and 1 and tested hot on 2; classes 3-9 have no mass."""
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "federate.json")
                      .read_text(encoding="utf-8"))
-    raw["data"] = {"source": "idx", **paths}
+    raw["data"] = dict(paths)
     raw["crossnode_listing"] = False  # it needs every class on every node
     raw["federation"]["ratio_predictor"]["max_epochs"] = 60
     for node, hot in zip(raw["federation"]["nodes"], (0, 0, 1)):
@@ -212,7 +212,7 @@ def assert_feasible(ratio, tr, tol=1e-6):
 def reference_unpack(layout, params):
     """The flat layout: (w, b) for linear, (w1, b1, w2, b2) for mlp."""
     m, d, hidden = layout.m, layout.d, layout.hidden_units
-    if layout.architecture == "linear":
+    if hidden == 0:
         w = params[: d * m].reshape(d, m)
         b = params[d * m :]
         return (w, b)
@@ -229,8 +229,8 @@ def reference_init(cfg, m, d):
     """The seeded initialization's flat parameters: per layer the weights,
     then the bias, each uniform in +-1/sqrt(fan_in)."""
     rng = stream(cfg.seed, 0x1)
-    hidden = cfg.hidden_units if cfg.architecture == "mlp" else 0
-    if cfg.architecture == "linear":
+    hidden = cfg.hidden_units
+    if hidden == 0:
         shapes = [((d, m), d), ((m,), d)]
     else:
         shapes = [((d, hidden), d), ((hidden,), d), ((hidden, m), hidden), ((m,), hidden)]
@@ -243,7 +243,7 @@ def reference_init(cfg, m, d):
 
 def reference_forward(layout, params, x):
     """(log-probabilities, hidden pre-activations or None), one fresh array per step."""
-    if layout.architecture == "linear":
+    if layout.hidden_units == 0:
         w, b = reference_unpack(layout, params)
         z = x @ w + b
         pre = None
@@ -270,7 +270,7 @@ def reference_loss_and_grad(layout, params, x, y, zeta=0.0, weights=None):
     if zeta:
         dz += zeta * p * (logp - pen_rows[:, None])
     dz *= w[:, None] / n
-    if layout.architecture == "linear":
+    if layout.hidden_units == 0:
         return total, ce, np.concatenate([(x.T @ dz).ravel(), dz.sum(axis=0)])
     w1, b1, w2, b2 = reference_unpack(layout, params)
     h = np.maximum(pre, 0.0)
@@ -287,8 +287,7 @@ def reference_train(train, cfg):
     """The train_predictor loop on reference_loss_and_grad; returns the parameters.
 
     layout only carries the shapes that reference_unpack reads."""
-    layout = SimpleNamespace(architecture=cfg.architecture, m=train.m, d=train.d,
-                             hidden_units=cfg.hidden_units if cfg.architecture == "mlp" else 0)
+    layout = SimpleNamespace(m=train.m, d=train.d, hidden_units=cfg.hidden_units)
     params = reference_init(cfg, train.m, train.d)
     x, y, n = train.features, train.labels, train.n
     order_rng = stream(cfg.seed, 0x2)

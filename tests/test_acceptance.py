@@ -99,7 +99,7 @@ def test_ac2_error_decays_inversely_with_test_size():
     tr = uniform_marginal(m)
     train = gen_gaussian_mixture(mix, tr, 20000, seed=child_seed(seed, 0xD0))
     pcfg = PredictorConfig(
-        architecture="linear", learning_rate=0.1, max_epochs=30,
+        learning_rate=0.1, max_epochs=30,
         loss_threshold=0.0, zeta=0.0, seed=child_seed(seed, 0xD1),
     )
     pred = train_predictor(train, pcfg)
@@ -124,7 +124,7 @@ def test_ac3_entropy_term_helps_under_shift():
     train = gen_gaussian_mixture(mix, tr, 500, seed=child_seed(seed, 0xD0))
     # deliberately overparameterized: 500 points, width-128 net, long budget
     pcfg = PredictorConfig(
-        architecture="mlp", hidden_units=128, learning_rate=0.1,
+        hidden_units=128, learning_rate=0.1,
         max_epochs=1200, loss_threshold=0.05, zeta=1.0, seed=child_seed(seed, 0xD1),
     )
     pred_reg = train_predictor(train, pcfg)
@@ -151,7 +151,7 @@ def test_ac4_confusion_matrix_baselines():
     mix = GaussianMixtureSpec(equidistant_means(3, 2, 6.0), 1.0)
     train = gen_gaussian_mixture(mix, uniform_marginal(3), 10000, seed=child_seed(13, 0))
     pcfg = PredictorConfig(
-        architecture="linear", learning_rate=0.1, max_epochs=20,
+        learning_rate=0.1, max_epochs=20,
         loss_threshold=0.0, zeta=0.0, seed=child_seed(13, 1),
     )
     pred = train_predictor(train, pcfg)
@@ -191,11 +191,11 @@ def test_ac5_weighted_training_closes_the_gap():
         nodes = (node(0, 2, 1), node(0, 2, 2), node(1, 2, 3))
         cfg = FederationConfig(
             nodes=nodes,
-            global_model=PredictorConfig(architecture="linear", learning_rate=0.1,
+            global_model=PredictorConfig(learning_rate=0.1,
                                          batch_size=64, seed=0),
             rounds=300, local_steps=1,
             server_optimizer=ServerOptimizer(kind="adam", learning_rate=0.05),
-            ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
+            ratio_predictor=PredictorConfig(hidden_units=32,
                                             learning_rate=0.1, max_epochs=120,
                                             loss_threshold=0.05, zeta=0.25, seed=0),
         )
@@ -224,7 +224,7 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     train = gen_gaussian_mixture(mix, u, 8000, seed=child_seed(6, 0))
     test = gen_gaussian_mixture(mix, u, 5000, seed=child_seed(6, 1))
     pcfg = PredictorConfig(
-        architecture="mlp", hidden_units=32, learning_rate=0.1,
+        hidden_units=32, learning_rate=0.1,
         max_epochs=60, loss_threshold=0.05, zeta=1.0, seed=child_seed(6, 2),
     )
     pred_reg = train_predictor(train, pcfg)
@@ -268,8 +268,8 @@ def test_ac7_gradients_and_ascent_sanity():
     t0 = time.time()
     data = tiny_dataset(seed=5, n=8)
     worst_pred = 0.0
-    for arch, hidden in (("linear", 1), ("mlp", 6)):
-        cfg = PredictorConfig(architecture=arch, hidden_units=hidden, seed=6)
+    for hidden in (0, 6):
+        cfg = PredictorConfig(hidden_units=hidden, seed=6)
         pred = init_predictor(cfg, 3, 2)
         for zeta in (0.0, 1.0, 5.0):
             x, y = data.features, data.labels
@@ -326,7 +326,7 @@ def test_ac8_idx_corpus_sweep():
     test_pool = load_idx(root / IDX_FILES[1][0], root / IDX_FILES[1][1])
     train = resample_by_marginal(train_pool, uniform_marginal(10), 10000, seed=child_seed(8, 0))
     pcfg = PredictorConfig(
-        architecture="mlp", hidden_units=128, learning_rate=0.1,
+        hidden_units=128, learning_rate=0.1,
         max_epochs=60, loss_threshold=0.05, zeta=1.0, seed=child_seed(8, 1),
     )
     pred_reg = train_predictor(train, pcfg)

@@ -25,7 +25,7 @@ BASE_SWEEP = {
     "alpha_grid": [0.5, 2.0],
     "estimators": ["vrls_em", "mlls_em", "bbse", "rlls"],
     "data": {"m": 3, "d": 2, "separation": 3.0, "n_train": 3000},
-    "predictor": {"architecture": "linear", "max_epochs": 10, "zeta": 0.25,
+    "predictor": {"hidden_units": 0, "max_epochs": 10, "zeta": 0.25,
                   "loss_threshold": 0.0},
 }
 
@@ -86,7 +86,7 @@ def test_resolve_rejects_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown experiment keys: \['bogus'\]"):
         cli.resolve_config(sweep_raw(bogus=1), "sweep_alpha")
     with pytest.raises(ValueError, match="unknown predictor keys"):
-        cli.resolve_config(sweep_raw(predictor={"architecture": "linear", "lr": 1}),
+        cli.resolve_config(sweep_raw(predictor={"hidden_units": 0, "lr": 1}),
                            "sweep_alpha")
 
 
@@ -120,11 +120,20 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         ("sweep_alpha", ["solver"], {"tol": 1e-5}, "step_size", "solver"),
         ("federate", ["federation", "ratio_solver"], {"max_iters": 50}, "step_size",
          r"federation\.ratio_solver"),
+        # hidden_units alone decides the model, and the four paths the data source.
+        ("sweep_alpha", ["predictor"], {"architecture": "mlp"}, "architecture", "predictor"),
+        ("federate", ["federation", "global_model"], {"architecture": "linear"}, "architecture",
+         r"federation\.global_model"),
+        ("federate", ["federation", "ratio_predictor"], {"architecture": "mlp"}, "architecture",
+         r"federation\.ratio_predictor"),
+        ("sweep_alpha", ["data"], {"source": "idx", "train_images": "x", "train_labels": "x",
+                                   "test_images": "x", "test_labels": "x"}, "source", "data"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
          "perturbation_seed", "federation", "federation_scenario", "global_model",
          "ratio_predictor", "ratio_solver", "federation_seed", "solver_step_size",
-         "ratio_solver_step_size"],
+         "ratio_solver_step_size", "predictor_architecture", "global_model_architecture",
+         "ratio_predictor_architecture", "data_source"],
 )
 def test_resolve_rejects_unknown_keys_in_every_section(tmp_path, capsys, kind, path, section,
                                                        key, where):
@@ -135,6 +144,29 @@ def test_resolve_rejects_unknown_keys_in_every_section(tmp_path, capsys, kind, p
     parent[path[-1]].setdefault(key, 1)
     message = rf"unknown {where} keys: \['{key}'\]"
     with pytest.raises(ValueError, match=message):
+        cli.resolve_config(raw, kind)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert re.search(rf"^error: {message}$", capsys.readouterr().err, re.M)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, path, where",
+    [
+        ("sweep_alpha", ["predictor"], "predictor"),
+        ("federate", ["federation", "global_model"], r"federation\.global_model"),
+        ("federate", ["federation", "ratio_predictor"], r"federation\.ratio_predictor"),
+    ],
+    ids=["predictor", "global_model", "ratio_predictor"],
+)
+def test_resolve_rejects_negative_hidden_units_before_any_output(tmp_path, capsys, kind, path,
+                                                                 where):
+    raw = raw_for(kind)
+    parent_of(raw, path)[path[-1]]["hidden_units"] = -1
+    message = rf"{where}: hidden_units must be nonnegative"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         cli.resolve_config(raw, kind)
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg_path.write_text(json.dumps(raw))
@@ -380,7 +412,7 @@ def test_sweep_rows_identical_across_thread_counts(tmp_path):
 def test_sweep_alpha_near_uniform_recovers_ones(tmp_path):
     raw = sweep_raw(trials=3, n_te=5000, alpha_grid=[1e6], estimators=["mlls_em"],
                     data={"m": 3, "d": 2, "separation": 3.0, "n_train": 20000},
-                    predictor={"architecture": "linear", "max_epochs": 30,
+                    predictor={"hidden_units": 0, "max_epochs": 30,
                                "loss_threshold": 0.0})
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=5)
     summary = cli.run_sweep_alpha(cfg)
@@ -557,7 +589,7 @@ def test_heavier_corruption_degrades_estimates(tmp_path):
     for level, perturbation in levels.items():
         raw = sweep_raw(trials=8, n_te=500, alpha_grid=[1.0], estimators=["mlls_em"],
                         data={"m": 3, "d": 2, "separation": 2.5, "n_train": 4000},
-                        predictor={"architecture": "linear", "max_epochs": 15,
+                        predictor={"hidden_units": 0, "max_epochs": 15,
                                    "loss_threshold": 0.0},
                         perturbation=perturbation)
         cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / level), seed=11)
@@ -573,7 +605,7 @@ SIZE_RAW = {
     "size_grid": [500, 8000],
     "estimators": ["vrls_em", "mlls_em"],
     "data": {"m": 3, "d": 2, "separation": 3.0, "n_train": 4000},
-    "predictor": {"architecture": "linear", "max_epochs": 15, "zeta": 0.25,
+    "predictor": {"hidden_units": 0, "max_epochs": 15, "zeta": 0.25,
                   "loss_threshold": 0.0},
 }
 
@@ -634,10 +666,9 @@ FED_RAW = {
              "n_tr": 400, "n_te": 300, "seed": 2},
         ],
         "rounds": 8,
-        "global_model": {"architecture": "linear", "learning_rate": 0.1},
+        "global_model": {"hidden_units": 0, "learning_rate": 0.1},
         "server_optimizer": {"kind": "adam", "learning_rate": 0.05},
-        "ratio_predictor": {"architecture": "mlp", "hidden_units": 16, "zeta": 0.25,
-                            "max_epochs": 20},
+        "ratio_predictor": {"hidden_units": 16, "zeta": 0.25, "max_epochs": 20},
     },
 }
 
@@ -708,8 +739,7 @@ def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, c
     assert builds == [] and not out.exists()
 
 
-IDX_DATA = {"source": "idx", "train_images": "x", "train_labels": "x", "test_images": "x",
-            "test_labels": "x"}
+IDX_DATA = {"train_images": "x", "train_labels": "x", "test_images": "x", "test_labels": "x"}
 # A value other than the default for every data field that an IDX source does not read.
 IDX_IGNORES = {"m": 10, "d": 784, "separation": 2.5, "sigma": 0.5}
 # A value other than the default for every field that only the sweeps and estimate_once read.
@@ -743,7 +773,7 @@ UNREAD = [
      "federation.ratio_solver.rlls_lambda"),
 ]
 
-LINEAR_NO_ZETA = {"architecture": "linear", "max_epochs": 10, "loss_threshold": 0.0}
+LINEAR_NO_ZETA = {"hidden_units": 0, "max_epochs": 10, "loss_threshold": 0.0}
 NO_RATIOS = {"weightings": ["none", "true_ratios"], "crossnode_listing": False}
 
 # (kind, top-level overrides, who, dotted path) for a value other than the default of each
@@ -752,23 +782,17 @@ UNREAD_IF = [
     # BASE_SWEEP's zeta 0.25 without a vrls estimator
     ("sweep_alpha", {"estimators": ["mlls_em", "bbse"]}, "runs without a vrls estimator",
      "predictor.zeta"),
-    ("sweep_size", {"predictor": {**BASE_SWEEP["predictor"], "hidden_units": 8}},
-     "linear models", "predictor.hidden_units"),
     ("sweep_alpha", {"estimators": ["vrls_em", "mlls_em"], "solver": {"rlls_lambda": 0.1}},
      "runs without rlls", "solver.rlls_lambda"),
     *[("sweep_alpha", {"estimators": ["bbse", "rlls"], "predictor": LINEAR_NO_ZETA,
                        "solver": {key: value}},
        "runs without a likelihood estimator", f"solver.{key}")
       for key, value in {"max_iters": 50, "tol": 1e-5}.items()],
-    ("federate", {"federation": federation_with("global_model", hidden_units=8)},
-     "linear models", "federation.global_model.hidden_units"),
     ("federate", {"federation": federation_with("global_model", learning_rate=0.5)},
      "runs with one local step", "federation.global_model.learning_rate"),
     *[("federate", {"federation": federation_with("server_optimizer", kind="sgd", **{key: value})},
        "sgd optimizers", f"federation.server_optimizer.{key}")
       for key, value in {"betas": [0.8, 0.99], "eps": 1e-6}.items()],
-    ("federate", {"federation": federation_with("ratio_predictor", architecture="linear")},
-     "linear models", "federation.ratio_predictor.hidden_units"),
     # FED_RAW's ratio_predictor without a ratio weighting or the cross-node listing
     ("federate", NO_RATIOS, "runs that estimate no ratios", "federation.ratio_predictor"),
     ("federate", {**NO_RATIOS, "federation": {
@@ -789,8 +813,8 @@ UNREAD_IF = [
          "federate runs take no perturbation key"),
         *[("sweep_alpha", {"data": {**IDX_DATA, key: value}},
            f"data: idx sources take no {key} key") for key, value in IDX_IGNORES.items()],
-        ("sweep_alpha", {"data": {"test_labels": "x"}},
-         "data: synthetic sources take no test_labels key"),
+        # one path makes an IDX source, which needs all four
+        ("sweep_alpha", {"data": {"test_labels": "x"}}, "data: idx source needs train_images"),
         ("federate", {"data": {"n_train": 500}}, r"federate runs take no data\.n_train key"),
         *[("federate", {key: value}, f"federate runs take no {key} key")
           for key, value in FED_IGNORES.items()],
@@ -899,8 +923,8 @@ def test_sweep_frees_the_train_pool_before_the_test_split_loads(tmp_path, monkey
         img, lab = write_idx_dataset(tmp_path / split)
         paths.update({f"{split}_images": str(img), f"{split}_labels": str(lab)})
     raw = {"trials": 1, "n_te": 60, "alpha_grid": [1.0], "estimators": ["mlls_em"],
-           "data": {"source": "idx", "n_train": 100, **paths},
-           "predictor": {"architecture": "linear", "max_epochs": 1}}
+           "data": {"n_train": 100, **paths},
+           "predictor": {"hidden_units": 0, "max_epochs": 1}}
     loads = record_pool_loads(monkeypatch)
     cli.run_sweep_alpha(cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path / "out")))
     assert loads == [(paths["train_images"], 0), (paths["test_images"], 0)]
@@ -927,10 +951,10 @@ def test_main_runs_idx_sweep_end_to_end(tmp_path):
         "n_te": 60,
         "alpha_grid": [1.0],
         "estimators": ["mlls_em"],
-        "data": {"source": "idx", "n_train": 200,
+        "data": {"n_train": 200,
                  "train_images": str(img), "train_labels": str(lab),
                  "test_images": str(img), "test_labels": str(lab)},
-        "predictor": {"architecture": "linear", "max_epochs": 2},
+        "predictor": {"hidden_units": 0, "max_epochs": 2},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))

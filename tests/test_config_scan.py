@@ -23,8 +23,8 @@ import json
 from labelshift import cli
 
 DATA = {"m": 3, "d": 2, "separation": 2.5}
-LINEAR = {"architecture": "linear", "batch_size": 32, "max_epochs": 3, "loss_threshold": 0.0}
-MLP = {**LINEAR, "architecture": "mlp", "hidden_units": 4, "zeta": 0.5}
+LINEAR = {"hidden_units": 0, "batch_size": 32, "max_epochs": 3, "loss_threshold": 0.0}
+MLP = {**LINEAR, "hidden_units": 4, "zeta": 0.5}
 WIDE = {**MLP, "hidden_units": 8, "learning_rate": 0.5}  # sharp enough for bbse and rlls
 SWEEP = {"data": {**DATA, "n_train": 150}, "solver": {"max_iters": 3}}
 ALPHA = {**SWEEP, "trials": 1, "n_te": 60, "alpha_grid": [0.5, 2.0]}  # sweep_alpha's cells
@@ -41,7 +41,7 @@ def _federation(**over):
                    "seed": 2},
                   {**node, "train_marginal": [0.1, 0.3, 0.6], "test_marginal": [0.6, 0.3, 0.1],
                    "seed": 3}],
-        "rounds": 3, "global_model": {"architecture": "linear", "batch_size": 16},
+        "rounds": 3, "global_model": {"hidden_units": 0, "batch_size": 16},
         "ratio_predictor": {**MLP, "batch_size": 16}, "ratio_solver": {"max_iters": 3},
         **over,
     }
@@ -71,7 +71,7 @@ BASES = {
         "data": {**DATA, "d": 3}, "weightings": ["none", "true_ratios"],
         "federation": _federation(
             local_steps=2, sample_nodes_per_round=2, normalize_weights=True,
-            global_model={"architecture": "mlp", "hidden_units": 4, "batch_size": 16,
+            global_model={"hidden_units": 4, "batch_size": 16,
                           "learning_rate": 0.2},
             server_optimizer={"kind": "sgd"}, ratio_predictor=None, ratio_solver=None)}),
     "federate_listing": ("federate", {
@@ -84,8 +84,7 @@ SKIPPED = {("kind",), ("out_dir",), ("threads",)}
 EMPTY_SECTIONS = {"perturbation": {"apply_prob": 0.5, "noise_sigma_range": [0.1, 0.7],
                                    "brightness_delta": 0.2},
                   "federation": _federation()}
-STRINGS = {"linear": "mlp", "mlp": "linear", "adam": "sgd", "sgd": "adam", "synthetic": "idx",
-           "": "x"}
+STRINGS = {"adam": "sgd", "sgd": "adam", "": "x"}
 
 
 def _fields(value, path=()):

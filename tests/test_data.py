@@ -12,6 +12,7 @@ from labelshift import (
     DataSource,
     GaussianMixtureSpec,
     LabeledDataset,
+    LabelMarginal,
     RelaxedShiftSpec,
     equidistant_means,
     gen_gaussian_mixture,
@@ -25,6 +26,7 @@ from labelshift import (
     uniform_marginal,
 )
 
+from labelshift._rng import stream
 from labelshift.data import draw, open_split
 
 from .helpers import marginal, three_class_marginal, tiny_mixture, write_ink_corpus
@@ -160,6 +162,23 @@ def test_dirichlet_deterministic():
 def test_dirichlet_sparse_at_small_alpha():
     spiky = sum(sample_dirichlet_marginal(0.1, 10, seed=i).probs.max() > 0.3 for i in range(100))
     assert spiky > 50
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e-50, 1e-10, 5e-324])
+def test_dirichlet_returns_a_marginal_where_every_gamma_draw_underflows(alpha):
+    for seed in range(5):
+        assert not stream(seed).gamma(alpha, 1.0, size=3).any()  # the plain draw sums to 0
+        got = sample_dirichlet_marginal(alpha, 3, seed)
+        assert isinstance(got, LabelMarginal) and got.m == 3
+        assert np.array_equal(got.probs, sample_dirichlet_marginal(alpha, 3, seed).probs)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+def test_dirichlet_keeps_the_bits_of_a_plain_draw_that_sums_above_zero(alpha):
+    for seed in range(20):
+        g = stream(seed).gamma(alpha, 1.0, size=3)
+        assert np.array_equal(sample_dirichlet_marginal(alpha, 3, seed).probs, g / g.sum())
 
 
 def test_dirichlet_rejects_nonpositive_alpha():
@@ -384,7 +403,7 @@ def test_synthetic_source_opens_its_mixture_and_draws_through_it():
 
 def test_idx_source_opens_each_split_from_its_own_files(tmp_path):
     paths = write_ink_corpus(tmp_path, 2, n=120)
-    source = DataSource(source="idx", **paths)
+    source = DataSource(**paths)
     q = make_marginal(three_class_marginal(1))
     for split in ("train", "test"):
         pool = open_split(source, split)

@@ -287,7 +287,7 @@ def test_rlls_rejects_negative_lambda():
 
 
 MIX5 = tiny_mixture(m=3, d=2, separation=3.0)
-PCFG5 = PredictorConfig(architecture="mlp", hidden_units=32, learning_rate=0.1,
+PCFG5 = PredictorConfig(hidden_units=32, learning_rate=0.1,
                         max_epochs=120, loss_threshold=0.05, zeta=0.25,
                         seed=child_seed(5, 9))
 

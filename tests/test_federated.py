@@ -47,7 +47,7 @@ from .helpers import (
 SRC3 = DataSource(m=3, d=2, separation=3.0)
 SRC2 = DataSource(m=2, d=2, separation=3.0)
 MIX3 = tiny_mixture(m=3, d=2, separation=3.0)  # SRC3's mixture, for posterior oracles
-LINEAR = PredictorConfig(architecture="linear")
+LINEAR = PredictorConfig()
 
 
 def skew_node(hot_train, hot_test, n_tr=400, n_te=300, seed=0, m=3, peak=0.8):
@@ -120,7 +120,7 @@ def test_build_rejects_marginals_of_another_class_count(tmp_path):
     cfg = FederationConfig(nodes=(NodeSpec(u, u, 20, 20),), global_model=LINEAR)
     with pytest.raises(ValueError, match="marginal has 3 classes but the mixture has 2"):
         build_federation(cfg, SRC2)
-    idx = DataSource(source="idx", **write_ink_corpus(tmp_path, 1, n=50))
+    idx = DataSource(**write_ink_corpus(tmp_path, 1, n=50))
     with pytest.raises(ValueError, match="marginal has 3 classes but the pool has 10"):
         build_federation(cfg, idx)
 
@@ -131,7 +131,7 @@ def test_build_draws_every_node_from_an_idx_source_one_split_at_a_time(tmp_path,
                            40 + i, 30, seed=i) for i, hot in enumerate((0, 0, 1)))
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
     loads = record_pool_loads(monkeypatch)
-    fed = build_federation(cfg, DataSource(source="idx", **paths), 2)
+    fed = build_federation(cfg, DataSource(**paths), 2)
     assert loads == [(paths["train_images"], 0), (paths["test_images"], 0)]
     assert fed.cfg.m == 10
     assert [(n.train.n, n.test.n) for n in fed.nodes] == [(40, 30), (41, 30), (42, 30)]
@@ -191,7 +191,7 @@ def test_local_marginal_without_intra_node_shift():
     fed = build_federation(
         FederationConfig(
             nodes=(node,), global_model=LINEAR,
-            ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=32,
+            ratio_predictor=PredictorConfig(hidden_units=32,
                                             learning_rate=0.1, max_epochs=120, zeta=0.25,
                                             seed=8)),
         SRC3, 7)
@@ -222,7 +222,7 @@ def test_exchange_publishes_one_marginal_per_node():
     assert all(isinstance(p, LabelMarginal) and p.m == 3 for p in published)
 
 
-SMALL_RATIO = PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25, max_epochs=5,
+SMALL_RATIO = PredictorConfig(hidden_units=8, zeta=0.25, max_epochs=5,
                               seed=4)
 
 
@@ -362,7 +362,7 @@ def test_divergence_reports_round():
     u = uniform_marginal(2)
     cfg = FederationConfig(
         nodes=(NodeSpec(u, u, 200, 100),),
-        global_model=PredictorConfig(architecture="mlp", hidden_units=8),
+        global_model=PredictorConfig(hidden_units=8),
         rounds=10,
         server_optimizer=ServerOptimizer(kind="sgd", learning_rate=1e160))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,7 +385,7 @@ def test_evaluate_random_model_near_chance():
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(u, u, 10, 2000),), global_model=LINEAR),
         DataSource(m=10, d=9, separation=1.0), 0)
-    _, acc = evaluate(init_predictor(PredictorConfig(architecture="linear", seed=5), 10, 9), fed)
+    _, acc = evaluate(init_predictor(PredictorConfig(seed=5), 10, 9), fed)
     assert abs(acc - 0.1) <= 0.03
 
 
@@ -394,7 +394,7 @@ def test_evaluate_constant_model_matches_class_share():
     fed = build_federation(
         FederationConfig(nodes=(NodeSpec(skew, skew, 10, 5000),), global_model=LINEAR), SRC2, 1)
     # zero weights, bias forces class 0 on every input
-    const = Predictor(np.array([0.0, 0.0, 0.0, 0.0, 50.0, -50.0]), "linear", 0, 2, 2)
+    const = Predictor(np.array([0.0, 0.0, 0.0, 0.0, 50.0, -50.0]), 0, 2, 2)
     per_node, acc = evaluate(const, fed)
     share = 1.0 - float(fed.nodes[0].test.labels.mean())
     assert per_node[0] == pytest.approx(share, abs=1e-12)
@@ -408,13 +408,13 @@ def test_evaluate_separable_mixture_near_perfect():
         DataSource(m=3, d=2, separation=6.0), 2)
     pred = train_predictor(
         fed.nodes[0].train,
-        PredictorConfig(architecture="linear", max_epochs=30, loss_threshold=0.0,
+        PredictorConfig(max_epochs=30, loss_threshold=0.0,
                         zeta=0.0, seed=3))
     _, acc = evaluate(pred, fed)
     assert acc >= 0.99
 
 
-@pytest.mark.parametrize("model", [LINEAR, PredictorConfig(architecture="mlp", hidden_units=128)],
+@pytest.mark.parametrize("model", [LINEAR, PredictorConfig(hidden_units=128)],
                          ids=["linear", "mlp"])
 def test_evaluate_scores_each_node_split_on_its_own(monkeypatch, model):
     # a product over stacked splits can round differently from the per-node
@@ -469,7 +469,7 @@ def test_weighted_empirical_risk_converges_to_true_risk():
     """The importance-weighted training risk approaches the aggregate test
     risk as per-node samples grow (fixed model, exact weights)."""
     source = DataSource(m=3, d=2, separation=2.5)
-    fixed = init_predictor(PredictorConfig(architecture="linear", seed=123), 3, 2)
+    fixed = init_predictor(PredictorConfig(seed=123), 3, 2)
     medians = []
     for n_tr in (500, 2000, 8000):
         gaps = [weighted_risk_gap(source, fixed, n_tr, seed) for seed in range(5)]
@@ -485,7 +485,7 @@ def test_crossnode_listing_shape_and_flagged_nature():
                   for i in range(2))
     cfg = FederationConfig(
         nodes=nodes, global_model=LINEAR,
-        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=16,
+        ratio_predictor=PredictorConfig(hidden_units=16,
                                         zeta=0.25, max_epochs=20))
     fed = build_federation(cfg, SRC3, 8)
     listing = crossnode_listing_ratios(fed)
@@ -497,7 +497,7 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
     nodes = tuple(skew_node(i, (i + 1) % 3, n_tr=200, n_te=150, seed=i) for i in range(3))
     cfg = FederationConfig(
         nodes=nodes, global_model=LINEAR,
-        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
+        ratio_predictor=PredictorConfig(hidden_units=8, zeta=0.25,
                                         max_epochs=5))
     fed = build_federation(cfg, SRC3, 8)
     fed.ratio_predictors  # trained before counting
@@ -534,7 +534,7 @@ def test_crossnode_listing_matches_the_empirical_marginal_oracle(seed):
     shipped = Path(__file__).resolve().parent.parent / "configs" / "federate.json"
     nodes = cli.resolve_config(json.loads(shipped.read_text()), "federate").federation.nodes
     cfg = FederationConfig(nodes=nodes, global_model=LINEAR, ratio_predictor=PredictorConfig(
-        architecture="linear", zeta=0.0, max_epochs=30, loss_threshold=0.0))
+        zeta=0.0, max_epochs=30, loss_threshold=0.0))
     fed = build_federation(cfg, DataSource(m=3, d=2, separation=20.0), seed)
     test_mass = sum(node.test.empirical_marginal().probs for node in fed.nodes)
     oracle = np.stack([test_mass / node.train.empirical_marginal().probs for node in fed.nodes])

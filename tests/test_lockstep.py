@@ -26,8 +26,8 @@ from labelshift.predictor import _relu_grad
 
 from .helpers import marginal, reference_train, tiny_dataset
 
-MLP = PredictorConfig(architecture="mlp", hidden_units=16, learning_rate=0.1, batch_size=32,
-                      max_epochs=15, loss_threshold=0.0, zeta=1.0, seed=3)
+MLP = PredictorConfig(hidden_units=16, learning_rate=0.1, batch_size=32, max_epochs=15,
+                      loss_threshold=0.0, zeta=1.0, seed=3)
 DATA = tiny_dataset(seed=1, n=300, m=3, d=4, separation=2.0)  # 300 = 9 batches + 12
 OTHER = tiny_dataset(seed=2, n=300, m=3, d=4, separation=1.0)
 
@@ -65,9 +65,9 @@ def epochs_run(monkeypatch, train, cfg):
     return len(steps) / -(-train.n // cfg.batch_size)
 
 
-@pytest.mark.parametrize("architecture", ["linear", "mlp"])
-def test_members_that_stop_at_different_epochs(monkeypatch, architecture):
-    base = replace(MLP, architecture=architecture, max_epochs=60)
+@pytest.mark.parametrize("hidden_units", [0, 16], ids=["linear", "mlp"])
+def test_members_that_stop_at_different_epochs(monkeypatch, hidden_units):
+    base = replace(MLP, hidden_units=hidden_units, max_epochs=60)
     jobs = [(DATA, replace(base, seed=s, loss_threshold=t))
             for s, t in zip((3, 4, 5), (0.0, 0.8, 0.9))]
     epochs = [epochs_run(monkeypatch, train, cfg) for train, cfg in jobs]
@@ -126,7 +126,7 @@ def test_zero_epochs_returns_each_initialization():
 def test_a_group_indexes_a_shared_training_set_without_copying_it():
     rng = np.random.default_rng(0)
     train = LabeledDataset(rng.random((1000, 784)), rng.integers(0, 10, 1000), 10)
-    cfg = PredictorConfig(architecture="mlp", hidden_units=16, batch_size=64, max_epochs=2,
+    cfg = PredictorConfig(hidden_units=16, batch_size=64, max_epochs=2,
                           loss_threshold=0.0, seed=1)
     tracemalloc.start()
     try:
@@ -160,7 +160,7 @@ def federation(**kw):
     nodes = (NodeSpec(marginal(0.7, 0.2, 0.1), marginal(0.1, 0.2, 0.7), 150, 90, seed=1),
              NodeSpec(marginal(0.2, 0.6, 0.2), marginal(0.1, 0.2, 0.7), 110, 70, seed=2),
              NodeSpec(marginal(0.3, 0.3, 0.4), marginal(0.1, 0.2, 0.7), 130, 60, seed=3))
-    kw = {"global_model": PredictorConfig(architecture="linear"), **kw}
+    kw = {"global_model": PredictorConfig(), **kw}
     cfg = FederationConfig(nodes=nodes, rounds=12, **kw)
     return build_federation(cfg, DataSource(m=3, d=2, separation=2.0), 4), cfg
 
@@ -182,7 +182,7 @@ def assert_same_result(a, b):
         {"sample_nodes_per_round": 2},
         {"server_optimizer": ServerOptimizer(kind="sgd", learning_rate=0.5)},
         {"normalize_weights": True},
-        {"global_model": PredictorConfig(architecture="mlp", hidden_units=8, weight_decay=1e-2),
+        {"global_model": PredictorConfig(hidden_units=8, weight_decay=1e-2),
          "local_steps": 2, "sample_nodes_per_round": 1},
     ],
     ids=["default", "local-steps", "node-sampling", "sgd", "normalized", "mlp-decay"],

@@ -3,6 +3,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "labelshift"
@@ -48,8 +49,15 @@ def test_traced_names_stay_module_globals_with_their_hooked_parameters(module, n
 
 
 def test_traced_class_members_keep_their_form():
+    from labelshift.predictor import PredictorConfig, init_predictor
     from labelshift.types import LabeledDataset, ProbabilityMatrix
 
     assert isinstance(ProbabilityMatrix.__dict__["from_rows"], classmethod)
     init = inspect.signature(LabeledDataset.__init__).parameters
     assert list(init)[:2] == ["self", "features"]  # the hook reads args[0] or features=
+    # The predictor key reads these five attributes of every scored Predictor.
+    for hidden, architecture, size in ((0, "linear", 2 * 3 + 3), (4, "mlp", 2 * 4 + 4 + 4 * 3 + 3)):
+        pred = init_predictor(PredictorConfig(hidden_units=hidden), 3, 2)
+        assert (pred.architecture, pred.hidden_units, pred.m, pred.d) == (architecture, hidden,
+                                                                          3, 2)
+        assert isinstance(pred.parameters, np.ndarray) and pred.parameters.shape == (size,)

@@ -23,7 +23,7 @@ from labelshift import (
 
 from .helpers import central_diff, marginal, rel_err, tiny_dataset, tiny_mixture
 
-LINEAR = PredictorConfig(architecture="linear", seed=0)
+LINEAR = PredictorConfig(seed=0)
 
 
 def mean_entropy(pred, features) -> float:
@@ -35,8 +35,8 @@ def mean_entropy(pred, features) -> float:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown architecture"):
-        PredictorConfig(architecture="cnn")
+    with pytest.raises(ValueError, match="hidden_units"):
+        PredictorConfig(hidden_units=-1)
     with pytest.raises(ValueError, match="learning_rate"):
         PredictorConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="zeta"):
@@ -47,14 +47,14 @@ def test_config_validation():
 
 def test_predictor_rejects_wrong_parameter_count():
     with pytest.raises(ValueError, match="expected 8 parameters"):
-        Predictor(np.zeros(5), "linear", 0, 2, 3)
+        Predictor(np.zeros(5), 0, 2, 3)
 
 
 def test_init_respects_fan_in_bounds():
-    pred = init_predictor(PredictorConfig(architecture="mlp", hidden_units=16, seed=1), 3, 9)
+    pred = init_predictor(PredictorConfig(hidden_units=16, seed=1), 3, 9)
     w1 = pred.parameters[: 9 * 16]
     assert np.all(np.abs(w1) <= 1.0 / 3.0)
-    again = init_predictor(PredictorConfig(architecture="mlp", hidden_units=16, seed=1), 3, 9)
+    again = init_predictor(PredictorConfig(hidden_units=16, seed=1), 3, 9)
     assert np.array_equal(pred.parameters, again.parameters)
 
 
@@ -98,7 +98,7 @@ def test_loss_is_cross_entropy_plus_zeta_times_penalty(zeta):
 def test_loss_cancels_at_uniform_output():
     # zero weights -> uniform rows -> CE = log m exactly offsets the penalty
     data = tiny_dataset(seed=4)
-    pred = Predictor(np.zeros(3 * 2 + 3), "linear", 0, 3, 2)
+    pred = Predictor(np.zeros(3 * 2 + 3), 0, 3, 2)
     x, y = data.features, data.labels
     assert loss_and_grad(pred, pred.parameters, x, y, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
     assert loss_and_grad(pred, pred.parameters, x, y, 0.0)[0] == pytest.approx(
@@ -106,11 +106,11 @@ def test_loss_cancels_at_uniform_output():
     )
 
 
-@pytest.mark.parametrize("arch,hidden", [("linear", 0), ("mlp", 6)])
+@pytest.mark.parametrize("hidden", [0, 6], ids=["linear-0", "mlp-6"])
 @pytest.mark.parametrize("zeta", [0.0, 0.5, 1.0, 5.0])
-def test_loss_gradient_matches_central_differences(arch, hidden, zeta):
+def test_loss_gradient_matches_central_differences(hidden, zeta):
     data = tiny_dataset(seed=5, n=8)
-    cfg = PredictorConfig(architecture=arch, hidden_units=max(hidden, 1), seed=6)
+    cfg = PredictorConfig(hidden_units=hidden, seed=6)
     pred = init_predictor(cfg, 3, 2)
 
     def f(theta):
@@ -194,7 +194,7 @@ def test_training_deterministic():
 
 def test_training_reports_divergence_epoch():
     data = tiny_dataset(seed=17, n=200, m=2, d=2)
-    cfg = PredictorConfig(architecture="mlp", hidden_units=8, learning_rate=1e160,
+    cfg = PredictorConfig(hidden_units=8, learning_rate=1e160,
                           max_epochs=5, loss_threshold=0.0, zeta=0.0, seed=18)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged at epoch 0"):
@@ -218,13 +218,13 @@ def test_early_stop_watches_cross_entropy_only():
 
 
 def test_zero_weights_predict_uniform():
-    pred = Predictor(np.zeros(4 * 3 + 4), "linear", 0, 4, 3)
+    pred = Predictor(np.zeros(4 * 3 + 4), 0, 4, 3)
     rows = predict_proba(pred, np.random.default_rng(0).normal(size=(6, 3))).rows
     assert np.allclose(rows, 0.25, atol=1e-12)
 
 
 def test_prediction_rows_sum_to_one():
-    pred = init_predictor(PredictorConfig(architecture="mlp", hidden_units=5, seed=19), 3, 4)
+    pred = init_predictor(PredictorConfig(hidden_units=5, seed=19), 3, 4)
     rows = predict_proba(pred, np.random.default_rng(1).normal(size=(50, 4))).rows
     assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-6)
 
@@ -244,7 +244,7 @@ def test_predict_labels_is_the_argmax_of_the_logits():
         predict_labels(pred, np.zeros((4, 5)))
     # near tie: the logits are [0, 1e-17], whose probabilities both round to 0.5;
     # the strictly larger logit wins
-    near_tie = Predictor(np.array([0.0, 0.0, 0.0, 1e-17]), "linear", 0, 2, 1)
+    near_tie = Predictor(np.array([0.0, 0.0, 0.0, 1e-17]), 0, 2, 1)
     x = np.zeros((1, 1))
     assert np.array_equal(predict_proba(near_tie, x).rows, [[0.5, 0.5]])
     assert predict_labels(near_tie, x).tolist() == [1]

@@ -59,9 +59,11 @@ prop = settings(max_examples=40, derandomize=True, deadline=None)
 
 
 def config(architecture, zeta, **over):
-    base = dict(architecture=architecture, hidden_units=24, learning_rate=0.1, batch_size=32,
-                max_epochs=12, loss_threshold=0.0, zeta=zeta, seed=3)
-    return PredictorConfig(**{**base, **over})
+    """A linear config has no hidden units, whatever over says."""
+    base = dict(hidden_units=24, learning_rate=0.1, batch_size=32, max_epochs=12,
+                loss_threshold=0.0, zeta=zeta, seed=3)
+    cfg = PredictorConfig(**{**base, **over})
+    return replace(cfg, hidden_units=0) if architecture == "linear" else cfg
 
 
 @pytest.mark.parametrize("architecture", ["linear", "mlp"])
@@ -283,15 +285,14 @@ def test_uint8_draws_train_score_and_perturb_to_the_bits_of_float_draws(tmp_path
 
 @pytest.mark.parametrize("local_steps", [1, 2])
 def test_pixel_federation_trains_to_the_bits_of_its_float_twin(tmp_path, monkeypatch, local_steps):
-    source = DataSource(source="idx", **write_ink_corpus(tmp_path, 3, n=400))
+    source = DataSource(**write_ink_corpus(tmp_path, 3, n=400))
     nodes = tuple(NodeSpec(make_marginal(three_class_marginal(hot)),
                            make_marginal(three_class_marginal(2)), n_tr, 90, seed=i)
                   for i, (hot, n_tr) in enumerate(((0, 150), (0, 130), (1, 170))))
     cfg = FederationConfig(
         nodes=nodes, rounds=6, local_steps=local_steps,
-        global_model=PredictorConfig(architecture="mlp", hidden_units=16, batch_size=32),
-        ratio_predictor=PredictorConfig(architecture="mlp", hidden_units=8, zeta=0.25,
-                                        max_epochs=3, seed=4))
+        global_model=PredictorConfig(hidden_units=16, batch_size=32),
+        ratio_predictor=PredictorConfig(hidden_units=8, zeta=0.25, max_epochs=3, seed=4))
     pixels = build_federation(cfg, source, 5)
     load = data.load_idx
     monkeypatch.setattr(data, "load_idx", lambda *paths: (lambda pool: LabeledDataset(

@@ -25,17 +25,17 @@ from labelshift.types import argmax_last
 ROOT = Path(__file__).resolve().parent.parent
 prop = settings(max_examples=30, derandomize=True, deadline=None)
 
-SHAPES = {  # name: (architecture, d, hidden units, m)
-    "linear 2->3": ("linear", 2, 1, 3),
-    "mlp 8->128->3": ("mlp", 8, 128, 3),
-    "mlp 784->128->10": ("mlp", 784, 128, 10),
+SHAPES = {  # name: (d, hidden units, m)
+    "linear 2->3": (2, 0, 3),
+    "mlp 8->128->3": (8, 128, 3),
+    "mlp 784->128->10": (784, 128, 10),
 }
 POOL_ROWS = 2048 + 255  # every prefix up to 2,048 rows at every offset up to 255
 
 
 def _model(shape, seed=0):
-    architecture, d, hidden, m = SHAPES[shape]
-    cfg = PredictorConfig(architecture=architecture, hidden_units=hidden, seed=seed)
+    d, hidden, m = SHAPES[shape]
+    cfg = PredictorConfig(hidden_units=hidden, seed=seed)
     return init_predictor(cfg, m, d)
 
 
@@ -53,9 +53,9 @@ def _pool(shape):
 
 def test_block_rows_depend_on_layer_widths_only():
     assert [_block_rows(_model(s)) for s in SHAPES] == [1024, 256, 256]
-    two_32 = init_predictor(PredictorConfig(architecture="mlp", hidden_units=32), 3, 2)
+    two_32 = init_predictor(PredictorConfig(hidden_units=32), 3, 2)
     assert _block_rows(two_32) == 1024
-    wide = init_predictor(PredictorConfig(architecture="mlp", hidden_units=1000), 3, 2)
+    wide = init_predictor(PredictorConfig(hidden_units=1000), 3, 2)
     assert _block_rows(wide) == 256
 
 
@@ -153,7 +153,7 @@ def test_argmax_edge_rows(monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_argmax_of_model_logits_matches_numpy(m):
-    preds = [init_predictor(PredictorConfig(architecture="mlp", hidden_units=16, seed=s), m, 5)
+    preds = [init_predictor(PredictorConfig(hidden_units=16, seed=s), m, 5)
              for s in (0, 1)]
     x = np.random.default_rng(m).normal(size=(700, 5))
     assert np.array_equal(predict_labels(preds[0], x), _logits(preds[0], x).argmax(axis=-1))
@@ -205,9 +205,9 @@ def test_784_feature_sweep_bytes_do_not_depend_on_the_thread_variables(tmp_path)
     img, lab = _write_idx(tmp_path)
     raw = {
         "trials": 2, "n_te": 300, "alpha_grid": [1.0], "estimators": ["vrls_em", "mlls_em"],
-        "data": {"source": "idx", "n_train": 300, "train_images": str(img),
+        "data": {"n_train": 300, "train_images": str(img),
                  "train_labels": str(lab), "test_images": str(img), "test_labels": str(lab)},
-        "predictor": {"architecture": "mlp", "hidden_units": 128, "max_epochs": 2},
+        "predictor": {"hidden_units": 128, "max_epochs": 2},
     }
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     outputs = []

@@ -26,9 +26,11 @@ CLASSES = [2, 7, 8, 10]  # features need d >= m - 1
 
 
 def config(architecture, **over):
-    base = dict(architecture=architecture, hidden_units=16, learning_rate=0.1, batch_size=32,
-                max_epochs=6, loss_threshold=0.0, zeta=1.0, seed=5)
-    return PredictorConfig(**{**base, **over})
+    """A linear config has no hidden units, whatever over says."""
+    base = dict(hidden_units=16, learning_rate=0.1, batch_size=32, max_epochs=6,
+                loss_threshold=0.0, zeta=1.0, seed=5)
+    cfg = PredictorConfig(**{**base, **over})
+    return replace(cfg, hidden_units=0) if architecture == "linear" else cfg
 
 
 @pytest.mark.parametrize("m", CLASSES)
@@ -106,8 +108,7 @@ def test_a_reused_workspace_gives_what_fresh_calls_give():
 def first_nonfinite_step(train, cfg):
     """(epoch, step in epoch) of the first non-finite loss when one model trains
     on the reference step and checks the loss after every step, or None."""
-    layout = SimpleNamespace(architecture=cfg.architecture, m=train.m, d=train.d,
-                             hidden_units=cfg.hidden_units)
+    layout = SimpleNamespace(m=train.m, d=train.d, hidden_units=cfg.hidden_units)
     params = reference_init(cfg, train.m, train.d)
     order_rng = stream(cfg.seed, 0x2)
     for epoch in range(cfg.max_epochs):

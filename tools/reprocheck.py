@@ -112,7 +112,7 @@ def main() -> int:
     failed = 0
     for config in configs:
         raw = json.loads(config.read_text(encoding="utf-8"))
-        if raw.get("data", {}).get("source") == "idx":
+        if "train_images" in raw.get("data", {}):
             raw = _with_corpus(raw)
         resolved = OUT / f"{config.stem}.json"
         resolved.parent.mkdir(parents=True, exist_ok=True)

@@ -51,11 +51,11 @@ from labelshift import (  # noqa: E402
 )
 from labelshift.predictor import StepWorkspace  # noqa: E402
 
-SHAPES = (  # name, architecture, d, hidden units, m
-    ("linear 2->3", "linear", 2, 0, 3),
-    ("mlp 2->32->3", "mlp", 2, 32, 3),
-    ("mlp 8->128->3", "mlp", 8, 128, 3),
-    ("mlp 784->128->10", "mlp", 784, 128, 10),
+SHAPES = (  # name, d, hidden units (0: linear), m
+    ("linear 2->3", 2, 0, 3),
+    ("mlp 2->32->3", 2, 32, 3),
+    ("mlp 8->128->3", 8, 128, 3),
+    ("mlp 784->128->10", 784, 128, 10),
 )
 BATCH = 64
 ROWS = 8 * BATCH  # eight steps per epoch
@@ -63,12 +63,10 @@ SCORED_ROWS = 5000
 NODE_ROWS = 2000  # one federate node's test split
 
 
-def step_seconds(architecture: str, d: int, hidden: int, m: int, stack: int, steps: int,
-                 twin: bool = False) -> float:
+def step_seconds(d: int, hidden: int, m: int, stack: int, steps: int, twin: bool = False) -> float:
     rng = np.random.default_rng(d * 1000 + m)
     train = LabeledDataset(rng.normal(size=(ROWS, d)), rng.integers(0, m, ROWS), m)
-    cfg = PredictorConfig(architecture=architecture, hidden_units=max(hidden, 1),
-                          batch_size=BATCH, max_epochs=steps * BATCH // ROWS,
+    cfg = PredictorConfig(hidden_units=hidden, batch_size=BATCH, max_epochs=steps * BATCH // ROWS,
                           loss_threshold=0.0, zeta=1.0)
     if twin:
         jobs = [(train, cfg), (train, replace(cfg, zeta=0.0))]
@@ -84,7 +82,7 @@ def weighted_step_seconds(steps: int, stack: int = 3) -> float:
     rng = np.random.default_rng(7)
     x, y = rng.normal(size=(ROWS, 2)), rng.integers(0, 3, ROWS)
     w_vec = rng.uniform(0.0, 3.0, size=(stack, 3))
-    layout = init_predictor(PredictorConfig(architecture="linear"), 3, 2)
+    layout = init_predictor(PredictorConfig(), 3, 2)
     params = np.tile(layout.parameters, (stack, 1))
     step = StepWorkspace(layout)
     t = time.perf_counter()
@@ -96,9 +94,9 @@ def weighted_step_seconds(steps: int, stack: int = 3) -> float:
     return (time.perf_counter() - t) / steps
 
 
-def score_seconds(architecture: str, d: int, hidden: int, m: int, calls: int,
+def score_seconds(d: int, hidden: int, m: int, calls: int,
                   rows: int = SCORED_ROWS, stack: int = 1, score=predict_proba) -> float:
-    cfg = PredictorConfig(architecture=architecture, hidden_units=max(hidden, 1))
+    cfg = PredictorConfig(hidden_units=hidden)
     pred = init_predictor(cfg, m, d)
     if stack > 1:
         pred = replace(pred, parameters=np.stack([init_predictor(replace(cfg, seed=s), m, d)
@@ -116,30 +114,30 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="timings per cell; median kept")
     args = parser.parse_args()
     print(f"{'shape':<18} {'S':>2} {'us/step':>9} {'us/model-step':>14}")
-    for name, architecture, d, hidden, m in SHAPES:
+    for name, d, hidden, m in SHAPES:
         for stack in (1, 2, 3):
             secs = statistics.median(
-                step_seconds(architecture, d, hidden, m, stack, args.steps)
+                step_seconds(d, hidden, m, stack, args.steps)
                 for _ in range(args.repeats)
             )
             print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
     extra = (
-        ("twin 8->128->3", 2, lambda: step_seconds("mlp", 8, 128, 3, 2, args.steps, twin=True)),
+        ("twin 8->128->3", 2, lambda: step_seconds(8, 128, 3, 2, args.steps, twin=True)),
         ("weighted 2->3", 3, lambda: weighted_step_seconds(args.steps)),
     )
     for name, stack, timed in extra:
         secs = statistics.median(timed() for _ in range(args.repeats))
         print(f"{name:<18} {stack:>2} {secs * 1e6:>9.1f} {secs * 1e6 / stack:>14.1f}")
     print(f"\n{'shape':<18} {'predict_proba ms per ' + str(SCORED_ROWS) + ' rows':>32}")
-    for name, architecture, d, hidden, m in SHAPES:
-        secs = statistics.median(score_seconds(architecture, d, hidden, m, 20)
+    for name, d, hidden, m in SHAPES:
+        secs = statistics.median(score_seconds(d, hidden, m, 20)
                                  for _ in range(args.repeats))
         print(f"{name:<18} {secs * 1e3:>32.3f}")
     print(f"\n{'federate scoring, ' + str(NODE_ROWS) + ' rows':<32} {'ms per call':>18}")
     node_calls = (
         ("predict_labels linear 2->3 x3",
-         lambda: score_seconds("linear", 2, 0, 3, 100, NODE_ROWS, 3, predict_labels)),
-        ("predict_proba mlp 2->32->3", lambda: score_seconds("mlp", 2, 32, 3, 100, NODE_ROWS)),
+         lambda: score_seconds(2, 0, 3, 100, NODE_ROWS, 3, predict_labels)),
+        ("predict_proba mlp 2->32->3", lambda: score_seconds(2, 32, 3, 100, NODE_ROWS)),
     )
     for name, timed in node_calls:
         secs = statistics.median(timed() for _ in range(args.repeats))
