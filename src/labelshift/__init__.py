@@ -22,6 +22,7 @@ from .data import (
 from .estimators import (
     EstimateReport,
     EstimatorOptions,
+    confusion_matrix,
     empirical_objective,
     empirical_objective_gradient,
     estimate_bbse,

@@ -35,6 +35,7 @@ from .data import (
 )
 from .estimators import (
     EstimatorOptions,
+    confusion_matrix,
     estimate_bbse,
     estimate_mlls_em,
     estimate_rlls,
@@ -54,7 +55,18 @@ from .types import LabeledDataset, LabelMarginal, ratio_from_marginals
 SCHEMA_VERSION = 1
 
 KINDS = ("sweep_alpha", "sweep_size", "estimate_once", "federate")
-ESTIMATOR_NAMES = ("vrls_em", "mlls_em", "bbse", "rlls")
+
+# Each estimator as (regularized, solve): whether it scores with the configured predictor or
+# its zeta = 0 twin, and its solve from a draw's scores. The solves look up the estimate_*
+# functions among this module's globals when called, so rebinding one reaches every sweep.
+_ESTIMATORS = {
+    "vrls_em": (True, lambda env, preds: estimate_mlls_em(preds, env.tr, env.solver)),
+    "mlls_em": (False, lambda env, preds: estimate_mlls_em(preds, env.tr, env.solver)),
+    "bbse": (False, lambda env, preds: estimate_bbse(env.confusion, preds, env.tr)),
+    "rlls": (False, lambda env, preds: estimate_rlls(env.confusion, preds, env.tr,
+                                                     env.solver.rlls_lambda)),
+}
+ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 # The fields a run leaves at their defaults, as (who, paths, applies) rows: in a run where
@@ -256,10 +268,12 @@ def resolve_config(
 
 
 class _SweepEnv:
-    """The predictors and the open test split shared by every cell of one sweep.
+    """What every cell of one sweep shares, built once because the training
+    distribution is fixed; only the test draws vary across cells and trials.
 
-    Training happens once per sweep because the training distribution is
-    fixed; only the test draws vary across cells and trials.
+    estimators lists each configured estimator as (name, predictor config, solve), and
+    predictors maps each distinct config to its trained predictor. confusion is the
+    holdout's confusion_matrix under the zeta = 0 twin, or None without bbse and rlls.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -268,6 +282,7 @@ class _SweepEnv:
         train = draw(split, self.tr, cfg.data.n_train, child_seed(cfg.seed, 0xD0))
         del split  # released before the test split opens, so two IDX pools never coexist
         self.test_split = open_split(cfg.data, "test")
+        self.solver = cfg.solver
 
         if cfg.split_fraction > 0:
             n_val = max(1, int(round(cfg.split_fraction * train.n)))
@@ -277,33 +292,16 @@ class _SweepEnv:
         else:
             fit = val = train
 
-        needed = dict.fromkeys(_predictor_config(cfg.predictor, e) for e in cfg.estimators)
+        twin = replace(cfg.predictor, zeta=0.0)
+        rows = [(name, *_ESTIMATORS[name]) for name in cfg.estimators]
+        self.estimators = [(name, cfg.predictor if regularized else twin, solve)
+                           for name, regularized, solve in rows]
+        needed = dict.fromkeys(pcfg for _, pcfg, _ in self.estimators)
         self.predictors = dict(zip(needed, train_predictors((fit, pcfg) for pcfg in needed)))
-        needs_val = any(e in ("bbse", "rlls") for e in cfg.estimators)
-        base = self.predictors.get(_predictor_config(cfg.predictor, "bbse"))
-        self.preds_val = predict_proba(base, val.features) if needs_val else None
-        self.labels_val = val.labels if needs_val else None
-
-
-def _predictor_config(pcfg: PredictorConfig, estimator: str) -> PredictorConfig:
-    """The predictor an estimator scores with: pcfg for vrls_em, and its
-    unregularized (zeta = 0) twin for the rest."""
-    return pcfg if estimator == "vrls_em" else replace(pcfg, zeta=0.0)
-
-
-def _run_estimator(name: str, cfg: ExperimentConfig, env: _SweepEnv, features, scores: dict):
-    """Runs estimator name on the draw's features. scores, the draw's scores per predictor
-    config, fills on first use, so each predictor scores the draw once; a forward pass that
-    raises stores nothing, so each estimator needing it retries and records the failure."""
-    pcfg = _predictor_config(cfg.predictor, name)
-    if pcfg not in scores:
-        scores[pcfg] = predict_proba(env.predictors[pcfg], features)
-    preds = scores[pcfg]
-    if name.endswith("_em"):
-        return estimate_mlls_em(preds, env.tr, cfg.solver)
-    if name == "bbse":
-        return estimate_bbse(env.preds_val, env.labels_val, preds, env.tr)
-    return estimate_rlls(env.preds_val, env.labels_val, preds, env.tr, cfg.solver.rlls_lambda)
+        self.confusion = None
+        if {"bbse", "rlls"} & set(cfg.estimators):
+            preds_val = predict_proba(self.predictors[twin], val.features)
+            self.confusion = confusion_matrix(preds_val, val.labels)
 
 
 def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float, n_te: int,
@@ -312,7 +310,8 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
 
     Returns (marginal, draw, true ratio, [(estimator, report, mse, error)]),
     where a failed estimator has report and mse None and error
-    "ExceptionType: message".
+    "ExceptionType: message". Each predictor scores the draw once, on first use; a forward
+    pass that raises stores nothing, so each estimator needing it retries and records it.
     """
     marginal = sample_dirichlet_marginal(alpha, env.tr.m, child_seed(cfg.seed, 0xA0, ci, ti, 0))
     ds = draw(env.test_split, marginal, n_te, seed=child_seed(cfg.seed, 0xA0, ci, ti, 1))
@@ -321,9 +320,11 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
     truth = ratio_from_marginals(marginal, env.tr)
     scores = {}
     results = []
-    for est in cfg.estimators:
+    for est, pcfg, solve in env.estimators:
         try:
-            report = _run_estimator(est, cfg, env, ds.features, scores)
+            if pcfg not in scores:
+                scores[pcfg] = predict_proba(env.predictors[pcfg], ds.features)
+            report = solve(env, scores[pcfg])
             results.append((est, report, ratio_mse(report.ratio, truth), ""))
         except Exception as exc:  # recorded per cell; the run keeps going
             results.append((est, None, None, f"{type(exc).__name__}: {exc}"))

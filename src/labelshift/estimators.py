@@ -6,7 +6,8 @@ Two families:
   predicted test likelihoods mean_j log(preds_j . r) over the feasible set
   {r >= 0, sum_c r_c p_tr(c) = 1} by accelerated EM.
 * Moment matchers (estimate_bbse, estimate_rlls) that solve a hard-label
-  confusion system, optionally with a ridge term.
+  confusion system, optionally with a ridge term. Their matrix comes from
+  confusion_matrix, built once per labeled holdout and shared by every draw.
 
 estimate_vrls composes predictor training with estimate_mlls_em, so the
 penalty strength in the predictor config selects between plain and
@@ -74,12 +75,6 @@ def _mean_log(like) -> float:
     return float(np.log(np.maximum(like, PROB_FLOOR)).mean())
 
 
-def _mean_log_gradient(p, like) -> np.ndarray:
-    """Gradient of _mean_log in r: mean_j p_j / like_j over unfloored rows."""
-    live = like > PROB_FLOOR  # floored rows have zero slope
-    return (p * (live / np.maximum(like, PROB_FLOOR))[:, None]).mean(axis=0)
-
-
 def empirical_objective(r, preds: ProbabilityMatrix) -> float:
     """Mean over test samples of log(preds_j . r), with floored arguments."""
     rv = _ratio_values(r)
@@ -91,9 +86,11 @@ def empirical_objective(r, preds: ProbabilityMatrix) -> float:
 
 
 def empirical_objective_gradient(r, preds: ProbabilityMatrix) -> np.ndarray:
-    """Gradient of empirical_objective in r: mean_j preds_j / (preds_j . r)."""
-    rv = _ratio_values(r)
-    return _mean_log_gradient(preds.rows, preds.rows @ rv)
+    """Gradient of empirical_objective in r: mean_j preds_j / (preds_j . r)
+    over unfloored rows."""
+    like = preds.rows @ _ratio_values(r)
+    live = like > PROB_FLOOR  # floored rows have zero slope
+    return (preds.rows * (live / np.maximum(like, PROB_FLOOR))[:, None]).mean(axis=0)
 
 
 def _support(preds: ProbabilityMatrix, tr: LabelMarginal):
@@ -218,10 +215,10 @@ def estimate_mlls_em(
     )
 
 
-def _confusion_system(preds_val, labels_val, preds_te, tr):
-    m = tr.m
-    if preds_val.m != m or preds_te.m != m:
-        raise ValueError("prediction columns do not match the marginal")
+def confusion_matrix(preds_val: ProbabilityMatrix, labels_val) -> np.ndarray:
+    """The moment matchers' A: A[j, c] is the joint frequency of (predicted j,
+    actual c) over a labeled holdout, from the hard labels of preds_val."""
+    m = preds_val.m
     labels_val = np.asarray(labels_val, dtype=np.int64)
     if labels_val.ndim != 1 or labels_val.size != preds_val.n:
         raise ValueError("labels_val must be one per validation row")
@@ -230,60 +227,57 @@ def _confusion_system(preds_val, labels_val, preds_te, tr):
     a = np.zeros((m, m))
     np.add.at(a, (preds_val.hard_labels, labels_val), 1.0)
     a /= labels_val.size
-    b = np.bincount(preds_te.hard_labels, minlength=m) / preds_te.n
+    return a
+
+
+def _moment_system(a, preds_te: ProbabilityMatrix, tr: LabelMarginal):
+    """(A, b): the confusion matrix a, checked against tr, and the hard-label
+    frequencies b of the test predictions."""
+    m = tr.m
+    if preds_te.m != m:
+        raise ValueError("prediction columns do not match the marginal")
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (m, m):
+        raise ValueError(f"confusion matrix must be {m} x {m}, got shape {a.shape}")
     if np.linalg.cond(a) > COND_LIMIT:
         raise ValueError("ill-conditioned confusion matrix")
-    return a, b
+    return a, np.bincount(preds_te.hard_labels, minlength=m) / preds_te.n
 
 
-def _clip_normalize(w: np.ndarray, tr: LabelMarginal) -> RatioVector:
+def _moment_report(w: np.ndarray, tr: LabelMarginal) -> EstimateReport:
+    """A moment matcher's report: w clipped at zero and renormalized to feasibility."""
     w = np.maximum(w, 0.0)
     s = float(w @ tr.probs)
     if s <= 0:
         raise ValueError("degenerate ratio estimate: all components clipped")
-    return RatioVector(w / s, tr)
+    return EstimateReport(RatioVector(w / s, tr), iterations_used=1, final_objective=None,
+                          converged=True)
 
 
-def estimate_bbse(
-    preds_val: ProbabilityMatrix, labels_val, preds_te: ProbabilityMatrix, tr: LabelMarginal
-) -> EstimateReport:
+def estimate_bbse(a, preds_te: ProbabilityMatrix, tr: LabelMarginal) -> EstimateReport:
     """Confusion-matrix inversion on hard labels.
 
-    A[j, c] holds the joint frequency of (predicted j, actual c) on the
-    validation split; b holds the hard-label frequencies on test. Solves
-    A w = b, clips negatives, and renormalizes to feasibility.
+    a is the holdout's confusion_matrix; b holds the hard-label frequencies on
+    test. Solves A w = b, clips negatives, and renormalizes to feasibility.
     """
-    a, b = _confusion_system(preds_val, labels_val, preds_te, tr)
-    w = np.linalg.solve(a, b)
-    return EstimateReport(
-        ratio=_clip_normalize(w, tr), iterations_used=1, final_objective=None, converged=True
-    )
+    a, b = _moment_system(a, preds_te, tr)
+    return _moment_report(np.linalg.solve(a, b), tr)
 
 
-def estimate_rlls(
-    preds_val: ProbabilityMatrix,
-    labels_val,
-    preds_te: ProbabilityMatrix,
-    tr: LabelMarginal,
-    lam: float = 0.0,
-) -> EstimateReport:
+def estimate_rlls(a, preds_te: ProbabilityMatrix, tr: LabelMarginal,
+                  lam: float = 0.0) -> EstimateReport:
     """Ridge-regularized variant of the confusion-matrix system.
 
     Solves min_theta |A(1 + theta) - b|^2 + lam |theta|^2 through the normal
-    equations; lam = 0 reproduces estimate_bbse up to clipping, large lam
-    shrinks toward the all-ones ratio.
+    equations, for the holdout's confusion_matrix a; lam = 0 reproduces
+    estimate_bbse up to rounding, large lam shrinks toward the all-ones ratio.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    a, b = _confusion_system(preds_val, labels_val, preds_te, tr)
+    a, b = _moment_system(a, preds_te, tr)
     rhs = a.T @ (b - a.sum(axis=1))
     theta = np.linalg.solve(a.T @ a + lam * np.eye(tr.m), rhs)
-    return EstimateReport(
-        ratio=_clip_normalize(1.0 + theta, tr),
-        iterations_used=1,
-        final_objective=None,
-        converged=True,
-    )
+    return _moment_report(1.0 + theta, tr)
 
 
 def estimate_vrls(

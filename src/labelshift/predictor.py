@@ -63,6 +63,8 @@ class Predictor:
     d: int
 
     def __post_init__(self):
+        if self.hidden_units < 0:
+            raise ValueError("hidden_units must be nonnegative")
         p = np.array(self.parameters, dtype=np.float64)
         layers = _layers(self.hidden_units, self.m, self.d)
         expected = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)

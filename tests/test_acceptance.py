@@ -26,6 +26,7 @@ from labelshift import (
     ProbabilityMatrix,
     ServerOptimizer,
     build_federation,
+    confusion_matrix,
     estimate_bbse,
     estimate_mlls_em,
     estimate_rlls,
@@ -158,11 +159,11 @@ def test_ac4_confusion_matrix_baselines():
     test = gen_gaussian_mixture(mix, make_marginal([0.5, 0.3, 0.2]), 10000, seed=child_seed(13, 2))
     tr = train.empirical_marginal()
     truth = ratio_from_marginals(test.empirical_marginal(), tr)
-    preds_val = predict_proba(pred, train.features)
+    a = confusion_matrix(predict_proba(pred, train.features), train.labels)
     preds_te = predict_proba(pred, test.features)
-    bbse = estimate_bbse(preds_val, train.labels, preds_te, tr)
-    rlls0 = estimate_rlls(preds_val, train.labels, preds_te, tr, 0.0)
-    rlls_big = estimate_rlls(preds_val, train.labels, preds_te, tr, 1e9)
+    bbse = estimate_bbse(a, preds_te, tr)
+    rlls0 = estimate_rlls(a, preds_te, tr, 0.0)
+    rlls_big = estimate_rlls(a, preds_te, tr, 1e9)
     err = _linf(bbse.ratio.ratios - truth.ratios)
     gap0 = _linf(rlls0.ratio.ratios - bbse.ratio.ratios)
     shrink = _linf(rlls_big.ratio.ratios, 1.0)
@@ -234,10 +235,10 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     for name, pred in (("vrls_em", pred_reg), ("mlls_em", pred_base)):
         rep = estimate_mlls_em(predict_proba(pred, test.features), emp, EstimatorOptions())
         drift[name] = _linf(rep.ratio.ratios, 1.0)
-    preds_val = predict_proba(pred_base, train.features)
+    a = confusion_matrix(predict_proba(pred_base, train.features), train.labels)
     preds_te = predict_proba(pred_base, test.features)
-    drift["bbse"] = _linf(estimate_bbse(preds_val, train.labels, preds_te, emp).ratio.ratios, 1.0)
-    drift["rlls"] = _linf(estimate_rlls(preds_val, train.labels, preds_te, emp, 0.0).ratio.ratios, 1.0)
+    drift["bbse"] = _linf(estimate_bbse(a, preds_te, emp).ratio.ratios, 1.0)
+    drift["rlls"] = _linf(estimate_rlls(a, preds_te, emp, 0.0).ratio.ratios, 1.0)
     worst = max(drift.values())
 
     # (b) true weights on an unshifted federation are a constant, and once

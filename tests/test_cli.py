@@ -437,6 +437,26 @@ def test_estimator_failures_recorded_not_fatal(tmp_path, monkeypatch):
     assert by_est["bbse"]["errors"] == 0
 
 
+def test_ill_conditioned_holdout_fails_each_moment_matcher_draw(tmp_path):
+    # split_fraction 0.001 of 1000 rows leaves a one-row holdout, so its confusion
+    # matrix has one nonzero entry; every draw records the failure and the sweep goes on
+    raw = sweep_raw(estimators=["mlls_em", "bbse", "rlls"], trials=2, n_te=500,
+                    alpha_grid=[1.0], split_fraction=0.001,
+                    data={"m": 3, "d": 2, "separation": 3.0, "n_train": 1000},
+                    predictor={"hidden_units": 0, "max_epochs": 5})
+    cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=1)
+    summary = cli.run_sweep_alpha(cfg)
+    by_est = {c["estimator"]: c for c in summary["cells"]}
+    assert (by_est["mlls_em"]["count"], by_est["mlls_em"]["errors"]) == (2, 0)
+    rows = read_rows(tmp_path / "sweep_alpha_results.csv")
+    for name in ("bbse", "rlls"):
+        assert (by_est[name]["count"], by_est[name]["errors"]) == (0, 2)
+        failed = [r for r in rows if r["estimator"] == name]
+        assert len(failed) == 2
+        assert all(r["error"] == "ValueError: ill-conditioned confusion matrix"
+                   and r["mse"] == "" for r in failed)
+
+
 def _count_calls(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -501,6 +521,18 @@ def test_sweep_takes_each_probability_matrix_argmax_once(tmp_path, monkeypatch):
     assert all(c["errors"] == 0 for c in summary["cells"])
     draws = len(cfg.alpha_grid) * cfg.trials
     assert len(calls) == 1 + draws  # the validation scores, then each draw's once
+
+
+@pytest.mark.parametrize("names, builds", [(["bbse", "rlls"], 1), (["vrls_em", "mlls_em"], 0)],
+                         ids=["moment_matchers", "likelihood_only"])
+def test_sweep_builds_the_validation_confusion_matrix_once(tmp_path, monkeypatch, names, builds):
+    calls = []
+    _count_calls(monkeypatch, cli, "confusion_matrix", calls)
+    raw = sweep_raw(estimators=names, trials=3)
+    cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=3)
+    summary = cli.run_sweep_alpha(cfg)
+    assert all(c["count"] == cfg.trials and c["errors"] == 0 for c in summary["cells"])
+    assert len(calls) == builds
 
 
 def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from labelshift import (
     EstimatorOptions,
     PredictorConfig,
     ProbabilityMatrix,
+    confusion_matrix,
     estimate_bbse,
     estimate_mlls_em,
     estimate_rlls,
@@ -235,7 +236,7 @@ def diagonal_instance():
 
 def test_bbse_diagonal_closed_form():
     preds_val, labels_val, preds_te = diagonal_instance()
-    report = estimate_bbse(preds_val, labels_val, preds_te, HALF)
+    report = estimate_bbse(confusion_matrix(preds_val, labels_val), preds_te, HALF)
     assert np.allclose(report.ratio.ratios, [0.6, 1.4], atol=1e-9)
 
 
@@ -243,7 +244,7 @@ def test_bbse_identity_when_test_matches_holdout():
     preds_val, labels_val, _ = diagonal_instance()
     preds_te = ProbabilityMatrix.from_rows(
         np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4))
-    report = estimate_bbse(preds_val, labels_val, preds_te, HALF)
+    report = estimate_bbse(confusion_matrix(preds_val, labels_val), preds_te, HALF)
     assert np.allclose(report.ratio.ratios, 1.0, atol=1e-9)
 
 
@@ -252,19 +253,20 @@ def test_bbse_rejects_never_predicted_class():
     labels_val = np.array([0, 0, 0, 1, 1, 1])
     _, _, preds_te = diagonal_instance()
     with pytest.raises(ValueError, match="ill-conditioned confusion matrix"):
-        estimate_bbse(preds_val, labels_val, preds_te, HALF)
+        estimate_bbse(confusion_matrix(preds_val, labels_val), preds_te, HALF)
 
 
 def test_rlls_zero_lambda_matches_bbse():
     preds_val, labels_val, preds_te = diagonal_instance()
-    bbse = estimate_bbse(preds_val, labels_val, preds_te, HALF)
-    rlls = estimate_rlls(preds_val, labels_val, preds_te, HALF, 0.0)
+    a = confusion_matrix(preds_val, labels_val)
+    bbse = estimate_bbse(a, preds_te, HALF)
+    rlls = estimate_rlls(a, preds_te, HALF, 0.0)
     assert np.max(np.abs(bbse.ratio.ratios - rlls.ratio.ratios)) < 1e-9
 
 
 def test_rlls_huge_lambda_returns_ones():
     preds_val, labels_val, preds_te = diagonal_instance()
-    report = estimate_rlls(preds_val, labels_val, preds_te, HALF, 1e9)
+    report = estimate_rlls(confusion_matrix(preds_val, labels_val), preds_te, HALF, 1e9)
     assert np.max(np.abs(report.ratio.ratios - 1.0)) < 1e-3
 
 
@@ -273,14 +275,36 @@ def test_rlls_no_shift_any_lambda(lam):
     preds_val, labels_val, _ = diagonal_instance()
     preds_te = ProbabilityMatrix.from_rows(
         np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4))
-    report = estimate_rlls(preds_val, labels_val, preds_te, HALF, lam)
+    report = estimate_rlls(confusion_matrix(preds_val, labels_val), preds_te, HALF, lam)
     assert np.allclose(report.ratio.ratios, 1.0, atol=1e-9)
 
 
 def test_rlls_rejects_negative_lambda():
     preds_val, labels_val, preds_te = diagonal_instance()
     with pytest.raises(ValueError, match="lam must be nonnegative"):
-        estimate_rlls(preds_val, labels_val, preds_te, HALF, -1.0)
+        estimate_rlls(confusion_matrix(preds_val, labels_val), preds_te, HALF, -1.0)
+
+
+THREE_COLUMNS = ProbabilityMatrix.from_rows(np.full((4, 3), 1.0 / 3.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda p, y, te: confusion_matrix(p, y[:-1]), "labels_val must be one per validation row"),
+     (lambda p, y, te: confusion_matrix(p, np.where(y == 1, 2, y)), r"labels must lie in \[0, 2\)"),
+     (lambda p, y, te: confusion_matrix(p, y - 1), r"labels must lie in \[0, 2\)"),
+     (lambda p, y, te: estimate_bbse(confusion_matrix(p, y), THREE_COLUMNS, HALF),
+      "prediction columns do not match the marginal"),
+     (lambda p, y, te: estimate_rlls(confusion_matrix(p, y), THREE_COLUMNS, HALF),
+      "prediction columns do not match the marginal"),
+     (lambda p, y, te: estimate_bbse(np.eye(3), te, HALF), r"confusion matrix must be 2 x 2"),
+     (lambda p, y, te: estimate_rlls(np.eye(2)[:1], te, HALF), r"confusion matrix must be 2 x 2")],
+    ids=["label_count", "label_too_big", "label_negative", "bbse_columns", "rlls_columns",
+         "bbse_shape", "rlls_shape"],
+)
+def test_moment_matchers_check_their_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*diagonal_instance())
 
 
 # --------------------------------------------------------------------- vrls

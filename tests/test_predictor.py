@@ -50,6 +50,11 @@ def test_predictor_rejects_wrong_parameter_count():
         Predictor(np.zeros(5), 0, 2, 3)
 
 
+def test_predictor_rejects_negative_hidden_units():
+    with pytest.raises(ValueError, match="hidden_units must be nonnegative"):
+        Predictor(np.zeros(5), -1, 2, 3)
+
+
 def test_init_respects_fan_in_bounds():
     pred = init_predictor(PredictorConfig(hidden_units=16, seed=1), 3, 9)
     w1 = pred.parameters[: 9 * 16]

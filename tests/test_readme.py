@@ -41,6 +41,20 @@ def test_quick_start_gives_the_ratios_and_error_it_promises():
     assert abs(printed[1] - mse) <= MSE_TOL, printed[1]
 
 
+def test_moment_matcher_block_runs_on_a_labeled_holdout():
+    block = _block("The moment matchers need a labeled holdout instead of calibration:")
+    mix = ls.GaussianMixtureSpec(ls.equidistant_means(3, 2, 3.0), 1.0)
+    train, holdout = (ls.gen_gaussian_mixture(mix, ls.uniform_marginal(3), 2000, seed=s)
+                      for s in (0, 1))
+    test = ls.gen_gaussian_mixture(mix, ls.make_marginal([0.6, 0.3, 0.1]), 2000, seed=2)
+    pred = ls.train_predictor(train, ls.PredictorConfig(max_epochs=10, seed=3))
+    namespace = {"ls": ls, "pred": pred, "holdout": holdout, "test": test}
+    exec(compile(block, "README.md", "exec"), namespace)
+    truth = ls.ratio_from_marginals(ls.make_marginal([0.6, 0.3, 0.1]),
+                                    holdout.empirical_marginal())
+    assert ls.ratio_mse(namespace["rep"].ratio, truth) < 0.01
+
+
 def test_multi_node_training_gives_the_accuracies_it_promises():
     block = _block("### Multi-node training")
     ((estimated,),) = _promised(block)
