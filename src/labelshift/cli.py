@@ -91,8 +91,6 @@ _UNREAD = (
      lambda c: set(c.estimators) <= {"bbse", "rlls"}),
     ("runs with one local step", ("federation.global_model.learning_rate",),
      lambda c: c.federation and c.federation.local_steps == 1),
-    ("sgd optimizers", ("federation.server_optimizer.betas", "federation.server_optimizer.eps"),
-     lambda c: c.federation and c.federation.server_optimizer.kind == "sgd"),
     ("runs that estimate no ratios", ("federation.ratio_predictor", "federation.ratio_solver"),
      lambda c: "estimated_ratios" not in c.weightings and not c.crossnode_listing),
 )

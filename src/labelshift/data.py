@@ -128,15 +128,22 @@ def posterior_matrix(
 
 def sample_dirichlet_marginal(alpha: float, m: int, seed: int) -> LabelMarginal:
     """Symmetric Dirichlet(alpha) draw via normalized Gamma variables, drawn once more
-    in log space if every Gamma(alpha) draw underflows to 0 (a tiny alpha)."""
+    in log space if every Gamma(alpha) draw underflows to 0 (a tiny alpha). Near the
+    float maximum (a huge alpha) the draws are finite but their sum is not, so they
+    are divided by the largest one first."""
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError("alpha must be positive")
     if m < 2:
         raise ValueError("need at least two classes")
     rng = stream(seed)
     g = rng.gamma(alpha, 1.0, size=m)
-    if g.sum() > 0:
-        return LabelMarginal(g / g.sum())
+    with np.errstate(over="ignore"):
+        total = g.sum()
+    if np.isinf(total):
+        g = g / g.max()
+        total = g.sum()
+    if total > 0:
+        return LabelMarginal(g / total)
     # Gamma(alpha) = Gamma(alpha + 1) U^(1/alpha) (Marsaglia & Tsang, 2000): its log times
     # alpha stays finite, and normalizes after the max is subtracted. Over a subnormal
     # alpha a gap overflows to -inf, which exp takes to 0.

@@ -51,23 +51,23 @@ class NodeSpec:
             raise ValueError("each node needs at least one train and test sample")
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class ServerOptimizer:
+    """The server's update rule: plain SGD, or Adam with _ADAM_BETAS and _ADAM_EPS."""
+
     kind: str = "adam"
     learning_rate: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown server optimizer {self.kind!r}")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
-        b1, b2 = self.betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if not (self.eps > 0):
-            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class FederationConfig:
     across nodes, or both.
 
     ratio_predictor and ratio_solver drive the per-node estimation behind the
-    "estimated_ratios" weighting. normalize_weights divides every weight
-    vector by the node count; the unweighted global_model.weight_decay then
-    weighs k times more against the data, so only at decay 0 is it a pure rescale.
+    "estimated_ratios" weighting.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -91,7 +89,6 @@ class FederationConfig:
     server_optimizer: ServerOptimizer = ServerOptimizer()
     ratio_predictor: PredictorConfig = PredictorConfig(hidden_units=32)
     ratio_solver: EstimatorOptions = EstimatorOptions()
-    normalize_weights: bool = False
 
     def __post_init__(self):
         if not self.nodes:
@@ -260,8 +257,6 @@ def _local_pseudograd(step, params, node, w_vec, cfg: FederationConfig, rng):
         idx = rng.choice(node.train.n, size=b, replace=False)
         labels = y[idx]
         total, _, grad = step(theta, step.gather(x, idx), labels, weights=w_vec.take(labels, 1))
-        if gm.weight_decay:
-            grad = grad + gm.weight_decay * theta
         return total, grad
 
     if cfg.local_steps == 1:
@@ -297,8 +292,6 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
     if not w_all:
         return ()
     w_all = np.stack(w_all)
-    if cfg.normalize_weights:
-        w_all = w_all / k
 
     layout = init_predictor(cfg.global_model, m, d)
     params = np.tile(layout.parameters, (len(w_all), 1))
@@ -323,12 +316,12 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
         if srv.kind == "sgd":
             params -= srv.learning_rate * grads
         else:
-            b1, b2 = srv.betas
+            b1, b2 = _ADAM_BETAS
             adam_m = b1 * adam_m + (1 - b1) * grads
             adam_v = b2 * adam_v + (1 - b2) * grads**2
             mh = adam_m / (1 - b1 ** (rnd + 1))
             vh = adam_v / (1 - b2 ** (rnd + 1))
-            params -= srv.learning_rate * mh / (np.sqrt(vh) + srv.eps)
+            params -= srv.learning_rate * mh / (np.sqrt(vh) + _ADAM_EPS)
         traces[:, 0, rnd] = np.add.reduce(np.stack(losses, axis=-1), axis=-1) / len(losses)
         per_node, avg = evaluate(replace(layout, parameters=params), fed)
         traces[:, 1, rnd] = avg

@@ -32,7 +32,6 @@ class PredictorConfig:
     max_epochs: int = 100
     loss_threshold: float = 0.05
     zeta: float = 1.0
-    weight_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class PredictorConfig:
             raise ValueError("loss_threshold must be nonnegative")
         if self.zeta < 0:
             raise ValueError("zeta must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -316,8 +313,6 @@ def _train_stack(jobs) -> list[Predictor]:
             batch = slice(start, start + cfg.batch_size)
             totals[k], ces[k], grad = step(params, step.gather(x, order[:, batch]),
                                            labels[:, batch], zeta)
-            if cfg.weight_decay:
-                grad += cfg.weight_decay * params
             grad *= cfg.learning_rate
             params -= grad
         if not np.isfinite(totals).all():

@@ -297,8 +297,6 @@ def reference_train(train, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             _, ce, grad = reference_loss_and_grad(layout, params, x[idx], y[idx], cfg.zeta)
-            if cfg.weight_decay:
-                grad = grad + cfg.weight_decay * params
             params -= cfg.learning_rate * grad
             ce_sum += ce * idx.size
         if ce_sum / n < cfg.loss_threshold:

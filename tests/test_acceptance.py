@@ -248,8 +248,7 @@ def test_ac6_no_shift_consistency_and_inert_uniform_weights():
     base = FederationConfig(nodes=nodes, global_model=PredictorConfig(), rounds=40)
     fed = build_federation(base, DataSource(m=3, d=2, separation=2.5), 3)
     (plain,) = train_global(fed, [weight_vectors(fed, "none")], base)
-    (trued,) = train_global(fed, [weight_vectors(fed, "true_ratios")],
-                            replace(base, normalize_weights=True))
+    (trued,) = train_global(fed, [weight_vectors(fed, "true_ratios") / len(nodes)], base)
     weights_const = bool(np.all(weight_vectors(fed, "true_ratios") == 3.0))
     bitwise = (
         np.array_equal(plain.predictor.parameters, trued.predictor.parameters)

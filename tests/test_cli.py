@@ -128,12 +128,23 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
          r"federation\.ratio_predictor"),
         ("sweep_alpha", ["data"], {"source": "idx", "train_images": "x", "train_labels": "x",
                                    "test_images": "x", "test_labels": "x"}, "source", "data"),
+        # Training takes no weight decay or weight rescale, and Adam's constants are fixed.
+        ("sweep_alpha", ["predictor"], {"zeta": 0.5}, "weight_decay", "predictor"),
+        ("federate", ["federation", "global_model"], None, "weight_decay",
+         r"federation\.global_model"),
+        ("federate", ["federation"], None, "normalize_weights", "federation"),
+        ("federate", ["federation", "server_optimizer"], None, "betas",
+         r"federation\.server_optimizer"),
+        ("federate", ["federation", "server_optimizer"], None, "eps",
+         r"federation\.server_optimizer"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
          "perturbation_seed", "federation", "federation_scenario", "global_model",
          "ratio_predictor", "ratio_solver", "federation_seed", "solver_step_size",
          "ratio_solver_step_size", "predictor_architecture", "global_model_architecture",
-         "ratio_predictor_architecture", "data_source"],
+         "ratio_predictor_architecture", "data_source", "predictor_weight_decay",
+         "global_model_weight_decay", "federation_normalize_weights", "server_betas",
+         "server_eps"],
 )
 def test_resolve_rejects_unknown_keys_in_every_section(tmp_path, capsys, kind, path, section,
                                                        key, where):
@@ -202,8 +213,6 @@ def test_resolve_accepts_only_json_integers_for_int_fields(kind, path, value, wh
         ("sweep_alpha", ["predictor", "zeta"], True, r"predictor\.zeta", "a number"),
         ("sweep_alpha", ["alpha_grid"], [0.5, "2"], r"alpha_grid\[1\]", "a number"),
         ("federate", ["crossnode_listing"], "yes", "crossnode_listing", "a boolean"),
-        ("federate", ["federation", "normalize_weights"], "no",
-         r"federation\.normalize_weights", "a boolean"),
         ("federate", ["out_dir"], 5, "out_dir", "a string"),
         ("sweep_alpha", ["estimators"], ["vrls_em", 3], r"estimators\[1\]", "a string"),
         ("federate", ["federation", "server_optimizer", "kind"], 1,
@@ -216,18 +225,15 @@ def test_resolve_accepts_only_json_integers_for_int_fields(kind, path, value, wh
         ("sweep_alpha", ["alpha_grid"], [10**400], r"alpha_grid\[0\]", "a finite number"),
         ("sweep_alpha", ["predictor", "zeta"], float("nan"), r"predictor\.zeta",
          "a finite number"),
-        ("sweep_alpha", ["predictor", "weight_decay"], float("nan"),
-         r"predictor\.weight_decay", "a finite number"),
         ("sweep_alpha", ["solver"], {"rlls_lambda": float("-inf")}, r"solver\.rlls_lambda",
          "a finite number"),
         ("sweep_alpha", ["perturbation"],
          {**EXPLICIT_PERTURBATION, "brightness_delta": float("nan")},
          r"perturbation\.brightness_delta", "a finite number"),
     ],
-    ids=["alpha", "zeta", "alpha_grid", "crossnode_listing", "normalize_weights", "out_dir",
-         "estimators", "server_kind", "nan_loss_threshold", "nan_alpha_grid", "inf_alpha_grid",
-         "huge_alpha_grid", "nan_zeta", "nan_weight_decay", "inf_rlls_lambda",
-         "nan_brightness_delta"],
+    ids=["alpha", "zeta", "alpha_grid", "crossnode_listing", "out_dir", "estimators",
+         "server_kind", "nan_loss_threshold", "nan_alpha_grid", "inf_alpha_grid",
+         "huge_alpha_grid", "nan_zeta", "inf_rlls_lambda", "nan_brightness_delta"],
 )
 def test_resolve_type_checks_scalar_fields(kind, path, value, where, expected):
     raw = raw_for(kind)
@@ -238,17 +244,11 @@ def test_resolve_type_checks_scalar_fields(kind, path, value, where, expected):
 
 @pytest.mark.parametrize(
     "kind, path, where",
-    [
-        ("federate", ["federation", "server_optimizer", "betas"],
-         r"federation\.server_optimizer\.betas"),
-        ("sweep_alpha", ["perturbation", "noise_sigma_range"], r"perturbation\.noise_sigma_range"),
-    ],
-    ids=["betas", "noise_sigma_range"],
+    [("sweep_alpha", ["perturbation", "noise_sigma_range"], r"perturbation\.noise_sigma_range")],
+    ids=["noise_sigma_range"],
 )
 def test_resolve_checks_the_length_of_fixed_pairs(kind, path, where):
-    raw = raw_for(kind)
-    if kind != "federate":
-        raw["perturbation"] = json.loads(json.dumps(EXPLICIT_PERTURBATION))
+    raw = raw_for(kind, perturbation=EXPLICIT_PERTURBATION)
     parent_of(raw, path)[path[-1]] = [0.1, 0.2, 0.3]
     with pytest.raises(ValueError, match=rf"^{where} must have 2 entries, got 3$"):
         cli.resolve_config(raw, kind)
@@ -417,6 +417,17 @@ def test_sweep_alpha_near_uniform_recovers_ones(tmp_path):
     cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=5)
     summary = cli.run_sweep_alpha(cfg)
     assert summary["cells"][0]["mean"] < 0.01
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_alpha_runs_at_an_alpha_near_the_float_maximum(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(sweep_raw(trials=2, alpha_grid=[1.7e308])))
+    out = tmp_path / "out"
+    assert cli.main(["sweep_alpha", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_rows(out / "sweep_alpha_results.csv")
+    assert len(rows) == 8 and all(r["error"] == "" for r in rows)
 
 
 def test_estimator_failures_recorded_not_fatal(tmp_path, monkeypatch):
@@ -822,9 +833,6 @@ UNREAD_IF = [
       for key, value in {"max_iters": 50, "tol": 1e-5}.items()],
     ("federate", {"federation": federation_with("global_model", learning_rate=0.5)},
      "runs with one local step", "federation.global_model.learning_rate"),
-    *[("federate", {"federation": federation_with("server_optimizer", kind="sgd", **{key: value})},
-       "sgd optimizers", f"federation.server_optimizer.{key}")
-      for key, value in {"betas": [0.8, 0.99], "eps": 1e-6}.items()],
     # FED_RAW's ratio_predictor without a ratio weighting or the cross-node listing
     ("federate", NO_RATIOS, "runs that estimate no ratios", "federation.ratio_predictor"),
     ("federate", {**NO_RATIOS, "federation": {

@@ -18,9 +18,11 @@ one and two local steps, adam and sgd, and federations with and without a
 ratio weighting.
 """
 
+import dataclasses
 import json
+import typing
 
-from labelshift import cli
+from labelshift import LabelMarginal, cli
 
 DATA = {"m": 3, "d": 2, "separation": 2.5}
 LINEAR = {"hidden_units": 0, "batch_size": 32, "max_epochs": 3, "loss_threshold": 0.0}
@@ -70,9 +72,8 @@ BASES = {
     "federate_sgd_two_steps": ("federate", {
         "data": {**DATA, "d": 3}, "weightings": ["none", "true_ratios"],
         "federation": _federation(
-            local_steps=2, sample_nodes_per_round=2, normalize_weights=True,
-            global_model={"hidden_units": 4, "batch_size": 16,
-                          "learning_rate": 0.2},
+            local_steps=2, sample_nodes_per_round=2,
+            global_model={"hidden_units": 4, "batch_size": 16, "learning_rate": 0.2},
             server_optimizer={"kind": "sgd"}, ratio_predictor=None, ratio_solver=None)}),
     "federate_listing": ("federate", {
         "data": DATA, "weightings": ["true_ratios", "none"], "crossnode_listing": True,
@@ -175,3 +176,20 @@ def test_every_value_a_run_accepts_changes_its_output(tmp_path):
          for path, bases in sorted(unchanged.items())]
         + [f"resolves, then the run raises: {path} ({'; '.join(errors)})"
            for path, errors in sorted(raised.items())])
+
+
+def _settable(tp) -> int:
+    """The settable values of the dataclass tp: a section, optional or not, recurses; the
+    node list counts one node's fields; a marginal, like every other field, is one value."""
+    hints = typing.get_type_hints(tp)
+    total = 0
+    for field in dataclasses.fields(tp):
+        hint = hints[field.name]
+        sections = [t for t in (hint, *typing.get_args(hint))
+                    if dataclasses.is_dataclass(t) and t is not LabelMarginal]
+        total += _settable(sections[0]) if sections else 1
+    return total
+
+
+def test_the_config_surface_has_62_settable_values():
+    assert _settable(cli.ExperimentConfig) == 62

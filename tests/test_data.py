@@ -174,7 +174,19 @@ def test_dirichlet_returns_a_marginal_where_every_gamma_draw_underflows(alpha):
         assert np.array_equal(got.probs, sample_dirichlet_marginal(alpha, 3, seed).probs)
 
 
-@pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [3, 10])
+def test_dirichlet_returns_a_marginal_where_the_gamma_draws_overflow_their_sum(m):
+    for seed in range(5):
+        g = stream(seed).gamma(1.7e308, 1.0, size=m)
+        assert np.all(np.isfinite(g))
+        with np.errstate(over="ignore"):
+            assert np.isinf(g.sum())  # the plain sum overflows
+        got = sample_dirichlet_marginal(1.7e308, m, seed)
+        assert np.allclose(got.probs, 1.0 / m, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0, 1e300])
 def test_dirichlet_keeps_the_bits_of_a_plain_draw_that_sums_above_zero(alpha):
     for seed in range(20):
         g = stream(seed).gamma(alpha, 1.0, size=3)

@@ -83,13 +83,6 @@ def test_zeta_beside_its_zeta_zero_twin_on_one_batch_order(monkeypatch):
     assert sizes[0] == 2
 
 
-def test_weight_decay_members():
-    cfg = replace(MLP, weight_decay=1e-2)
-    assert_lockstep_matches_one_by_one(
-        [(DATA, cfg), (DATA, replace(cfg, seed=9, zeta=0.0)), (OTHER, replace(cfg, zeta=0.3))]
-    )
-
-
 def test_different_data_per_member(monkeypatch):
     third = tiny_dataset(seed=3, n=300, m=3, d=4, separation=3.0)
     sizes = stacks_of(monkeypatch)
@@ -108,7 +101,7 @@ def test_jobs_that_differ_in_shape_or_schedule_fall_back_to_separate_stacks(monk
         (OTHER, replace(MLP, seed=8)),
         (wide, MLP),  # other d
         (DATA, replace(MLP, batch_size=64)),
-        (DATA, replace(MLP, weight_decay=1e-3)),
+        (DATA, replace(MLP, learning_rate=0.05)),
         (small, replace(MLP, zeta=0.0)),
     ]
     sizes = stacks_of(monkeypatch)
@@ -181,11 +174,10 @@ def assert_same_result(a, b):
         {"local_steps": 3},
         {"sample_nodes_per_round": 2},
         {"server_optimizer": ServerOptimizer(kind="sgd", learning_rate=0.5)},
-        {"normalize_weights": True},
-        {"global_model": PredictorConfig(hidden_units=8, weight_decay=1e-2),
-         "local_steps": 2, "sample_nodes_per_round": 1},
+        {"global_model": PredictorConfig(hidden_units=8), "local_steps": 2,
+         "sample_nodes_per_round": 1},
     ],
-    ids=["default", "local-steps", "node-sampling", "sgd", "normalized", "mlp-decay"],
+    ids=["default", "local-steps", "node-sampling", "sgd", "mlp"],
 )
 def test_train_global_stack_matches_separate_calls(options):
     fed, cfg = federation(**options)

@@ -80,9 +80,9 @@ def test_init_predictor_matches_reference(architecture):
         ("mlp", 0.0, {}),
         ("mlp", 1.0, {}),
         # stops early, after 10 of 200 epochs
-        ("mlp", 0.5, {"weight_decay": 1e-3, "max_epochs": 200, "loss_threshold": 0.7}),
+        ("mlp", 0.5, {"max_epochs": 200, "loss_threshold": 0.7}),
     ],
-    ids=["linear-0", "linear-1", "mlp-0", "mlp-1", "mlp-decay-early-stop"],
+    ids=["linear-0", "linear-1", "mlp-0", "mlp-1", "mlp-early-stop"],
 )
 def test_train_predictor_matches_reference(architecture, zeta, over):
     train = tiny_dataset(seed=1, n=300, m=3, d=4, separation=2.0)  # 300 = 9 batches + 12
