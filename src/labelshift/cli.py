@@ -43,6 +43,7 @@ from .estimators import (
 from .federated import (
     FederationConfig,
     WEIGHTINGS,
+    aggregate_ratios,
     build_federation,
     crossnode_listing_ratios,
     train_global,
@@ -53,8 +54,6 @@ from .predictor import PredictorConfig, predict_proba, train_predictors
 from .types import LabeledDataset, LabelMarginal, ratio_from_marginals
 
 SCHEMA_VERSION = 1
-
-KINDS = ("sweep_alpha", "sweep_size", "estimate_once", "federate")
 
 # Each estimator as (regularized, solve): whether it scores with the configured predictor or
 # its zeta = 0 twin, and its solve from a draw's scores. The solves look up the estimate_*
@@ -82,8 +81,7 @@ _UNREAD = (
     ("federate runs", ("trials", "n_te", "alpha", "alpha_grid", "size_grid", "estimators",
                        "predictor", "solver", "split_fraction", "perturbation", "data.n_train",
                        "federation.global_model.zeta", "federation.global_model.max_epochs",
-                       "federation.global_model.loss_threshold",
-                       "federation.ratio_solver.rlls_lambda"),
+                       "federation.global_model.loss_threshold"),
      lambda c: c.kind == "federate"),
     ("runs without a vrls estimator", ("predictor.zeta",), lambda c: "vrls_em" not in c.estimators),
     ("runs without rlls", ("solver.rlls_lambda",), lambda c: "rlls" not in c.estimators),
@@ -91,7 +89,7 @@ _UNREAD = (
      lambda c: set(c.estimators) <= {"bbse", "rlls"}),
     ("runs with one local step", ("federation.global_model.learning_rate",),
      lambda c: c.federation and c.federation.local_steps == 1),
-    ("runs that estimate no ratios", ("federation.ratio_predictor", "federation.ratio_solver"),
+    ("runs that estimate no ratios", ("federation.ratio_predictor",),
      lambda c: "estimated_ratios" not in c.weightings and not c.crossnode_listing),
 )
 
@@ -167,6 +165,12 @@ class ExperimentConfig:
         if self.kind == "federate" and self.federation.m != self.data.num_classes:
             raise ValueError(f"federation nodes have {self.federation.m} classes but the data"
                              f" source has {self.data.num_classes}")
+        if self.kind == "federate" and "true_ratios" in self.weightings:
+            # the weights true_ratios trains with, so an unsupported class fails before the build
+            tests = [node.test_marginal for node in self.federation.nodes]
+            for k, node in enumerate(self.federation.nodes):
+                _build(f"federation.nodes[{k}]",
+                       lambda: aggregate_ratios(tests, node.train_marginal))
 
 
 def _build(where: str, make):
@@ -488,6 +492,7 @@ RUNNERS = {
     "estimate_once": run_estimate_once,
     "federate": run_federate,
 }
+KINDS = tuple(RUNNERS)
 
 
 def main(argv=None) -> int:

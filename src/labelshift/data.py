@@ -294,6 +294,8 @@ class DataSource:
             raise ValueError("separation and sigma must be positive")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+        if not self.idx:  # so means that a tiny separation collapses fail here, not at a draw
+            GaussianMixtureSpec(equidistant_means(self.m, self.d, self.separation), self.sigma)
 
     @property
     def idx(self) -> bool:

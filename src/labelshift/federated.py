@@ -10,8 +10,8 @@ Three phases mirror the deployment story:
    weights w_k(y) = sum_j p_j_te(y) / p_k_tr(y) (aggregate_ratios, through
    weight_vectors). The only values that ever cross a node boundary are these
    K vectors of length m.
-3. A shared model is trained on weighted cross-entropy, with per-round node
-   sampling and a server-side optimizer (train_global).
+3. A shared model is trained on weighted cross-entropy: every round visits
+   every node and a server-side optimizer steps on their mean (train_global).
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import child_seed, stream
 from .data import DataSource, draw, open_split
-from .estimators import EstimateReport, EstimatorOptions, estimate_mlls_em
+from .estimators import EstimateReport, estimate_mlls_em
 from .predictor import (
     Predictor,
     PredictorConfig,
@@ -77,18 +77,16 @@ class FederationConfig:
     The node marginals define the setting: no shift, shift within nodes, shift
     across nodes, or both.
 
-    ratio_predictor and ratio_solver drive the per-node estimation behind the
-    "estimated_ratios" weighting.
+    ratio_predictor drives the per-node estimation behind the "estimated_ratios"
+    weighting, which solves with EM at its default options.
     """
 
     nodes: tuple[NodeSpec, ...]
     global_model: PredictorConfig = PredictorConfig()
     rounds: int = 100
     local_steps: int = 1
-    sample_nodes_per_round: int = 0  # 0 means all nodes every round
     server_optimizer: ServerOptimizer = ServerOptimizer()
     ratio_predictor: PredictorConfig = PredictorConfig(hidden_units=32)
-    ratio_solver: EstimatorOptions = EstimatorOptions()
 
     def __post_init__(self):
         if not self.nodes:
@@ -98,9 +96,6 @@ class FederationConfig:
             raise ValueError("rounds must be nonnegative")
         if self.local_steps < 1:
             raise ValueError("local_steps must be at least 1")
-        if not 0 <= self.sample_nodes_per_round < self.k:
-            raise ValueError("sample_nodes_per_round must lie in [0, node count); 0 samples"
-                             " every node")
         if any(n.train_marginal.m != self.m for n in self.nodes):
             raise ValueError("all nodes must share one class count")
 
@@ -111,10 +106,6 @@ class FederationConfig:
     @property
     def m(self) -> int:
         return self.nodes[0].train_marginal.m
-
-    @property
-    def nodes_per_round(self) -> int:
-        return self.sample_nodes_per_round or len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,7 @@ class Federation:
         test split, solved once and shared by exchange_marginals and
         crossnode_listing_ratios."""
         return tuple(
-            _estimate(node, predict_proba(predictor, node.test.features), self.cfg.ratio_solver)
+            _estimate(node, predict_proba(predictor, node.test.features))
             for node, predictor in zip(self.nodes, self.ratio_predictors)
         )
 
@@ -179,7 +170,7 @@ class FederationResult:
 
 def build_federation(cfg: FederationConfig, source: DataSource, seed: int = 0) -> Federation:
     """Materialize every node's train and test split from the shared source;
-    seed keys every draw, train_global's sampling included, but the global
+    seed keys every draw, train_global's batches included, but the global
     model's start, which cfg.global_model.seed keys: node i's split s (0
     train, 1 test) draws with child_seed(seed, i, node seed, s)."""
     splits = []
@@ -192,9 +183,9 @@ def build_federation(cfg: FederationConfig, source: DataSource, seed: int = 0) -
     return Federation(cfg, tuple(map(FederationNode, cfg.nodes, *splits)), seed)
 
 
-def _estimate(node: FederationNode, preds: ProbabilityMatrix, opts: EstimatorOptions):
-    """The node's ratio estimate against its own empirical train marginal."""
-    return estimate_mlls_em(preds, node.train.empirical_marginal(), opts)
+def _estimate(node: FederationNode, preds: ProbabilityMatrix):
+    """The node's EM ratio estimate against its own empirical train marginal."""
+    return estimate_mlls_em(preds, node.train.empirical_marginal())
 
 
 def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMarginal, ...]:
@@ -210,11 +201,7 @@ def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMargina
         reports = fed.local_estimates
     else:
         reports = [
-            _estimate(
-                node,
-                ProbabilityMatrix.from_rows(posterior_fn(node.test.features)),
-                fed.cfg.ratio_solver,
-            )
+            _estimate(node, ProbabilityMatrix.from_rows(posterior_fn(node.test.features)))
             for node in fed.nodes
         ]
     return tuple(report.ratio.implied_test_marginal() for report in reports)
@@ -242,7 +229,7 @@ def aggregate_ratios(test_marginals, tr_k: LabelMarginal) -> np.ndarray:
 
 
 def _local_pseudograd(step, params, node, w_vec, cfg: FederationConfig, rng):
-    """One sampled node's contribution this round to each stacked model (its row of w_vec),
+    """One node's contribution this round to each stacked model (its row of w_vec),
     from the StepWorkspace step. Its gradient is step's buffer, read before the next call.
 
     With one local step this is exactly the weighted minibatch gradient;
@@ -275,10 +262,9 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
     """Round-based training of the shared model under per-node label weights.
 
     One FederationResult per (k, m) matrix in weights, whose models step in
-    lockstep: the node and batch draws never see the weights. Each round
-    samples nodes without replacement, collects their (pseudo) gradients in
-    node-index order, averages, and applies the server optimizer. cfg must
-    list as many nodes as the federation has.
+    lockstep: the batch draws never see the weights. Each round collects
+    every node's (pseudo) gradient in node-index order, averages, and applies
+    the server optimizer. cfg must list as many nodes as the federation has.
     """
     k = len(fed.nodes)
     if cfg.k != k:
@@ -295,7 +281,6 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
 
     layout = init_predictor(cfg.global_model, m, d)
     params = np.tile(layout.parameters, (len(w_all), 1))
-    sample_rng = stream(fed.seed, 0x5A)
     rngs = [stream(fed.seed, 0x5B, i) for i in range(k)]
     srv = cfg.server_optimizer
     step = StepWorkspace(layout)
@@ -303,14 +288,13 @@ def train_global(fed: Federation, weights, cfg: FederationConfig) -> tuple[Feder
     adam_v = np.zeros_like(params)
     traces = np.zeros((len(w_all), 2, cfg.rounds))  # per model: loss, then accuracy
     for rnd in range(cfg.rounds):
-        chosen = np.sort(sample_rng.choice(k, size=cfg.nodes_per_round, replace=False))
         grads = np.zeros_like(params)
         losses = []
-        for i in chosen:
-            g, loss = _local_pseudograd(step, params, fed.nodes[i], w_all[:, i], cfg, rngs[i])
+        for i, node in enumerate(fed.nodes):
+            g, loss = _local_pseudograd(step, params, node, w_all[:, i], cfg, rngs[i])
             grads += g
             losses.append(loss)
-        grads /= chosen.size
+        grads /= k
         if not np.all(np.isfinite(grads)):
             raise RuntimeError(f"diverged at round {rnd}")
         if srv.kind == "sgd":
@@ -391,7 +375,7 @@ def crossnode_listing_ratios(fed: Federation) -> np.ndarray:
     for a, (node, predictor) in enumerate(zip(fed.nodes, fed.ratio_predictors)):
         reports = [
             fed.local_estimates[a] if b == a else
-            _estimate(node, predict_proba(predictor, other.test.features), fed.cfg.ratio_solver)
+            _estimate(node, predict_proba(predictor, other.test.features))
             for b, other in enumerate(fed.nodes)
         ]
         rows.append(aggregate_ratios([r.ratio.implied_test_marginal() for r in reports], trains[a]))

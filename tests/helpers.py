@@ -304,6 +304,49 @@ def reference_train(train, cfg):
     return params
 
 
+def reference_train_global(fed, weights, cfg):
+    """The train_global loop for one (k, m) weight matrix on reference_loss_and_grad;
+    returns (parameters, loss_trace).
+
+    Every round visits every node in index order. A node's batches draw from
+    stream(fed.seed, 0x5B, node index); one local step reports its gradient, more report
+    the displacement of plain SGD steps divided by the model learning rate. The node mean
+    then takes an SGD step, or an Adam step at betas (0.9, 0.999) and eps 1e-8.
+    """
+    gm, srv = cfg.global_model, cfg.server_optimizer
+    first = fed.nodes[0].train
+    layout = SimpleNamespace(m=first.m, d=first.d, hidden_units=gm.hidden_units)
+    params = reference_init(gm, first.m, first.d)
+    w = np.asarray(weights, dtype=np.float64)
+    rngs = [stream(fed.seed, 0x5B, i) for i in range(len(fed.nodes))]
+    adam_m, adam_v = np.zeros_like(params), np.zeros_like(params)
+    trace = []
+    for rnd in range(cfg.rounds):
+        grads, node_losses = np.zeros_like(params), []
+        for i, node in enumerate(fed.nodes):
+            x, y, n = node.train.features, node.train.labels, node.train.n
+            theta, losses = params.copy(), []
+            for _ in range(cfg.local_steps):
+                idx = rngs[i].choice(n, size=min(gm.batch_size, n), replace=False)
+                loss, _, grad = reference_loss_and_grad(layout, theta, x[idx], y[idx],
+                                                        weights=w[i][y[idx]])
+                losses.append(loss)
+                theta -= gm.learning_rate * grad
+            grads += grad if cfg.local_steps == 1 else (params - theta) / gm.learning_rate
+            node_losses.append(np.mean(losses))
+        grads /= len(fed.nodes)
+        if srv.kind == "sgd":
+            params -= srv.learning_rate * grads
+        else:
+            adam_m = 0.9 * adam_m + (1 - 0.9) * grads
+            adam_v = 0.999 * adam_v + (1 - 0.999) * grads**2
+            mh = adam_m / (1 - 0.9 ** (rnd + 1))
+            vh = adam_v / (1 - 0.999 ** (rnd + 1))
+            params -= srv.learning_rate * mh / (np.sqrt(vh) + 1e-8)
+        trace.append(float(np.mean(node_losses)))
+    return params, tuple(trace)
+
+
 def reference_em_step(p, t, r):
     """One plain EM step with the original allocating arithmetic: F(r)."""
     w = p * r
@@ -350,6 +393,7 @@ __all__ = [
     "reference_load_idx",
     "reference_loss_and_grad",
     "reference_train",
+    "reference_train_global",
     "reference_unpack",
     "rel_err",
     "shifted_posteriors",

@@ -112,14 +112,12 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
         ("federate", ["federation", "global_model"], None, "lr", r"federation\.global_model"),
         ("federate", ["federation", "ratio_predictor"], None, "lr",
          r"federation\.ratio_predictor"),
-        ("federate", ["federation", "ratio_solver"], {"max_iters": 50}, "tl",
-         r"federation\.ratio_solver"),
+        # Every node's EM solves at its default options.
+        ("federate", ["federation"], None, "ratio_solver", "federation"),
         # The experiment seed is the only one.
         ("federate", ["federation"], None, "seed", "federation"),
         # EM, the one likelihood solver, takes no step size.
         ("sweep_alpha", ["solver"], {"tol": 1e-5}, "step_size", "solver"),
-        ("federate", ["federation", "ratio_solver"], {"max_iters": 50}, "step_size",
-         r"federation\.ratio_solver"),
         # hidden_units alone decides the model, and the four paths the data source.
         ("sweep_alpha", ["predictor"], {"architecture": "mlp"}, "architecture", "predictor"),
         ("federate", ["federation", "global_model"], {"architecture": "linear"}, "architecture",
@@ -137,14 +135,16 @@ EXPLICIT_PERTURBATION = {"apply_prob": 0.1, "noise_sigma_range": [0.1, 0.2],
          r"federation\.server_optimizer"),
         ("federate", ["federation", "server_optimizer"], None, "eps",
          r"federation\.server_optimizer"),
+        # Every round visits every node.
+        ("federate", ["federation"], None, "sample_nodes_per_round", "federation"),
     ],
     ids=["data", "node", "server", "solver", "predictor", "perturbation", "perturbation_preset",
          "perturbation_seed", "federation", "federation_scenario", "global_model",
          "ratio_predictor", "ratio_solver", "federation_seed", "solver_step_size",
-         "ratio_solver_step_size", "predictor_architecture", "global_model_architecture",
+         "predictor_architecture", "global_model_architecture",
          "ratio_predictor_architecture", "data_source", "predictor_weight_decay",
          "global_model_weight_decay", "federation_normalize_weights", "server_betas",
-         "server_eps"],
+         "server_eps", "federation_sample_nodes_per_round"],
 )
 def test_resolve_rejects_unknown_keys_in_every_section(tmp_path, capsys, kind, path, section,
                                                        key, where):
@@ -269,9 +269,14 @@ def test_resolve_checks_the_length_of_fixed_pairs(kind, path, where):
          r"federation\.nodes\[1\]\.train_marginal\.probs\[0\] must be a number, got True$"),
         # four equidistant means need three dimensions
         (["data", "m"], 4, r"data: synthetic source needs m >= 2 and d >= m - 1$"),
+        # positive, but the means it places collapse to one point
+        (["data", "separation"], 1e-200, r"data: class means must be pairwise distinct$"),
+        # the true_ratios weighting needs train mass wherever some node tests
+        (["federation", "nodes", 0, "train_marginal"], [1, 0, 0],
+         r"federation\.nodes\[0\]: unsupported class: test mass where node train mass is zero$"),
     ],
     ids=["zeta", "marginal_sum", "marginal_entry", "marginal_probs_entry", "marginal_probs_bool",
-         "too_few_dimensions"],
+         "too_few_dimensions", "collapsed_means", "true_ratios_unsupported_class"],
 )
 def test_resolve_names_the_path_of_a_value_its_section_rejects(path, value, message):
     raw = json.loads(json.dumps(FED_RAW))
@@ -296,10 +301,7 @@ def test_shipped_configs_round_trip(path):
 
 
 @pytest.mark.parametrize(
-    "kind, path, where",
-    [("sweep_alpha", ["solver"], "solver"),
-     ("federate", ["federation", "ratio_solver"], "federation.ratio_solver")],
-    ids=["solver", "ratio_solver"],
+    "kind, path, where", [("sweep_alpha", ["solver"], "solver")], ids=["solver"]
 )
 def test_resolve_rejects_non_likelihood_solver(tmp_path, capsys, kind, path, where):
     raw = json.loads(next(p for p in CONFIGS if p.stem == kind).read_text())
@@ -752,7 +754,7 @@ def test_federate_solves_each_node_with_em_once(tmp_path, monkeypatch):
     cfg = cli.resolve_config(raw, "federate", out=str(tmp_path), seed=2)
     cli.run_federate(cfg)
     assert len(solved) == cfg.federation.k
-    assert all(opts is cfg.federation.ratio_solver for *_, opts in solved)
+    assert all(len(args) == 2 for args in solved)  # (scores, train marginal): default options
 
 
 def test_federate_matches_train_global_per_weighting(tmp_path):
@@ -767,6 +769,25 @@ def test_federate_matches_train_global_per_weighting(tmp_path):
         assert variant["avg_accuracy"] == direct.avg_accuracy
         assert variant["node_weights"] == direct.node_weights.tolist()
         assert variant["final_loss"] == direct.loss_trace[-1]
+
+
+def test_main_rejects_true_ratios_on_an_unsupported_class_before_any_output(tmp_path, capsys,
+                                                                          monkeypatch):
+    raw = json.loads(json.dumps(FED_RAW))
+    raw["federation"]["nodes"][0]["train_marginal"] = [1, 0, 0]
+    raw["federation"]["nodes"][1]["test_marginal"] = [0.2, 0.3, 0.5]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    builds = []
+    _count_calls(monkeypatch, cli, "build_federation", builds)
+    out = tmp_path / "out"
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: federation.nodes[0]: unsupported class: test mass"
+                                       " where node train mass is zero\n")
+    assert builds == [] and not out.exists()
+    # only the true_ratios weighting weighs with the configured marginals
+    del raw["federation"]["ratio_predictor"]
+    cli.resolve_config({**raw, "weightings": ["none"], "crossnode_listing": False}, "federate")
 
 
 def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, capsys):
@@ -812,8 +833,6 @@ UNREAD = [
     *[("federate", "federation", federation_with("global_model", **{key: value}),
        f"federation.global_model.{key}")
       for key, value in {"zeta": 0.5, "max_epochs": 5, "loss_threshold": 0.0}.items()],
-    ("federate", "federation", federation_with("ratio_solver", rlls_lambda=0.1),
-     "federation.ratio_solver.rlls_lambda"),
 ]
 
 LINEAR_NO_ZETA = {"hidden_units": 0, "max_epochs": 10, "loss_threshold": 0.0}
@@ -835,10 +854,6 @@ UNREAD_IF = [
      "runs with one local step", "federation.global_model.learning_rate"),
     # FED_RAW's ratio_predictor without a ratio weighting or the cross-node listing
     ("federate", NO_RATIOS, "runs that estimate no ratios", "federation.ratio_predictor"),
-    ("federate", {**NO_RATIOS, "federation": {
-        **{k: v for k, v in FED_RAW["federation"].items() if k != "ratio_predictor"},
-        "ratio_solver": {"max_iters": 50}}},
-     "runs that estimate no ratios", "federation.ratio_solver"),
 ]
 
 

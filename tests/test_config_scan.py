@@ -9,9 +9,11 @@ raise fails the scan too, since resolving is where a bad config must fail.
 Only kind, out_dir and threads are skipped: kind picks the runner, and out_dir
 and threads are run settings that change no output byte by design.
 
-The bases are tiny, and each binds the fields it reads: max_iters and
-max_epochs end their loops (at the default tol and a loss_threshold of 0),
-batch sizes lie below the row counts, and no marginal is uniform. Between
+The bases are tiny, and each binds the fields it reads: max_iters ends a
+sweep's solver loop and max_epochs each training loop (at the default tol and
+a loss_threshold of 0), batch sizes lie below the row counts, and no marginal
+is uniform. A federation's EM solves at its default options, which are not
+settable. Between
 them they cover all four kinds, linear and MLP models, estimator lists with
 and without vrls and rlls, a list of only bbse and rlls, perturbed sweeps,
 one and two local steps, adam and sgd, and federations with and without a
@@ -44,7 +46,7 @@ def _federation(**over):
                   {**node, "train_marginal": [0.1, 0.3, 0.6], "test_marginal": [0.6, 0.3, 0.1],
                    "seed": 3}],
         "rounds": 3, "global_model": {"hidden_units": 0, "batch_size": 16},
-        "ratio_predictor": {**MLP, "batch_size": 16}, "ratio_solver": {"max_iters": 3},
+        "ratio_predictor": {**MLP, "batch_size": 16},
         **over,
     }
     return {key: value for key, value in federation.items() if value is not None}
@@ -72,9 +74,9 @@ BASES = {
     "federate_sgd_two_steps": ("federate", {
         "data": {**DATA, "d": 3}, "weightings": ["none", "true_ratios"],
         "federation": _federation(
-            local_steps=2, sample_nodes_per_round=2,
+            local_steps=2,
             global_model={"hidden_units": 4, "batch_size": 16, "learning_rate": 0.2},
-            server_optimizer={"kind": "sgd"}, ratio_predictor=None, ratio_solver=None)}),
+            server_optimizer={"kind": "sgd"}, ratio_predictor=None)}),
     "federate_listing": ("federate", {
         "data": DATA, "weightings": ["true_ratios", "none"], "crossnode_listing": True,
         "federation": _federation(ratio_predictor={**LINEAR, "batch_size": 16, "zeta": 0.5})}),
@@ -191,5 +193,5 @@ def _settable(tp) -> int:
     return total
 
 
-def test_the_config_surface_has_62_settable_values():
-    assert _settable(cli.ExperimentConfig) == 62
+def test_the_config_surface_has_58_settable_values():
+    assert _settable(cli.ExperimentConfig) == 58

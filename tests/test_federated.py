@@ -76,18 +76,13 @@ def test_server_optimizer_validation():
 
 def test_federation_config_validation():
     node = NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 10, 10)
-    for k, sampled in ((1, 2), (3, 3), (3, -1)):  # 0, not k, samples every node
-        with pytest.raises(ValueError, match=r"^sample_nodes_per_round must lie in \[0, node"
-                                             r" count\); 0 samples every node$"):
-            FederationConfig(nodes=(node,) * k, global_model=LINEAR,
-                             sample_nodes_per_round=sampled)
-
-
-def test_nodes_per_round_defaults_to_all():
-    nodes = tuple(NodeSpec(marginal(0.5, 0.5), marginal(0.5, 0.5), 10, 10) for _ in range(4))
-    cfg = FederationConfig(nodes=nodes, global_model=LINEAR)
-    assert cfg.k == 4 and cfg.nodes_per_round == 4
-    assert replace(cfg, sample_nodes_per_round=2).nodes_per_round == 2
+    three = NodeSpec(marginal(0.2, 0.3, 0.5), marginal(0.2, 0.3, 0.5), 10, 10)
+    for over, message in (({"nodes": ()}, "need at least one node"),
+                          ({"rounds": -1}, "rounds must be nonnegative"),
+                          ({"local_steps": 0}, "local_steps must be at least 1"),
+                          ({"nodes": (node, three)}, "all nodes must share one class count")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FederationConfig(**{"nodes": (node,), "global_model": LINEAR, **over})
 
 
 # -------------------------------------------------------------------- build
@@ -249,7 +244,7 @@ def test_ratio_predictors_train_once_and_reproduce_local_estimates():
         pcfg = replace(base, seed=child_seed(base.seed, 1, i, node.spec.seed))
         alone = estimate_mlls_em(
             predict_proba(train_predictor(node.train, pcfg), node.test.features),
-            node.train.empirical_marginal(), cfg.ratio_solver).ratio.implied_test_marginal()
+            node.train.empirical_marginal()).ratio.implied_test_marginal()
         assert np.array_equal(published[i].probs, alone.probs)
 
 
@@ -311,15 +306,15 @@ def test_result_invariants():
         float(np.mean(result.per_node_accuracy)), abs=1e-12)
 
 
-def test_training_deterministic_with_node_sampling():
-    cfg = small_no_shift_cfg(rounds=10, sample_nodes_per_round=1)
+def test_training_is_deterministic_per_seed():
+    cfg = small_no_shift_cfg(rounds=10)
     a = train_under(cfg, SRC2, 3)
     b = train_under(cfg, SRC2, 3)
     assert np.array_equal(a.predictor.parameters, b.predictor.parameters)
     assert a.loss_trace == b.loss_trace
     c = train_under(cfg, SRC2, 99)
     assert not np.array_equal(a.predictor.parameters, c.predictor.parameters)
-    # the federation's seed also keys the node and batch draws on the same splits
+    # the federation's seed also keys the batch draws on the same splits
     (d,) = train_global(replace(build_federation(cfg, SRC2, 3), seed=99), [np.ones((2, 2))], cfg)
     assert not np.array_equal(a.predictor.parameters, d.predictor.parameters)
 
@@ -512,7 +507,7 @@ def test_crossnode_listing_reuses_the_local_estimates(monkeypatch):
     for node, predictor, report, mg in zip(fed.nodes, fed.ratio_predictors,
                                            fed.local_estimates, published):
         alone = estimate_mlls_em(predict_proba(predictor, node.test.features),
-                                 node.train.empirical_marginal(), cfg.ratio_solver)
+                                 node.train.empirical_marginal())
         assert np.array_equal(report.ratio.ratios, alone.ratio.ratios)
         assert np.array_equal(mg.probs, alone.ratio.implied_test_marginal().probs)
 

@@ -172,12 +172,10 @@ def assert_same_result(a, b):
     [
         {},
         {"local_steps": 3},
-        {"sample_nodes_per_round": 2},
         {"server_optimizer": ServerOptimizer(kind="sgd", learning_rate=0.5)},
-        {"global_model": PredictorConfig(hidden_units=8), "local_steps": 2,
-         "sample_nodes_per_round": 1},
+        {"global_model": PredictorConfig(hidden_units=8), "local_steps": 2},
     ],
-    ids=["default", "local-steps", "node-sampling", "sgd", "mlp"],
+    ids=["default", "local-steps", "sgd", "mlp"],
 )
 def test_train_global_stack_matches_separate_calls(options):
     fed, cfg = federation(**options)

@@ -1,6 +1,6 @@
-"""The layer-list initialization, lean forward pass, SGD step, EM map and
-uint8 IDX pixels give the same bits as the original arithmetic kept in
-helpers.py."""
+"""The layer-list initialization, lean forward pass, SGD step, federated
+training loop, EM map and uint8 IDX pixels give the same bits as the original
+arithmetic kept in helpers.py."""
 
 import struct
 from dataclasses import replace
@@ -20,6 +20,7 @@ from labelshift import (
     PredictorConfig,
     ProbabilityMatrix,
     RelaxedShiftSpec,
+    ServerOptimizer,
     estimate_mlls_em,
     init_predictor,
     load_idx,
@@ -49,6 +50,7 @@ from .helpers import (
     reference_load_idx,
     reference_loss_and_grad,
     reference_train,
+    reference_train_global,
     reference_unpack,
     three_class_marginal,
     tiny_dataset,
@@ -88,6 +90,26 @@ def test_train_predictor_matches_reference(architecture, zeta, over):
     train = tiny_dataset(seed=1, n=300, m=3, d=4, separation=2.0)  # 300 = 9 batches + 12
     cfg = config(architecture, zeta, **over)
     assert np.array_equal(train_predictor(train, cfg).parameters, reference_train(train, cfg))
+
+
+@pytest.mark.parametrize("architecture", ["linear", "mlp"])
+@pytest.mark.parametrize("local_steps", [1, 2])
+@pytest.mark.parametrize("server", ["adam", "sgd"])
+def test_train_global_matches_reference(architecture, local_steps, server):
+    # node 1 holds fewer rows than a batch, so its batch is all of its rows
+    nodes = tuple(NodeSpec(marginal(*tr), marginal(0.1, 0.3, 0.6), n_tr, 40, seed=i)
+                  for i, (tr, n_tr) in enumerate((((0.6, 0.3, 0.1), 90), ((0.2, 0.5, 0.3), 20),
+                                                  ((0.3, 0.3, 0.4), 70))))
+    cfg = FederationConfig(
+        nodes=nodes, rounds=7, local_steps=local_steps,
+        global_model=config(architecture, 0.0, hidden_units=6, batch_size=24, seed=2),
+        server_optimizer=ServerOptimizer(kind=server, learning_rate=0.05))
+    fed = build_federation(cfg, DataSource(m=3, d=4, separation=2.0), 6)
+    weights = np.random.default_rng(8).uniform(0.0, 3.0, size=(3, 3))
+    (result,) = train_global(fed, [weights], cfg)
+    params, loss_trace = reference_train_global(fed, weights, cfg)
+    assert np.array_equal(result.predictor.parameters, params)
+    assert result.loss_trace == loss_trace
 
 
 @pytest.mark.parametrize("architecture", ["linear", "mlp"])
