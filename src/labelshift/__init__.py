@@ -37,7 +37,6 @@ from .federated import (
     FederationResult,
     NodeSpec,
     ServerOptimizer,
-    aggregate_ratios,
     build_federation,
     crossnode_listing_ratios,
     evaluate,
@@ -45,7 +44,7 @@ from .federated import (
     train_global,
     weight_vectors,
 )
-from .metrics import TrialSummary, loglog_slope, ratio_mse, summarize
+from .metrics import loglog_slope, ratio_mse, summarize
 from .predictor import (
     Predictor,
     PredictorConfig,
@@ -63,6 +62,7 @@ from .types import (
     PROB_FLOOR,
     ProbabilityMatrix,
     RatioVector,
+    aggregate_ratios,
     make_marginal,
     ratio_from_marginals,
     read_features,

@@ -43,7 +43,6 @@ from .estimators import (
 from .federated import (
     FederationConfig,
     WEIGHTINGS,
-    aggregate_ratios,
     build_federation,
     crossnode_listing_ratios,
     train_global,
@@ -51,7 +50,7 @@ from .federated import (
 )
 from .metrics import loglog_slope, ratio_mse, summarize
 from .predictor import PredictorConfig, predict_proba, train_predictors
-from .types import LabeledDataset, LabelMarginal, ratio_from_marginals
+from .types import LabeledDataset, LabelMarginal, aggregate_ratios, ratio_from_marginals
 
 SCHEMA_VERSION = 1
 
@@ -162,15 +161,22 @@ class ExperimentConfig:
                 owner = attrgetter(owner)(self) if owner else self
                 if getattr(owner, leaf) != getattr(type(owner), leaf):  # the field's default
                     raise ValueError(f"{who} take no {path} key")
-        if self.kind == "federate" and self.federation.m != self.data.num_classes:
-            raise ValueError(f"federation nodes have {self.federation.m} classes but the data"
-                             f" source has {self.data.num_classes}")
-        if self.kind == "federate" and "true_ratios" in self.weightings:
-            # the weights true_ratios trains with, so an unsupported class fails before the build
-            tests = [node.test_marginal for node in self.federation.nodes]
-            for k, node in enumerate(self.federation.nodes):
-                _build(f"federation.nodes[{k}]",
-                       lambda: aggregate_ratios(tests, node.train_marginal))
+        if self.kind == "federate":
+            if self.federation.m != self.data.num_classes:
+                raise ValueError(f"federation nodes have {self.federation.m} classes but the"
+                                 f" data source has {self.data.num_classes}")
+            # The marginals each weighting's weights aggregate, so that an unsupported class
+            # fails before the build: each node's estimate lives on its own train support.
+            nodes = self.federation.nodes
+            aggregated = {"true_ratios": [node.test_marginal for node in nodes],
+                          "estimated_ratios": [node.train_marginal for node in nodes]}
+            for k, node in enumerate(nodes):
+                for marginals in [aggregated[w] for w in self.weightings if w in aggregated]:
+                    _build(f"federation.nodes[{k}]",
+                           lambda: aggregate_ratios(marginals, node.train_marginal))
+                if self.crossnode_listing and np.any(node.train_marginal.probs == 0):
+                    raise ValueError(f"federation.nodes[{k}]: cross-node aggregation needs every"
+                                     " class on every node")
 
 
 def _build(where: str, make):
@@ -333,22 +339,6 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
     return marginal, ds, truth, results
 
 
-def _run_cells(cfg: ExperimentConfig, cells: list[tuple[float, int]]):
-    """cells is a list of (alpha, n_te) pairs; returns {(ci, ti): [(est, mse, err)]}."""
-    env = _SweepEnv(cfg)
-    tasks = [(ci, ti) for ci in range(len(cells)) for ti in range(cfg.trials)]
-
-    def trial(task):
-        ci, ti = task
-        results = _estimate_draw(cfg, env, ci, *cells[ci], ti)[3]
-        return [(est, mse, err) for est, _, mse, err in results]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return dict(zip(tasks, pool.map(trial, tasks)))
-    return dict(zip(tasks, map(trial, tasks)))
-
-
 def _config_line(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"),
                       default=np.ndarray.tolist)
@@ -369,34 +359,6 @@ def _write_summary(cfg: ExperimentConfig, summary: dict) -> dict:
     return summary
 
 
-def _summarize_cells(cfg, cells, cell_key, results):
-    rows = []
-    cell_summaries = []
-    for ci, (alpha, n_te) in enumerate(cells):
-        cell_value = alpha if cell_key == "alpha" else n_te
-        per_est = {e: [] for e in cfg.estimators}
-        errors = {e: 0 for e in cfg.estimators}
-        for ti in range(cfg.trials):
-            for est, mse, err in results[ci, ti]:
-                rows.append((cell_value, est, ti, "" if mse is None else mse, err))
-                if mse is None:
-                    errors[est] += 1
-                else:
-                    per_est[est].append(mse)
-        for est in cfg.estimators:
-            if per_est[est]:
-                s = summarize(per_est[est])
-                mean, std, count = s.mean, s.std, s.count
-            else:
-                mean = std = None
-                count = 0
-            cell_summaries.append(
-                {cell_key: cell_value, "estimator": est, "mean": mean, "std": std,
-                 "count": count, "errors": errors[est]}
-            )
-    return rows, cell_summaries
-
-
 def _base_summary(cfg: ExperimentConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -410,13 +372,36 @@ def _sweep(cfg: ExperimentConfig, cells: list[tuple[float, int]], cell_key: str)
     """Runs every (alpha, n_te) cell, writes the results CSV, returns the summary."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = _run_cells(cfg, cells)
-    rows, cell_summaries = _summarize_cells(cfg, cells, cell_key, results)
+    env = _SweepEnv(cfg)
+    tasks = [(ci, ti) for ci in range(len(cells)) for ti in range(cfg.trials)]
+
+    def trial(task):  # a trial's estimator results; its test draw is freed here
+        ci, ti = task
+        return _estimate_draw(cfg, env, ci, *cells[ci], ti)[3]
+
+    # One thread runs the trials inline: a one-worker pool measured slower on sweep_alpha.
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(trial, tasks))
+    else:
+        results = list(map(trial, tasks))
+    at = ("alpha", "n_te").index(cell_key)
+    rows = [(cells[ci][at], est, ti, "" if mse is None else mse, err)
+            for (ci, ti), trial_results in zip(tasks, results)
+            for est, _, mse, err in trial_results]
     _write_csv(
         out / f"{cfg.kind}_results.csv", cfg, (cell_key, "estimator", "trial", "mse", "error"), rows
     )
     summary = _base_summary(cfg)
-    summary["cells"] = cell_summaries
+    summary["cells"] = []
+    per_cell = cfg.trials * len(cfg.estimators)  # each trial writes one row per estimator
+    for start in range(0, len(rows), per_cell):
+        block = rows[start:start + per_cell]
+        for est in cfg.estimators:
+            mses = [mse for _, e, _, mse, err in block if e == est and not err]
+            stats = summarize(mses) if mses else {"mean": None, "std": None, "count": 0}
+            summary["cells"].append({cell_key: block[0][0], "estimator": est, **stats,
+                                     "errors": cfg.trials - len(mses)})
     return summary
 
 

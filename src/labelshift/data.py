@@ -219,7 +219,7 @@ def _check_header(path, **fields):
             raise ValueError(f"bad IDX header in {path}: {name} is {value}, expected >= 1")
 
 
-def load_idx(images_path, labels_path, num_classes: int = IDX_CLASSES) -> LabeledDataset:
+def load_idx(images_path, labels_path) -> LabeledDataset:
     """Read an IDX image/label file pair into a dataset of raw uint8 pixels.
 
     Images are flattened to one row of bytes each, read straight into the
@@ -229,8 +229,6 @@ def load_idx(images_path, labels_path, num_classes: int = IDX_CLASSES) -> Labele
     for labels (then n). A count, row or column number below 1, or more
     pixels than the file holds, is rejected before any pixel is read.
     """
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, str(images_path)))
         if magic != IDX_IMAGE_MAGIC:
@@ -250,13 +248,11 @@ def load_idx(images_path, labels_path, num_classes: int = IDX_CLASSES) -> Labele
     if n != n_labels:
         raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    if labels.max() >= num_classes:
-        raise ValueError(
-            f"label {int(labels.max())} out of range for {num_classes} classes"
-        )
+    if labels.max() >= IDX_CLASSES:
+        raise ValueError(f"label {int(labels.max())} out of range for {IDX_CLASSES} classes")
     labels.setflags(write=False)
     pixels.setflags(write=False)  # handed over to the dataset without a copy
-    return LabeledDataset(pixels, labels, num_classes)
+    return LabeledDataset(pixels, labels, IDX_CLASSES)
 
 
 def uniform_marginal(m: int) -> LabelMarginal:

@@ -31,7 +31,7 @@ from .predictor import (
     predict_proba,
     train_predictors,
 )
-from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix
+from .types import LabeledDataset, LabelMarginal, ProbabilityMatrix, aggregate_ratios
 
 WEIGHTINGS = ("none", "true_ratios", "estimated_ratios")
 
@@ -205,27 +205,6 @@ def exchange_marginals(fed: Federation, posterior_fn=None) -> tuple[LabelMargina
             for node in fed.nodes
         ]
     return tuple(report.ratio.implied_test_marginal() for report in reports)
-
-
-def aggregate_ratios(test_marginals, tr_k: LabelMarginal) -> np.ndarray:
-    """Weight vector for the node with train marginal tr_k: sum over nodes of
-    p_j_te(y) / p_k_tr(y).
-
-    Unnormalized by convention, so the entries sum to the node count when
-    integrated against tr_k.
-    """
-    marginals = list(test_marginals)
-    if not marginals:
-        raise ValueError("need at least one test marginal")
-    total = np.zeros(tr_k.m)
-    for mg in marginals:
-        if mg.m != tr_k.m:
-            raise ValueError("marginal class counts disagree")
-        total += mg.probs
-    if np.any((tr_k.probs == 0) & (total > 0)):
-        raise ValueError("unsupported class: test mass where node train mass is zero")
-    safe = np.where(tr_k.probs > 0, tr_k.probs, 1.0)
-    return np.where(tr_k.probs > 0, total / safe, 0.0)
 
 
 def _local_pseudograd(step, params, node, w_vec, cfg: FederationConfig, rng):

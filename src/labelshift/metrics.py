@@ -1,15 +1,6 @@
 """Error metrics and small summary helpers for experiment sweeps."""
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    mean: float
-    std: float
-    count: int
 
 
 def ratio_mse(estimate, truth) -> float:
@@ -35,8 +26,9 @@ def loglog_slope(points) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def summarize(values) -> TrialSummary:
-    """Mean and sample standard deviation; a single value has std 0."""
+def summarize(values) -> dict:
+    """{"mean", "std", "count"} of the values, the keys of a sweep's cell record, with the
+    sample standard deviation; a single value has std 0."""
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("nothing to summarize")
@@ -44,4 +36,4 @@ def summarize(values) -> TrialSummary:
         raise ValueError("values must be finite")
     arr = np.asarray(vals)
     std = 0.0 if arr.size == 1 else float(arr.std(ddof=1))
-    return TrialSummary(mean=float(arr.mean()), std=std, count=arr.size)
+    return {"mean": float(arr.mean()), "std": std, "count": arr.size}

@@ -225,12 +225,28 @@ def make_marginal(counts) -> LabelMarginal:
     return LabelMarginal(probs)
 
 
-def ratio_from_marginals(te: LabelMarginal, tr: LabelMarginal) -> RatioVector:
-    """Exact per-class ratio te/tr; classes with zero train mass get ratio 0."""
-    if te.m != tr.m:
-        raise ValueError("marginals have different class counts")
-    if np.any((tr.probs == 0) & (te.probs > 0)):
+def aggregate_ratios(test_marginals, tr: LabelMarginal) -> np.ndarray:
+    """Per-class weights sum_j te_j(y) / tr(y) over the test marginals; classes with zero
+    train mass get weight 0.
+
+    Unnormalized by convention, so the entries sum to the marginal count when
+    integrated against tr.
+    """
+    marginals = list(test_marginals)
+    if not marginals:
+        raise ValueError("need at least one test marginal")
+    total = np.zeros(tr.m)
+    for mg in marginals:
+        if mg.m != tr.m:
+            raise ValueError("marginals have different class counts")
+        total += mg.probs
+    if np.any((tr.probs == 0) & (total > 0)):
         raise ValueError("unsupported class: test mass where train mass is zero")
     safe = np.where(tr.probs > 0, tr.probs, 1.0)
-    r = np.where(tr.probs > 0, te.probs / safe, 0.0)
-    return RatioVector(r, tr)
+    return np.where(tr.probs > 0, total / safe, 0.0)
+
+
+def ratio_from_marginals(te: LabelMarginal, tr: LabelMarginal) -> RatioVector:
+    """Exact per-class ratio te/tr (aggregate_ratios of te alone); classes with zero
+    train mass get ratio 0."""
+    return RatioVector(aggregate_ratios([te], tr), tr)

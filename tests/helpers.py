@@ -28,7 +28,7 @@ from labelshift import (
 )
 from labelshift import data
 from labelshift._rng import stream
-from labelshift.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, _read_exact
+from labelshift.data import IDX_CLASSES, IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, _read_exact
 from labelshift.estimators import empirical_objective, empirical_objective_gradient
 from labelshift.types import PROB_FLOOR
 
@@ -354,7 +354,7 @@ def reference_em_step(p, t, r):
     return w.mean(axis=0) / t
 
 
-def reference_load_idx(images_path, labels_path, num_classes: int = 10) -> LabeledDataset:
+def reference_load_idx(images_path, labels_path) -> LabeledDataset:
     """The float64 loader: the whole split scaled to [0, 1] up front."""
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, str(images_path)))
@@ -369,12 +369,10 @@ def reference_load_idx(images_path, labels_path, num_classes: int = 10) -> Label
     if n != n_labels:
         raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    if labels.size and labels.max() >= num_classes:
-        raise ValueError(
-            f"label {int(labels.max())} out of range for {num_classes} classes"
-        )
+    if labels.size and labels.max() >= IDX_CLASSES:
+        raise ValueError(f"label {int(labels.max())} out of range for {IDX_CLASSES} classes")
     feats = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
-    return LabeledDataset(feats, labels, num_classes)
+    return LabeledDataset(feats, labels, IDX_CLASSES)
 
 
 __all__ = [

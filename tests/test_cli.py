@@ -254,6 +254,14 @@ def test_resolve_checks_the_length_of_fixed_pairs(kind, path, where):
         cli.resolve_config(raw, kind)
 
 
+# The FED_RAW keys that a case overrides so that no other resolve-time check fires first.
+ONLY_THE_CHECK_UNDER_TEST = {
+    "estimated_ratios_unsupported_class": {"weightings": ["none", "estimated_ratios"],
+                                           "crossnode_listing": False},
+    "crossnode_listing_zero_train_mass": {"weightings": ["none"]},
+}
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -273,13 +281,22 @@ def test_resolve_checks_the_length_of_fixed_pairs(kind, path, where):
         (["data", "separation"], 1e-200, r"data: class means must be pairwise distinct$"),
         # the true_ratios weighting needs train mass wherever some node tests
         (["federation", "nodes", 0, "train_marginal"], [1, 0, 0],
-         r"federation\.nodes\[0\]: unsupported class: test mass where node train mass is zero$"),
+         r"federation\.nodes\[0\]: unsupported class: test mass where train mass is zero$"),
+        # estimated_ratios needs train mass wherever some node trains: each estimate lives on
+        # its own node's train support
+        (["federation", "nodes", 0, "train_marginal"], [1, 0, 0],
+         r"federation\.nodes\[0\]: unsupported class: test mass where train mass is zero$"),
+        # the cross-node listing needs every class on every node
+        (["federation", "nodes", 0, "train_marginal"], [0.5, 0.5, 0],
+         r"federation\.nodes\[0\]: cross-node aggregation needs every class on every node$"),
     ],
     ids=["zeta", "marginal_sum", "marginal_entry", "marginal_probs_entry", "marginal_probs_bool",
-         "too_few_dimensions", "collapsed_means", "true_ratios_unsupported_class"],
+         "too_few_dimensions", "collapsed_means", "true_ratios_unsupported_class",
+         "estimated_ratios_unsupported_class", "crossnode_listing_zero_train_mass"],
 )
-def test_resolve_names_the_path_of_a_value_its_section_rejects(path, value, message):
+def test_resolve_names_the_path_of_a_value_its_section_rejects(request, path, value, message):
     raw = json.loads(json.dumps(FED_RAW))
+    raw.update(ONLY_THE_CHECK_UNDER_TEST.get(request.node.callspec.id, {}))
     parent_of(raw, path)[path[-1]] = value
     with pytest.raises(ValueError, match=rf"^{message}"):
         cli.resolve_config(raw, "federate")
@@ -409,6 +426,45 @@ def test_sweep_rows_identical_across_thread_counts(tmp_path):
     cli.run_sweep_alpha(four)
     assert body_lines(tmp_path / "t1" / "sweep_alpha_results.csv") == body_lines(
         tmp_path / "t4" / "sweep_alpha_results.csv")
+    summaries = []
+    for name in ("t1", "t4"):
+        summary = json.loads((tmp_path / name / "sweep_alpha_summary.json").read_text())
+        del summary["config"]["threads"], summary["config"]["out_dir"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+
+
+def test_cell_records_match_the_csv_rows_they_summarize(tmp_path, monkeypatch):
+    calls = []
+    original = cli.estimate_mlls_em
+
+    def every_third_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) % 3 == 0:
+            raise RuntimeError("synthetic failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_mlls_em", every_third_fails)
+    raw = sweep_raw(estimators=["vrls_em", "mlls_em", "bbse"], trials=2,
+                    alpha_grid=[0.5, 1.0, 2.0])
+    cfg = cli.resolve_config(raw, "sweep_alpha", out=str(tmp_path), seed=4)
+    summary = cli.run_sweep_alpha(cfg)
+    rows = read_rows(tmp_path / "sweep_alpha_results.csv")
+    assert len(calls) == 12 and len(summary["cells"]) == 9
+    mixed = 0
+    for cell in summary["cells"]:
+        mine = [r for r in rows
+                if float(r["alpha"]) == cell["alpha"] and r["estimator"] == cell["estimator"]]
+        mses = [float(r["mse"]) for r in mine if r["error"] == ""]
+        assert cell["count"] == len(mses)
+        assert cell["errors"] == sum(r["error"] != "" for r in mine) == len(mine) - len(mses)
+        if not mses:
+            assert cell["mean"] is None and cell["std"] is None
+        else:
+            assert cell["mean"] == float(np.mean(mses))
+            assert cell["std"] == (0.0 if len(mses) == 1 else float(np.std(mses, ddof=1)))
+        mixed += bool(cell["count"] and cell["errors"])
+    assert mixed >= 1  # some cell holds failed and finished trials of one estimator
 
 
 def test_sweep_alpha_near_uniform_recovers_ones(tmp_path):
@@ -783,11 +839,33 @@ def test_main_rejects_true_ratios_on_an_unsupported_class_before_any_output(tmp_
     out = tmp_path / "out"
     assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("error: federation.nodes[0]: unsupported class: test mass"
-                                       " where node train mass is zero\n")
+                                       " where train mass is zero\n")
     assert builds == [] and not out.exists()
     # only the true_ratios weighting weighs with the configured marginals
     del raw["federation"]["ratio_predictor"]
     cli.resolve_config({**raw, "weightings": ["none"], "crossnode_listing": False}, "federate")
+
+
+@pytest.mark.parametrize(
+    "over, train_marginal, message",
+    [({"weightings": ["none", "estimated_ratios"], "crossnode_listing": False}, [1, 0, 0],
+      "unsupported class: test mass where train mass is zero"),
+     ({"weightings": ["none"], "crossnode_listing": True}, [0.5, 0.5, 0],
+      "cross-node aggregation needs every class on every node")],
+    ids=["estimated_ratios", "crossnode_listing"],
+)
+def test_main_rejects_a_ratio_estimate_on_a_missing_class_before_any_output(
+        tmp_path, capsys, monkeypatch, over, train_marginal, message):
+    raw = {**json.loads(json.dumps(FED_RAW)), **over}
+    raw["federation"]["nodes"][0]["train_marginal"] = train_marginal
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    builds = []
+    _count_calls(monkeypatch, cli, "build_federation", builds)
+    out = tmp_path / "out"
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: federation.nodes[0]: {message}\n"
+    assert builds == [] and not out.exists()
 
 
 def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, capsys):
@@ -966,8 +1044,8 @@ def test_federate_rejects_crossnode_listing_before_training(tmp_path, monkeypatc
     trained = []
     _count_calls(monkeypatch, cli, "train_global", trained)
     assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert ("error: cross-node aggregation needs every class on every node"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == ("error: federation.nodes[0]: cross-node aggregation"
+                                       " needs every class on every node\n")
     assert trained == [] and not list(out.glob("federate_*.csv"))
 
 

@@ -322,12 +322,6 @@ def test_load_idx_rejects_bad_header(tmp_path, which, header, message):
         load_idx(img, lab)
 
 
-def test_load_idx_needs_two_classes(tmp_path):
-    img, lab = write_idx_pair(tmp_path, [0] * 4, [0])
-    with pytest.raises(ValueError, match="at least two classes"):
-        load_idx(img, lab, num_classes=1)
-
-
 def test_load_idx_peak_memory_is_about_the_pixel_bytes(tmp_path):
     n, side = 20_000, 28
     pixels = np.random.default_rng(0).integers(0, 256, size=n * side * side, dtype=np.uint8)

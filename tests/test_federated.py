@@ -165,7 +165,7 @@ def test_aggregate_errors():
     tr = marginal(0.5, 0.5)
     with pytest.raises(ValueError, match="at least one test marginal"):
         aggregate_ratios([], tr)
-    with pytest.raises(ValueError, match="class counts disagree"):
+    with pytest.raises(ValueError, match="different class counts"):
         aggregate_ratios([marginal(0.2, 0.3, 0.5)], tr)
     with pytest.raises(ValueError, match="unsupported class"):
         aggregate_ratios([marginal(0.5, 0.5)], marginal(0.0, 1.0))

@@ -251,14 +251,15 @@ def test_em_at_the_iteration_cap_reports_honestly(seed, m, n, conc, max_iters):
 
 def write_idx_pool(tmp_path, rows=4, cols=8, n=96):
     """An IDX pair in which every byte value 0-255 appears, spread over 3 classes;
-    returned as the uint8 pool and its float64 twin."""
+    returned as the uint8 pool and its float64 twin, each as a 3-class dataset."""
     rng = np.random.default_rng(5)
     pixels = rng.permutation(np.tile(np.arange(256, dtype=np.uint8), -(-n * rows * cols // 256)))
     labels = np.arange(n, dtype=np.uint8) % 3
     img, lab = tmp_path / "images.idx", tmp_path / "labels.idx"
     img.write_bytes(struct.pack(">iiii", 2051, n, rows, cols) + pixels[: n * rows * cols].tobytes())
     lab.write_bytes(struct.pack(">ii", 2049, n) + labels.tobytes())
-    return load_idx(img, lab, 3), reference_load_idx(img, lab, 3)
+    return tuple(LabeledDataset(ds.features, ds.labels, 3)
+                 for ds in (load_idx(img, lab), reference_load_idx(img, lab)))
 
 
 def test_resample_from_uint8_pool_matches_reference(tmp_path):
