@@ -54,17 +54,17 @@ from .types import LabeledDataset, LabelMarginal, aggregate_ratios, ratio_from_m
 
 SCHEMA_VERSION = 1
 
-# Each estimator as (regularized, solve): whether it scores with the configured predictor or
-# its zeta = 0 twin, and its solve from a draw's scores. The solves look up the estimate_*
-# functions among this module's globals when called, so rebinding one reaches every sweep.
+# Each estimator as (predictor, solve): its predictor's config, from the configured one, and
+# its solve from a draw's scores. The solves look up the estimate_* functions among this
+# module's globals when called, so rebinding one reaches every sweep.
+_PLAIN = lambda p: replace(p, zeta=0.0)
 _ESTIMATORS = {
-    "vrls_em": (True, lambda env, preds: estimate_mlls_em(preds, env.tr, env.solver)),
-    "mlls_em": (False, lambda env, preds: estimate_mlls_em(preds, env.tr, env.solver)),
-    "bbse": (False, lambda env, preds: estimate_bbse(env.confusion, preds, env.tr)),
-    "rlls": (False, lambda env, preds: estimate_rlls(env.confusion, preds, env.tr,
-                                                     env.solver.rlls_lambda)),
+    "vrls_em": (lambda p: p, lambda env, preds: estimate_mlls_em(preds, env.tr, env.solver)),
+    "mlls_em": (_PLAIN, lambda env, preds: estimate_mlls_em(preds, env.tr, env.solver)),
+    "bbse": (_PLAIN, lambda env, preds: estimate_bbse(env.confusion, preds, env.tr)),
+    "rlls": (_PLAIN, lambda env, preds: estimate_rlls(env.confusion, preds, env.tr,
+                                                      env.solver.rlls_lambda)),
 }
-ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 DEFAULT_SIZE_GRID = (250, 500, 1000, 2000, 4000, 8000)
 
 # The fields a run leaves at their defaults, as (who, paths, applies) rows: in a run where
@@ -136,7 +136,7 @@ class ExperimentConfig:
             raise ValueError("alpha_grid entries must be positive")
         if not self.size_grid or any(n < 1 for n in self.size_grid):
             raise ValueError("size_grid entries must be positive")
-        for what, names, known in (("estimator", self.estimators, ESTIMATOR_NAMES),
+        for what, names, known in (("estimator", self.estimators, _ESTIMATORS),
                                    ("weighting", self.weightings, WEIGHTINGS)):
             if not names:
                 raise ValueError(f"need at least one {what}")
@@ -279,9 +279,10 @@ class _SweepEnv:
     """What every cell of one sweep shares, built once because the training
     distribution is fixed; only the test draws vary across cells and trials.
 
-    estimators lists each configured estimator as (name, predictor config, solve), and
-    predictors maps each distinct config to its trained predictor. confusion is the
-    holdout's confusion_matrix under the zeta = 0 twin, or None without bbse and rlls.
+    stack is one Predictor, an (S, P) stack of a model per distinct predictor config, and
+    estimators lists each configured estimator as (name, member, solve), member indexing
+    its model in stack. confusion is the holdout's confusion_matrix under that member of
+    bbse and rlls alone, or None without them.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -300,15 +301,16 @@ class _SweepEnv:
         else:
             fit = val = train
 
-        twin = replace(cfg.predictor, zeta=0.0)
-        rows = [(name, *_ESTIMATORS[name]) for name in cfg.estimators]
-        self.estimators = [(name, cfg.predictor if regularized else twin, solve)
-                           for name, regularized, solve in rows]
-        needed = dict.fromkeys(pcfg for _, pcfg, _ in self.estimators)
-        self.predictors = dict(zip(needed, train_predictors((fit, pcfg) for pcfg in needed)))
+        pcfgs = [_ESTIMATORS[name][0](cfg.predictor) for name in cfg.estimators]
+        needed = list(dict.fromkeys(pcfgs))
+        models = train_predictors((fit, pcfg) for pcfg in needed)
+        self.stack = replace(models[0], parameters=np.stack([p.parameters for p in models]))
+        self.estimators = [(name, needed.index(pcfg), _ESTIMATORS[name][1])
+                           for name, pcfg in zip(cfg.estimators, pcfgs)]
+        moment = [member for name, member, _ in self.estimators if name in ("bbse", "rlls")]
         self.confusion = None
-        if {"bbse", "rlls"} & set(cfg.estimators):
-            preds_val = predict_proba(self.predictors[twin], val.features)
+        if moment:
+            preds_val = predict_proba(models[moment[0]], val.features)
             self.confusion = confusion_matrix(preds_val, val.labels)
 
 
@@ -318,21 +320,20 @@ def _estimate_draw(cfg: ExperimentConfig, env: _SweepEnv, ci: int, alpha: float,
 
     Returns (marginal, draw, true ratio, [(estimator, report, mse, error)]),
     where a failed estimator has report and mse None and error
-    "ExceptionType: message". Each predictor scores the draw once, on first use; a forward
-    pass that raises stores nothing, so each estimator needing it retries and records it.
+    "ExceptionType: message". The stack scores the draw in one pass, on first use; a pass
+    that raises stores nothing, so each later estimator retries it and records the error.
     """
     marginal = sample_dirichlet_marginal(alpha, env.tr.m, child_seed(cfg.seed, 0xA0, ci, ti, 0))
     ds = draw(env.test_split, marginal, n_te, seed=child_seed(cfg.seed, 0xA0, ci, ti, 1))
     if cfg.perturbation is not None:
         ds = perturb_relaxed(ds, cfg.perturbation, child_seed(cfg.seed, 0xA0, ci, ti, 2))
     truth = ratio_from_marginals(marginal, env.tr)
-    scores = {}
-    results = []
-    for est, pcfg, solve in env.estimators:
+    scores, results = None, []
+    for est, member, solve in env.estimators:
         try:
-            if pcfg not in scores:
-                scores[pcfg] = predict_proba(env.predictors[pcfg], ds.features)
-            report = solve(env, scores[pcfg])
+            if scores is None:
+                scores = predict_proba(env.stack, ds.features)
+            report = solve(env, scores[member])
             results.append((est, report, ratio_mse(report.ratio, truth), ""))
         except Exception as exc:  # recorded per cell; the run keeps going
             results.append((est, None, None, f"{type(exc).__name__}: {exc}"))
@@ -439,11 +440,15 @@ def run_estimate_once(cfg: ExperimentConfig) -> dict:
 
 def run_federate(cfg: ExperimentConfig) -> dict:
     """Train the shared model under each requested weighting on one seed."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fed = build_federation(cfg.federation, cfg.data, cfg.seed)
+    if "estimated_ratios" in cfg.weightings:  # resolve's check, on the drawn train marginals
+        drawn = [node.train.empirical_marginal() for node in fed.nodes]
+        for k, tr in enumerate(drawn):
+            _build(f"federation.nodes[{k}]", lambda: aggregate_ratios(drawn, tr))
     # First, so that a federation it rejects fails before any training or output.
     crossnode = crossnode_listing_ratios(fed).tolist() if cfg.crossnode_listing else None
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     acc_rows = []
     trace_rows = []
     variants = {}

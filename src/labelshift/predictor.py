@@ -367,12 +367,16 @@ def _logits(pred: Predictor, features, padded=False) -> np.ndarray:
     return (out if padded else out[..., :n]).swapaxes(-1, -2)
 
 
-def predict_proba(pred: Predictor, features) -> ProbabilityMatrix:
-    """Class probabilities for a feature matrix, floored and renormalized. A
-    short input keeps its padding rows until the end: numpy sums the classes
-    of a lone row pairwise, but of many rows in class order."""
-    probs = ProbabilityMatrix.from_rows(np.exp(_log_softmax(_logits(pred, features, True))))
-    return probs if probs.n == len(features) else ProbabilityMatrix(probs.rows[: len(features)])
+def predict_proba(pred: Predictor,
+                  features) -> ProbabilityMatrix | tuple[ProbabilityMatrix, ...]:
+    """Class probabilities for a feature matrix, floored and renormalized. A stack of
+    models gives a tuple of one ProbabilityMatrix per model, each bit-equal to scoring
+    that model alone. A short input keeps its padding rows until the end: numpy sums
+    the classes of a lone row pairwise, but of many rows in class order."""
+    probs, n = np.exp(_log_softmax(_logits(pred, features, True))), len(features)
+    mats = [ProbabilityMatrix.from_rows(p) for p in probs.reshape(-1, *probs.shape[-2:])]
+    mats = tuple(p if p.n == n else ProbabilityMatrix(p.rows[:n]) for p in mats)
+    return mats if probs.ndim == 3 else mats[0]
 
 
 def predict_labels(pred: Predictor, features) -> np.ndarray:

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -572,7 +573,8 @@ def test_sweep_scores_each_draw_once_per_predictor(tmp_path, monkeypatch, names,
     validation = 1 if {"bbse", "rlls"} & set(names) else 0
     draws = len(cfg.alpha_grid) * cfg.trials
     assert len(trained) == predictors
-    assert len(calls) == validation + draws * predictors
+    assert len(calls) == validation + draws  # one stacked pass scores every predictor
+    assert all(len(pred.parameters) == predictors for pred, _ in calls[validation:])
     assert len({(id(pred), id(feats)) for pred, feats in calls}) == len(calls)
     rows = read_rows(tmp_path / "sweep_alpha_results.csv")
     assert len(rows) == draws * len(names)
@@ -604,6 +606,30 @@ def test_sweep_builds_the_validation_confusion_matrix_once(tmp_path, monkeypatch
     assert len(calls) == builds
 
 
+def test_a_new_estimator_row_joins_the_stack_with_no_other_change(tmp_path, monkeypatch):
+    # A throwaway row: EM on a predictor at half the configured zeta.
+    monkeypatch.setitem(cli._ESTIMATORS, "half_em",
+                        (lambda p: replace(p, zeta=p.zeta / 2), cli._ESTIMATORS["mlls_em"][1]))
+    calls, trained = [], []
+    _count_calls(monkeypatch, cli, "predict_proba", calls)
+    _count_jobs(monkeypatch, cli, trained)
+    names = ["vrls_em", "half_em", "mlls_em"]
+    cfg = cli.resolve_config(sweep_raw(estimators=names), "sweep_alpha", out=str(tmp_path / "h"),
+                             seed=3)
+    summary = cli.run_sweep_alpha(cfg)
+    assert [pcfg.zeta for _, pcfg in trained] == [0.25, 0.125, 0.0]
+    assert len(calls) == len(cfg.alpha_grid) * cfg.trials
+    assert all(len(pred.parameters) == 3 for pred, _ in calls)
+    assert all(c["count"] == cfg.trials and c["errors"] == 0 for c in summary["cells"])
+    # The other estimators read the bits they read without the new row.
+    base = cli.resolve_config(sweep_raw(estimators=["vrls_em", "mlls_em"]), "sweep_alpha",
+                              out=str(tmp_path / "b"), seed=3)
+    cli.run_sweep_alpha(base)
+    rows = read_rows(tmp_path / "h" / "sweep_alpha_results.csv")
+    assert [r for r in rows if r["estimator"] != "half_em"] == read_rows(
+        tmp_path / "b" / "sweep_alpha_results.csv")
+
+
 def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):
     em = []
     _count_calls(monkeypatch, cli, "estimate_mlls_em", em)
@@ -616,38 +642,29 @@ def test_sweep_picks_each_solver_by_the_estimator_name(tmp_path, monkeypatch):
 
 
 def test_scoring_failure_is_charged_to_each_estimator_needing_it(tmp_path, monkeypatch):
-    trained = {}
-    original_train, original_predict = cli.train_predictors, cli.predict_proba
-
-    def train(jobs):
-        jobs = list(jobs)
-        preds = original_train(jobs)
-        for (_, pcfg), pred in zip(jobs, preds):
-            trained[pcfg.zeta] = pred
-        return preds
+    # One pass scores every predictor of a draw, so its failure reaches every estimator, and
+    # each retries it, since a failed pass stores nothing.
+    attempts = []
+    original_predict = cli.predict_proba
 
     def predict(pred, features):
-        if pred is trained[0.0] and len(features) == BASE_SWEEP["n_te"]:
+        if len(features) == BASE_SWEEP["n_te"]:
+            attempts.append(len(pred.parameters))
             raise RuntimeError("scoring failed")
         return original_predict(pred, features)
 
-    monkeypatch.setattr(cli, "train_predictors", train)
     monkeypatch.setattr(cli, "predict_proba", predict)
     cfg = cli.resolve_config(sweep_raw(), "sweep_alpha", out=str(tmp_path / "s"), seed=3)
     cli.run_sweep_alpha(cfg)
     rows = read_rows(tmp_path / "s" / "sweep_alpha_results.csv")
-    assert len(rows) == 24
+    assert len(rows) == 24 and attempts == [2] * 24
     for r in rows:
-        if r["estimator"] == "vrls_em":
-            assert r["error"] == "" and float(r["mse"]) >= 0
-        else:
-            assert r["error"] == "RuntimeError: scoring failed" and r["mse"] == ""
+        assert r["error"] == "RuntimeError: scoring failed" and r["mse"] == ""
 
     cfg = cli.resolve_config(raw_for("estimate_once"), "estimate_once", out=str(tmp_path / "e"),
                              seed=3)
     estimates = cli.run_estimate_once(cfg)["estimates"]
-    assert estimates["vrls_em"]["error"] == ""
-    for name in ("mlls_em", "bbse", "rlls"):
+    for name in ("vrls_em", "mlls_em", "bbse", "rlls"):
         assert estimates[name] == {"error": "RuntimeError: scoring failed"}
 
 
@@ -866,6 +883,24 @@ def test_main_rejects_a_ratio_estimate_on_a_missing_class_before_any_output(
     assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: federation.nodes[0]: {message}\n"
     assert builds == [] and not out.exists()
+
+
+def test_main_rejects_estimated_ratios_on_a_class_a_node_drew_none_of_before_training(
+        tmp_path, capsys, monkeypatch):
+    # 30 rows at 0.01 draw none of classes 1 and 2, which the other nodes' estimates hold.
+    raw = json.loads(next(p for p in CONFIGS if p.stem == "federate").read_text())
+    raw.update(weightings=["none", "estimated_ratios"], crossnode_listing=False)
+    raw["federation"]["nodes"][0].update(train_marginal=[0.98, 0.01, 0.01], n_tr=30)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    trained, rounds = [], []
+    _count_jobs(monkeypatch, federated, trained)
+    _count_calls(monkeypatch, cli, "train_global", rounds)
+    out = tmp_path / "out"
+    assert cli.main(["federate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: federation.nodes[0]: unsupported class: test mass"
+                                       " where train mass is zero\n")
+    assert trained == [] and rounds == [] and not out.exists()
 
 
 def test_main_rejects_unknown_weighting_before_training(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from labelshift import PredictorConfig, init_predictor, predict_labels, predict_proba
+from labelshift import (
+    PredictorConfig, ProbabilityMatrix, init_predictor, predict_labels, predict_proba,
+)
 from labelshift import predictor
 from labelshift.predictor import _block_rows, _logits
 from labelshift.types import argmax_last
@@ -91,6 +93,25 @@ def test_a_stack_scores_each_model_as_it_is_scored_alone(shape, n):
     for s, pred in enumerate(preds):
         assert np.array_equal(z[s], _logits(pred, x))
         assert np.array_equal(labels[s], predict_labels(pred, x))
+
+
+@pytest.mark.parametrize("stack", [1, 3])
+@pytest.mark.parametrize("rows", ["short", "partial"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_predict_proba_of_a_stack_gives_each_model_its_own_matrix(shape, rows, stack):
+    # A sweep scores each test draw with one stack of its predictors; a zeta = 0 sweep's has one.
+    preds = [_model(shape, seed) for seed in range(1, stack + 1)]
+    block = _block_rows(preds[0])
+    n = block // 2 + 3 if rows == "short" else 2 * block + block // 3
+    rng = np.random.default_rng(n)
+    d = preds[0].d
+    x = (rng.integers(0, 256, size=(n, d), dtype=np.uint8) if d == 784
+         else rng.normal(scale=2.0, size=(n, d)))
+    scored = predict_proba(_stack(preds), x)
+    assert isinstance(scored, tuple) and len(scored) == stack
+    for pred, member in zip(preds, scored):
+        alone = predict_proba(pred, x)  # one model: one matrix
+        assert isinstance(alone, ProbabilityMatrix) and np.array_equal(member.rows, alone.rows)
 
 
 def test_logits_and_probabilities_are_class_major():

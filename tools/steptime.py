@@ -19,7 +19,10 @@ Two more rows time the stacks the shipped runs step:
     model on one shared batch of 64 rows drawn afresh each step, with (3, 64)
     per-row weights, through one predictor.StepWorkspace and the SGD update.
 Then it prints the median time of one predict_proba call on 5,000 seeded
-rows for one freshly initialized model of each shape, and two scoring calls
+rows for one freshly initialized model of each shape; for the two shapes a
+sweep scores (8->128->3 on float64 rows, 784->128->10 on uint8 pixels), the
+time of one pass of a two-model stack, which is how a sweep scores each test
+draw, against one call per model; and two scoring calls
 of the federate run on 2,000 rows: predict_labels of a stack of three linear
 2->3 models (one node of federated.evaluate) and predict_proba of one
 2->32->3 ratio predictor.
@@ -108,6 +111,27 @@ def score_seconds(d: int, hidden: int, m: int, calls: int,
     return (time.perf_counter() - t) / calls
 
 
+def pair_seconds(d: int, hidden: int, m: int, calls: int, pixels: bool) -> tuple[float, float]:
+    """(stacked, separate): one predict_proba pass of a two-model stack on 5,000 rows, and
+    one call per model, timed alternately call by call."""
+    cfg = PredictorConfig(hidden_units=hidden)
+    pair = [init_predictor(replace(cfg, seed=s), m, d) for s in range(2)]
+    stack = replace(pair[0], parameters=np.stack([p.parameters for p in pair]))
+    rng = np.random.default_rng(d * 1000 + m)
+    x = (rng.integers(0, 256, size=(SCORED_ROWS, d), dtype=np.uint8) if pixels
+         else rng.normal(size=(SCORED_ROWS, d)))
+    stacked = separate = 0.0
+    for _ in range(calls):
+        t = time.perf_counter()
+        predict_proba(stack, x)
+        stacked += time.perf_counter() - t
+        t = time.perf_counter()
+        for pred in pair:
+            predict_proba(pred, x)
+        separate += time.perf_counter() - t
+    return stacked / calls, separate / calls
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--steps", type=int, default=640, help="stacked steps per timing")
@@ -133,6 +157,13 @@ def main() -> int:
         secs = statistics.median(score_seconds(d, hidden, m, 20)
                                  for _ in range(args.repeats))
         print(f"{name:<18} {secs * 1e3:>32.3f}")
+    print(f"\n{'sweep scoring pair, ' + str(SCORED_ROWS) + ' rows':<30} {'stacked ms':>11}"
+          f" {'separate ms':>12}")
+    for name, d, hidden, m, pixels in (("mlp 8->128->3", 8, 128, 3, False),
+                                       ("mlp 784->128->10 uint8", 784, 128, 10, True)):
+        times = [pair_seconds(d, hidden, m, 20, pixels) for _ in range(args.repeats)]
+        stacked, separate = (statistics.median(t) for t in zip(*times))
+        print(f"{name:<30} {stacked * 1e3:>11.3f} {separate * 1e3:>12.3f}")
     print(f"\n{'federate scoring, ' + str(NODE_ROWS) + ' rows':<32} {'ms per call':>18}")
     node_calls = (
         ("predict_labels linear 2->3 x3",
